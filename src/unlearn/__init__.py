@@ -7,7 +7,7 @@ from .core import (MODES, ResolvedSchedule, UnlearnConfig, UnlearnState,
                    regularized_strong_params, sensitivity_bound,
                    sigma_perfect, sigma_strong, unlearn, weak_params,
                    weak_schedule)
-from .data import (DataPoint, Dataset, Update, UpdateSequence, apply_update,
+from .data import (DataPoint, Dataset, Update, UpdateSequence,
                    gen_adversarial_sequence, gen_synthetic_dataset,
                    load_updates, save_updates)
 from .distributed import (DistConfig, PartitionedState, dist_learn,
@@ -17,8 +17,7 @@ from .harness import (CertificateError, ExperimentConfig, MetricsRecord,
                       emit_report, run_chain, run_retrain_baseline,
                       verify_unlearning_certificate)
 from .losses import (LogisticLoss, LossModel, ParamSpace, RegularizedLoss,
-                     RidgeLoss, closed_form_ridge_optimizer, project,
-                     regularize)
+                     RidgeLoss, closed_form_ridge_optimizer)
 from .optimizer import GDConfig, GDTrace, contraction_factor, pgd
 from .rng import substream
 

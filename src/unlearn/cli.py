@@ -30,7 +30,7 @@ import numpy as np
 
 from . import core
 from .data import Dataset, gen_adversarial_sequence, gen_synthetic_dataset, \
-    load_updates, save_updates
+    save_updates
 from .harness import (CertificateError, ExperimentConfig, emit_report,
                       load_summary, prepare, run_chain, run_retrain_baseline,
                       trial_seed, verify_unlearning_certificate)

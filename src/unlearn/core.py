@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, Update
-from .losses import LossModel, RegularizedLoss
+from .losses import LossModel
 from .optimizer import GDConfig, GDTrace, contraction_factor, pgd
 from .rng import substream
 
@@ -355,10 +355,6 @@ class ResolvedSchedule:
             # descent on the effective loss can only contract faster.
             self.gamma = loss.smoothness / (loss.smoothness + 2.0 * self.m_reg)
         self.eta = GDConfig.for_loss(self.effective_loss, 1).step_size
-
-    @property
-    def mode(self) -> str:
-        return self.config.mode
 
     def train_iters(self, n_current: int) -> int:
         """Learning budget T >= I + log(D m n / 2L) / log(1/gamma).

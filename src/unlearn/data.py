@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "Dataset",
     "Update",
     "UpdateSequence",
-    "apply_update",
     "gen_adversarial_sequence",
     "gen_synthetic_dataset",
     "load_updates",
@@ -82,8 +81,9 @@ class Dataset:
         labels: (n,) array.
         initial_size: size n_0 of the original training set; edits must
             keep the current size at or above n_0 / 2.
-        feature_bound: declared bound on ||x||_2, validated on load.
-        label_bound: declared bound on |y|, validated on load.
+        feature_bound: declared bound on ||x||_2, validated on load and
+            on every add.
+        label_bound: declared bound on |y|, validated likewise.
     """
 
     def __init__(self, features, labels, feature_bound=1.0, label_bound=1.0,
@@ -120,23 +120,31 @@ class Dataset:
     def multiplicity(self, point: DataPoint) -> int:
         return int(self.find(point).size)
 
-    def validate_bounds(self):
-        norms = np.linalg.norm(self.features, axis=1)
-        if norms.size and norms.max() > self.feature_bound * (1 + 1e-12):
+    def _check_bounds(self, norm, label):
+        # Written as "not <=" so that NaN fails the test too.
+        if not norm <= self.feature_bound * (1 + 1e-12):
             raise ValueError("feature norm exceeds declared bound")
-        if self.labels.size and np.abs(self.labels).max() > self.label_bound * (1 + 1e-12):
+        if not label <= self.label_bound * (1 + 1e-12):
             raise ValueError("label magnitude exceeds declared bound")
+
+    def validate_bounds(self):
+        if self.size:
+            self._check_bounds(np.linalg.norm(self.features, axis=1).max(),
+                               np.abs(self.labels).max())
 
     def apply(self, update: Update) -> "Dataset":
         """Return the dataset after one edit.
 
-        Adding appends a copy. Deleting removes one copy if present and
-        is a no-op on the contents otherwise. Raises if the edit would
-        push the size below initial_size / 2.
+        Adding appends a copy, and raises if the point breaks the
+        declared bounds or is not finite. Deleting removes one copy if
+        present and is a no-op on the contents otherwise. Raises if the
+        edit would push the size below initial_size / 2.
         """
         if update.op == "add":
             if update.point.x.shape != (self.dim,):
                 raise ValueError("added point has wrong dimension")
+            self._check_bounds(np.linalg.norm(update.point.x),
+                               abs(update.point.y))
             feats = np.vstack([self.features, update.point.x])
             labs = np.append(self.labels, update.point.y)
         else:
@@ -185,11 +193,6 @@ class Dataset:
         data = cls(np.array(feats), np.array(labs), feature_bound, label_bound)
         data.validate_bounds()
         return data
-
-
-def apply_update(data: Dataset, update: Update) -> Dataset:
-    """Functional alias for :meth:`Dataset.apply`."""
-    return data.apply(update)
 
 
 def _ball_points(rng, n, dim, radius):

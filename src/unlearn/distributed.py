@@ -17,7 +17,6 @@ descent.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -28,8 +27,6 @@ from .data import Dataset, Update
 from .losses import LossModel
 from .optimizer import GDConfig, contraction_factor, pgd
 from .rng import substream
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "DistConfig",
@@ -339,9 +336,6 @@ def reservoir_update(features: np.ndarray, labels: np.ndarray,
         if new_data.size < 1:
             raise ValueError("empty dataset")
         count = int(rng.binomial(b, 1.0 / new_data.size))
-        if count > b:  # unreachable for a binomial; guard stays anyway
-            logger.warning("overwrite count %d capped at %d", count, b)
-            count = b
         pos = rng.choice(b, size=count, replace=False) if count else \
             np.empty(0, dtype=int)
         same = np.all(features[pos] == point.x, axis=1) & \

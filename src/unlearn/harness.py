@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -43,6 +44,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 HARNESS_MODES = core.MODES + ("distributed",)
+
+# Accepted value types per annotated field type; ints pass as floats.
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 class CertificateError(Exception):
@@ -78,6 +82,15 @@ class ExperimentConfig:
     trials: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = str(f.type).partition(" | ")
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or \
+                    not isinstance(value, _FIELD_KINDS[kind]):
+                raise ValueError(f"config key {f.name!r} must be {f.type}, "
+                                 f"not {type(value).__name__}")
         if self.mode not in HARNESS_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.loss_kind not in ("ridge", "logistic"):
@@ -149,7 +162,11 @@ def prepare(config: ExperimentConfig, trial: int = 0):
 
 @dataclass
 class MetricsRecord:
-    """Per-round measurements of one chain."""
+    """Per-round measurements of one chain.
+
+    ``wall_time_s`` covers the round's learn or edit plus that round's
+    oracles; it is left out of ``to_dict`` unless timings are asked for.
+    """
 
     round: int
     n_points: int
@@ -164,20 +181,9 @@ class MetricsRecord:
     wall_time_s: float | None = None
 
     def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
-            "round": self.round,
-            "n_points": self.n_points,
-            "update_iters": self.update_iters,
-            "excess_risk": self.excess_risk,
-            "reference_tolerance": self.reference_tolerance,
-            "drift": self.drift,
-            "drift_tolerance": self.drift_tolerance,
-            "mean_gap": self.mean_gap,
-            "grads_round": self.grads_round,
-            "budget": self.budget,
-        }
-        if include_timings:
-            out["wall_time_s"] = self.wall_time_s
+        out = asdict(self)
+        if not include_timings:
+            del out["wall_time_s"]
         return out
 
 
@@ -242,35 +248,73 @@ def reference_minimum(loss: LossModel, data: Dataset, hint_iters: int = 50):
     return loss.empirical_loss(data, trace.theta) - gap, gap
 
 
-def _core_chain(config: ExperimentConfig, trial: int, compute_gap: bool):
+def _rounds(config: ExperimentConfig, trial: int):
+    """Run one trial's chain: learn, then apply each edit in order.
+
+    Yields ``(loss, params, state, t0)`` once per round, where
+    ``params`` is the chain's UnlearnConfig or DistConfig and ``t0``
+    is the clock reading taken just before the round's learn or edit.
+    The chain functions are looked up when the trial starts, so a
+    patched ``core.learn`` or ``dist_unlearn`` is the one that runs.
+    """
     data, loss, updates = prepare(config, trial)
-    cfg = config.core_config()
-    sched = cfg.resolve(loss, data.size, data.dim)
-    chain_seed = trial_seed(config.seed, trial)
-    records = []
+    seed = trial_seed(config.seed, trial)
+    if config.mode == "distributed":
+        params = dist_params(data.size, data.dim, loss,
+                             config.sample_exponent, config.iters,
+                             config.epsilon, config.delta, beta=config.beta,
+                             copies=config.copies)
+        learn, step = dist_learn, dist_unlearn
+    else:
+        params = config.core_config()
+        learn, step = core.learn, core.unlearn
     t0 = time.perf_counter()
-    state = core.learn(data, loss, cfg, seed=chain_seed)
+    state = learn(data, loss, params, seed=seed)
+    yield loss, params, state, t0
+    for update in updates:
+        t0 = time.perf_counter()
+        state = step(state, update, loss, params)
+        yield loss, params, state, t0
+
+
+def run_chain(config: ExperimentConfig, trial: int = 0,
+              compute_gap: bool = False) -> list:
+    """Run one trial of the configured chain; one record per round.
+
+    Each record's ``wall_time_s`` covers the round's learn or edit plus
+    that round's reference oracles (and the gap oracle when
+    ``compute_gap`` is set); preparing the data is not included.
+    Drift and gap are measured for the single-machine modes only.
+    """
+    distributed = config.mode == "distributed"
+    records = []
     prev_budget = 0
-    for rnd in range(len(updates) + 1):
-        if rnd > 0:
-            t0 = time.perf_counter()
-            state = core.unlearn(state, updates[rnd - 1], loss, cfg)
-        fmin, f_tol = reference_minimum(loss, state.data, sched.config.iters)
-        theta_star, d_tol = reference_optimum(sched.effective_loss,
-                                              state.data, sched.config.iters)
-        gap = None
-        if compute_gap:
-            mean = fresh_mean(state.data, loss, cfg).theta
-            gap = float(np.linalg.norm(mean - state.theta_hat))
+    for rnd, (loss, params, state, t0) in enumerate(_rounds(config, trial)):
+        drift = d_tol = gap = None
+        if distributed:
+            hint = params.train_iters
+            iters = hint if rnd == 0 else params.total_update_iters(rnd)
+        else:
+            if rnd == 0:
+                sched = params.resolve(loss, state.data.size, state.data.dim)
+            hint = params.iters
+            iters = (sched.update_iters(rnd) if rnd
+                     else sched.train_iters(sched.n))
+            theta_star, d_tol = reference_optimum(sched.effective_loss,
+                                                  state.data, hint)
+            drift = float(np.linalg.norm(state.theta_hat - theta_star))
+            if compute_gap:
+                mean = fresh_mean(state.data, loss, params).theta
+                gap = float(np.linalg.norm(mean - state.theta_hat))
+        fmin, f_tol = reference_minimum(loss, state.data, hint)
         records.append(MetricsRecord(
             round=rnd,
             n_points=state.data.size,
-            update_iters=float(sched.train_iters(data.size) if rnd == 0
-                               else sched.update_iters(rnd)),
+            update_iters=float(iters),
             excess_risk=float(loss.empirical_loss(state.data,
                                                   state.theta_pub) - fmin),
             reference_tolerance=f_tol,
-            drift=float(np.linalg.norm(state.theta_hat - theta_star)),
+            drift=drift,
             drift_tolerance=d_tol,
             mean_gap=gap,
             grads_round=state.budget - prev_budget,
@@ -279,48 +323,6 @@ def _core_chain(config: ExperimentConfig, trial: int, compute_gap: bool):
         ))
         prev_budget = state.budget
     return records
-
-
-def _dist_chain(config: ExperimentConfig, trial: int):
-    data, loss, updates = prepare(config, trial)
-    cfg = dist_params(data.size, data.dim, loss, config.sample_exponent,
-                      config.iters, config.epsilon, config.delta,
-                      beta=config.beta, copies=config.copies)
-    chain_seed = trial_seed(config.seed, trial)
-    records = []
-    t0 = time.perf_counter()
-    state = dist_learn(data, loss, cfg, seed=chain_seed)
-    prev_budget = 0
-    for rnd in range(len(updates) + 1):
-        if rnd > 0:
-            t0 = time.perf_counter()
-            state = dist_unlearn(state, updates[rnd - 1], loss, cfg)
-        fmin, f_tol = reference_minimum(loss, state.data, cfg.train_iters)
-        records.append(MetricsRecord(
-            round=rnd,
-            n_points=state.data.size,
-            update_iters=float(cfg.train_iters if rnd == 0
-                               else cfg.total_update_iters(rnd)),
-            excess_risk=float(loss.empirical_loss(state.data,
-                                                  state.theta_pub) - fmin),
-            reference_tolerance=f_tol,
-            drift=None,
-            drift_tolerance=None,
-            mean_gap=None,
-            grads_round=state.budget - prev_budget,
-            budget=state.budget,
-            wall_time_s=time.perf_counter() - t0,
-        ))
-        prev_budget = state.budget
-    return records
-
-
-def run_chain(config: ExperimentConfig, trial: int = 0,
-              compute_gap: bool = False) -> list:
-    """Run one trial of the configured chain; one record per round."""
-    if config.mode == "distributed":
-        return _dist_chain(config, trial)
-    return _core_chain(config, trial, compute_gap)
 
 
 def run_retrain_baseline(config: ExperimentConfig,
@@ -396,37 +398,32 @@ def verify_unlearning_certificate(config: ExperimentConfig,
     if config.mode == "distributed":
         raise ValueError("certificates cover the single-machine modes")
     trials = config.trials if trials is None else trials
-    cfg = config.core_config()
     perfect = config.mode == "strong_perfect"
-    probe = prepare(config, 0)
-    loss = probe[1]
-    sched = cfg.resolve(loss, probe[0].size, probe[0].dim)
+    data, loss, _ = prepare(config, 0)
+    sched = config.core_config().resolve(loss, data.size, data.dim)
     eff = sched.effective_loss
     if perfect:
         bound = 2.0 * core.perfect_drift_bound(
             loss.lipschitz, loss.strong_convexity, sched.gamma, sched.n,
             config.iters, sched.sigma, config.dim)
-        drift_limit = 0.5 * bound
         mech_delta = config.delta / 2.0
     else:
         bound = core.mean_gap_bound(
             eff.lipschitz, eff.strong_convexity, sched.gamma, sched.n,
             config.iters)
-        drift_limit = 0.5 * bound
         mech_delta = config.delta
+    drift_limit = 0.5 * bound
     max_gap = 0.0
     max_drift = 0.0
     violations = []
     clean_trials = 0
     rounds = 0
     for t in range(trials):
-        data, loss_t, updates = prepare(config, t)
-        chain_seed = trial_seed(config.seed, t)
-        state = core.learn(data, loss_t, cfg, seed=chain_seed)
         trial_ok = True
-        for rnd in range(1, len(updates) + 1):
-            state = core.unlearn(state, updates[rnd - 1], loss_t, cfg)
-            mean = fresh_mean(state.data, loss_t, cfg).theta
+        for rnd, (loss_t, params, state, _) in enumerate(_rounds(config, t)):
+            if rnd == 0:
+                continue
+            mean = fresh_mean(state.data, loss_t, params).theta
             gap = float(np.linalg.norm(mean - state.theta_hat))
             theta_star, tol = reference_optimum(eff, state.data, config.iters)
             drift = float(np.linalg.norm(state.theta_hat - theta_star))

@@ -44,8 +44,6 @@ __all__ = [
     "RidgeLoss",
     "LogisticLoss",
     "RegularizedLoss",
-    "project",
-    "regularize",
     "closed_form_ridge_optimizer",
 ]
 
@@ -84,9 +82,9 @@ class ParamSpace:
         return theta * (self.radius / norm)
 
 
-def project(theta, space: ParamSpace) -> np.ndarray:
-    """Euclidean projection onto the parameter ball."""
-    return space.project(theta)
+def _one_row(x, y):
+    # (features, labels) of a batch holding the single point (x, y).
+    return np.asarray(x, dtype=float)[None, :], np.array([float(y)])
 
 
 class LossModel:
@@ -103,10 +101,14 @@ class LossModel:
     lipschitz: float
 
     def point_loss(self, x, y, theta) -> float:
-        raise NotImplementedError
+        """Loss of the single point (x, y): a one-row batch."""
+        return self._batch_loss(*_one_row(x, y),
+                                np.asarray(theta, dtype=float))
 
     def point_gradient(self, x, y, theta) -> np.ndarray:
-        raise NotImplementedError
+        """Gradient of the single point (x, y): a one-row batch."""
+        return self._batch_gradient(*_one_row(x, y),
+                                    np.asarray(theta, dtype=float))
 
     def _batch_loss(self, features, labels, theta) -> float:
         raise NotImplementedError
@@ -156,18 +158,6 @@ class RidgeLoss(LossModel):
 
     kind = "ridge"
 
-    def point_loss(self, x, y, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        resid = float(x @ theta) - float(y)
-        return 0.5 * resid * resid + 0.5 * self.lam * float(theta @ theta)
-
-    def point_gradient(self, x, y, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        resid = float(x @ theta) - float(y)
-        return resid * x + self.lam * theta
-
     def _batch_loss(self, features, labels, theta):
         resid = features @ theta - labels
         return 0.5 * float(resid @ resid) / resid.size \
@@ -203,19 +193,6 @@ class LogisticLoss(LossModel):
     @property
     def kind(self):
         return "logistic+ridge" if self.lam > 0 else "logistic"
-
-    def point_loss(self, x, y, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        margin = float(y) * float(x @ theta)
-        return float(np.logaddexp(0.0, -margin)) \
-            + 0.5 * self.lam * float(theta @ theta)
-
-    def point_gradient(self, x, y, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        margin = float(y) * float(x @ theta)
-        return -float(y) * _expit(-margin) * x + self.lam * theta
 
     def _batch_loss(self, features, labels, theta):
         margins = labels * (features @ theta)
@@ -254,15 +231,6 @@ class RegularizedLoss(LossModel):
     def kind(self):
         return f"{self.base.kind}+reg"
 
-    def point_loss(self, x, y, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self.base.point_loss(x, y, theta) \
-            + 0.5 * self.extra * float(theta @ theta)
-
-    def point_gradient(self, x, y, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self.base.point_gradient(x, y, theta) + self.extra * theta
-
     def _batch_loss(self, features, labels, theta):
         return self.base._batch_loss(features, labels, theta) \
             + 0.5 * self.extra * float(theta @ theta)
@@ -273,11 +241,6 @@ class RegularizedLoss(LossModel):
 
     def check_dataset(self, data: Dataset):
         self.base.check_dataset(data)
-
-
-def regularize(loss: LossModel, extra: float) -> RegularizedLoss:
-    """Return ``loss`` plus an (extra/2)|theta|^2 term."""
-    return RegularizedLoss(loss, extra)
 
 
 def closed_form_ridge_optimizer(data: Dataset, lam: float,

@@ -51,3 +51,12 @@ def ball_points(rng, count, dim, radius=1.0):
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     scale = radius * rng.random(count) ** (1.0 / dim)
     return raw * scale[:, None]
+
+
+# Adds in three dimensions that break the declared feature or label
+# bound of a unit-ball dataset, or are not finite.
+BAD_ADDS = [
+    (np.array([50.0, 0.0, 0.0]), 0.0),
+    (np.array([0.1, 0.0, 0.0]), 7.0),
+    (np.array([np.nan, 0.0, 0.0]), 0.0),
+]

@@ -36,6 +36,8 @@ from unlearn.losses import (
 )
 from unlearn.rng import substream
 
+from helpers import BAD_ADDS
+
 E = math.e
 DELTA1 = math.exp(-1.0)
 
@@ -348,6 +350,15 @@ def test_unlearn_rejects_mode_mismatch():
     with pytest.raises(ValueError, match="mode does not match"):
         unlearn(state, Update("add", DataPoint(np.zeros(3), 0.0)), loss,
                 perfect)
+
+
+@pytest.mark.parametrize("x, y", BAD_ADDS)
+def test_unlearn_rejects_adds_outside_the_bounds(x, y):
+    data, loss = ridge_chain_problem()
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state = learn(data, loss, config, seed=8)
+    with pytest.raises(ValueError, match="exceeds declared bound"):
+        unlearn(state, Update("add", DataPoint(x, y)), loss, config)
 
 
 def round_updates(rounds, dim=3, seed=99):

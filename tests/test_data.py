@@ -10,7 +10,6 @@ from unlearn.data import (
     Dataset,
     Update,
     UpdateSequence,
-    apply_update,
     gen_adversarial_sequence,
     gen_synthetic_dataset,
     load_updates,
@@ -58,7 +57,7 @@ def test_delete_removes_exactly_one_copy():
     point = data.point(0)
     doubled = data.apply(Update("add", point))
     assert doubled.multiplicity(point) == 2
-    after = apply_update(doubled, Update("delete", point))
+    after = doubled.apply(Update("delete", point))
     assert after.size == 3
     assert after.multiplicity(point) == 1
 
@@ -101,6 +100,29 @@ def test_validate_bounds_flags_oversized_rows():
     data = Dataset(np.array([[0.1, 0.0]]), np.array([3.0]))
     with pytest.raises(ValueError, match="label magnitude exceeds"):
         data.validate_bounds()
+    data = Dataset(np.array([[0.1, 0.0], [np.nan, 0.0]]), np.array([0.0, 0.0]))
+    with pytest.raises(ValueError, match="feature norm exceeds"):
+        data.validate_bounds()
+    data = Dataset(np.array([[0.1, 0.0]]), np.array([np.nan]))
+    with pytest.raises(ValueError, match="label magnitude exceeds"):
+        data.validate_bounds()
+
+
+OUT_OF_BOUNDS = [
+    (np.array([50.0, 0.0]), 0.0, "feature norm exceeds"),
+    (np.array([0.1, 0.0]), 7.0, "label magnitude exceeds"),
+    (np.array([np.nan, 0.0]), 0.0, "feature norm exceeds"),
+    (np.array([0.1, 0.0]), np.nan, "label magnitude exceeds"),
+]
+
+
+@pytest.mark.parametrize("x, y, message", OUT_OF_BOUNDS)
+def test_add_outside_the_declared_bounds_rejected(x, y, message):
+    data = small_dataset()
+    with pytest.raises(ValueError, match=message):
+        data.apply(Update("add", DataPoint(x, y)))
+    edge = DataPoint(np.array([0.6, 0.8]), -1.0)
+    assert data.apply(Update("add", edge)).size == 4
 
 
 def test_synthetic_linear_dataset_respects_bounds():
@@ -242,5 +264,8 @@ def test_csv_loader_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError, match="empty dataset"):
         Dataset.from_csv(path)
     path.write_text("x_1,y\n5.0,0.0\n")
+    with pytest.raises(ValueError, match="feature norm exceeds"):
+        Dataset.from_csv(path)
+    path.write_text("x_1,y\n0.1,0.0\nnan,0.0\n")
     with pytest.raises(ValueError, match="feature norm exceeds"):
         Dataset.from_csv(path)

@@ -20,6 +20,8 @@ from unlearn.distributed import (
 from unlearn.losses import ParamSpace, RidgeLoss, closed_form_ridge_optimizer
 from unlearn.rng import substream
 
+from helpers import BAD_ADDS
+
 
 def ridge_loss(dim, lam=1.0, radius=1.0):
     return RidgeLoss(ParamSpace(dim, radius), lam=lam)
@@ -304,6 +306,14 @@ def test_void_deletion_in_the_distributed_chain_still_publishes():
     assert not np.array_equal(after.theta_pub, state.theta_pub)
     for before_c, after_c in zip(state.copies, after.copies):
         assert np.array_equal(before_c.thetas, after_c.thetas)
+
+
+@pytest.mark.parametrize("x, y", BAD_ADDS)
+def test_dist_unlearn_rejects_adds_outside_the_bounds(x, y):
+    data, loss, cfg = small_problem(seed=18)
+    state = dist_learn(data, loss, cfg, seed=18)
+    with pytest.raises(ValueError, match="exceeds declared bound"):
+        dist_unlearn(state, Update("add", DataPoint(x, y)), loss, cfg)
 
 
 def test_single_partition_single_copy_degenerate_case():

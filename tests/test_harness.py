@@ -7,6 +7,7 @@ import pytest
 from unlearn import core
 from unlearn.cli import main
 from unlearn.data import Dataset, load_updates, save_updates
+from unlearn.distributed import dist_params
 from unlearn.harness import (
     SCHEMA_VERSION,
     ExperimentConfig,
@@ -45,6 +46,15 @@ def test_config_field_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError, match="update length"):
         ExperimentConfig(update_length=-1)
+    with pytest.raises(ValueError, match="'n' must be int, not str"):
+        ExperimentConfig(n="200")
+    with pytest.raises(ValueError, match="'iters' must be int, not float"):
+        ExperimentConfig(iters=5.0)
+    with pytest.raises(ValueError, match="'seed' must be int, not bool"):
+        ExperimentConfig(seed=True)
+    with pytest.raises(ValueError, match="'lam' must be float, not str"):
+        ExperimentConfig(lam="1")
+    assert ExperimentConfig(lam=2, copies=None).lam == 2  # ints pass as floats
 
 
 def test_config_override_ignores_unset_flags():
@@ -171,7 +181,13 @@ def test_distributed_chain_record_shape():
                            mode="distributed", delta=0.01, copies=2)
     records = run_chain(cfg)
     assert len(records) == 5
-    assert records[0].update_iters > 0
+    data, loss, _ = prepare(cfg, 0)
+    params = dist_params(data.size, data.dim, loss, cfg.sample_exponent,
+                         cfg.iters, cfg.epsilon, cfg.delta, beta=cfg.beta,
+                         copies=cfg.copies)
+    assert records[0].update_iters == params.train_iters > 0
+    for i, r in enumerate(records[1:], start=1):
+        assert r.update_iters == params.total_update_iters(i)
     for r in records:
         assert r.drift is None
         assert r.mean_gap is None
@@ -275,6 +291,18 @@ def test_certificate_passes_for_the_secret_mode():
     assert report["calibration_epsilon"] == pytest.approx(cfg.epsilon,
                                                           rel=1e-9)
     assert report["frequency_observed"] == 1.0
+    # The certificate walks the same chain as run_chain.
+    chained = [r for t in range(cfg.trials)
+               for r in run_chain(cfg, t, compute_gap=True)[1:]]
+    assert report["max_gap"] == max(r.mean_gap for r in chained)
+    assert report["max_drift"] == max(r.drift for r in chained)
+
+
+def test_certificate_with_no_trials_fails():
+    cfg = ExperimentConfig(n=100, update_length=3, iters=3)
+    report = verify_unlearning_certificate(cfg, trials=0)
+    assert report["rounds"] == 0
+    assert report["passed"] is False
 
 
 def test_certificate_passes_for_the_perfect_mode():
@@ -426,6 +454,9 @@ def test_cli_invalid_inputs_exit_three(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", "--config", str(bad), "--records-out",
+                 str(tmp_path / "r.jsonl")]) == 3
+    typed = write_config(tmp_path, n="200")
+    assert main(["run", "--config", typed, "--records-out",
                  str(tmp_path / "r.jsonl")]) == 3
     assert main(["gen-data", "--out", str(tmp_path / "d.csv"),
                  "--model", "cubic"]) == 3

@@ -10,8 +10,6 @@ from unlearn.losses import (
     RegularizedLoss,
     RidgeLoss,
     closed_form_ridge_optimizer,
-    project,
-    regularize,
 )
 from unlearn.optimizer import GDConfig, pgd
 
@@ -47,21 +45,21 @@ def test_param_space_diameter_and_contains():
 def test_project_identity_inside_ball():
     space = ParamSpace(3, 2.0)
     theta = np.array([0.5, -0.5, 1.0])
-    assert_allclose(project(theta, space), theta)
+    assert_allclose(space.project(theta), theta)
 
 
 def test_project_rescales_onto_sphere():
     space = ParamSpace(2, 1.0)
-    assert_allclose(project(np.array([3.0, 4.0]), space), [0.6, 0.8])
+    assert_allclose(space.project(np.array([3.0, 4.0])), [0.6, 0.8])
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
 def test_project_idempotent(values):
     theta = np.array(values)
     space = ParamSpace(theta.size, 1.0)
-    once = project(theta, space)
+    once = space.project(theta)
     assert np.linalg.norm(once) <= 1.0 + 1e-9
-    assert_allclose(project(once, space), once, atol=1e-15)
+    assert_allclose(space.project(once), once, atol=1e-15)
 
 
 def test_ridge_zero_label_zero_parameter_gives_zero_loss():
@@ -119,7 +117,7 @@ def test_gradients_match_finite_differences():
     cases = [
         RidgeLoss(ParamSpace(3, 1.0), lam=0.8),
         LogisticLoss(ParamSpace(3, 1.0), lam=0.2),
-        regularize(RidgeLoss(ParamSpace(3, 1.0), lam=0.0), 0.5),
+        RegularizedLoss(RidgeLoss(ParamSpace(3, 1.0), lam=0.0), 0.5),
     ]
     logistic_data = Dataset(data.features, np.sign(data.labels + 0.25))
     for loss in cases:
@@ -196,7 +194,7 @@ def test_regularize_updates_certified_constants():
     base = RidgeLoss(ParamSpace(2, 1.0), lam=0.0)
     assert base.lipschitz == 2.0
     assert base.strong_convexity == 0.0
-    reg = regularize(base, 1.0)
+    reg = RegularizedLoss(base, 1.0)
     assert reg.lipschitz == 4.0
     assert reg.smoothness == base.smoothness + 1.0
     assert reg.strong_convexity == 1.0
@@ -205,15 +203,15 @@ def test_regularize_updates_certified_constants():
 def test_regularize_rejects_nonpositive_extra():
     base = RidgeLoss(ParamSpace(2, 1.0))
     with pytest.raises(ValueError):
-        regularize(base, 0.0)
+        RegularizedLoss(base, 0.0)
     with pytest.raises(ValueError):
-        regularize(base, -0.5)
+        RegularizedLoss(base, -0.5)
 
 
 def test_regularized_gradient_adds_linear_term():
     rng = np.random.default_rng(16)
     base = LogisticLoss(ParamSpace(3, 1.0), lam=0.0)
-    reg = regularize(base, 0.9)
+    reg = RegularizedLoss(base, 0.9)
     data = Dataset(ball_points(rng, 12, 3), rng.choice([-1.0, 1.0], 12))
     theta = ball_points(rng, 1, 3)[0]
     assert_allclose(

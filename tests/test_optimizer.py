@@ -6,9 +6,9 @@ from unlearn.data import Dataset
 from unlearn.losses import (
     LossModel,
     ParamSpace,
+    RegularizedLoss,
     RidgeLoss,
     closed_form_ridge_optimizer,
-    regularize,
 )
 from unlearn.optimizer import GDConfig, pgd, contraction_factor
 
@@ -154,7 +154,7 @@ def test_contraction_factor_values():
 
 def test_contraction_factor_of_regularized_flat_loss():
     base = RidgeLoss(ParamSpace(2, 1.0), lam=0.0)
-    reg = regularize(base, 0.5)
+    reg = RegularizedLoss(base, 0.5)
     expected = base.smoothness / (base.smoothness + 2 * 0.5)
     assert contraction_factor(reg) == pytest.approx(expected, abs=1e-15)
 
