@@ -418,34 +418,50 @@ class UnlearnState:
         """Portable state between rounds; excludes the dataset."""
         keep_secret = self.mode != "strong_perfect"
         return {
-            "format": SNAPSHOT_FORMAT,
+            **_encode_state(SNAPSHOT_FORMAT, self),
             "mode": self.mode,
-            "round": self.round_index,
-            "budget": self.budget,
-            "theta_pub": [float(v) for v in self.theta_pub],
             "theta_hat": (
                 [float(v) for v in self.theta_hat]
                 if keep_secret and self.theta_hat is not None else None
             ),
-            "noise_rng": self.noise_rng.bit_generator.state,
         }
 
     @classmethod
     def restore(cls, snapshot: dict, data: Dataset) -> "UnlearnState":
-        if snapshot.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError("unrecognized state format")
-        rng = np.random.default_rng()
-        rng.bit_generator.state = snapshot["noise_rng"]
+        shared = _decode_state(SNAPSHOT_FORMAT, snapshot, data)
+        if snapshot["mode"] not in MODES:
+            raise ValueError(f"unknown mode {snapshot['mode']!r}")
         theta_hat = snapshot["theta_hat"]
         return cls(
             mode=snapshot["mode"],
-            round_index=int(snapshot["round"]),
             theta_hat=None if theta_hat is None else np.asarray(theta_hat),
-            theta_pub=np.asarray(snapshot["theta_pub"], dtype=float),
-            data=data,
-            budget=int(snapshot["budget"]),
-            noise_rng=rng,
+            **shared,
         )
+
+
+def _generator(state: dict) -> np.random.Generator:
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+def _encode_state(fmt: str, state) -> dict:
+    """Snapshot fields shared by the single-machine and distributed states."""
+    return {"format": fmt, "round": state.round_index, "budget": state.budget,
+            "theta_pub": [float(v) for v in state.theta_pub],
+            "noise_rng": state.noise_rng.bit_generator.state}
+
+
+def _decode_state(fmt: str, snapshot: dict, data: Dataset) -> dict:
+    """Constructor fields of ``_encode_state``, checked against ``data``."""
+    if snapshot.get("format") != fmt:
+        raise ValueError("unrecognized state format")
+    theta_pub = np.asarray(snapshot["theta_pub"], dtype=float)
+    if theta_pub.shape != (data.dim,):
+        raise ValueError("snapshot dimension does not match the dataset")
+    return dict(round_index=int(snapshot["round"]), theta_pub=theta_pub,
+                data=data, budget=int(snapshot["budget"]),
+                noise_rng=_generator(snapshot["noise_rng"]))
 
 
 def fresh_mean(data: Dataset, loss: LossModel, config: UnlearnConfig) -> GDTrace:
@@ -492,13 +508,16 @@ def unlearn(state: UnlearnState, update: Update, loss: LossModel,
             config: UnlearnConfig) -> UnlearnState:
     """Apply one edit and publish refreshed parameters.
 
-    Deleting an absent point leaves the dataset unchanged but still
+    An added point must meet the dataset's bounds and the loss's label
+    set. Deleting an absent point leaves the dataset unchanged but still
     runs the descent and publishes, so observers cannot tell a void
     deletion from a real one.
     """
     if config.mode != state.mode:
         raise ValueError("config mode does not match state")
     sched = config.resolve(loss, state.data.initial_size, state.data.dim)
+    if update.op == "add":
+        loss.check_labels([update.point.y])
     new_data = state.data.apply(update)
     i = state.round_index + 1
     if config.mode == "strong_perfect":

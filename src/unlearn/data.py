@@ -117,9 +117,6 @@ class Dataset:
         hits = np.all(self.features == point.x, axis=1) & (self.labels == point.y)
         return np.flatnonzero(hits)
 
-    def multiplicity(self, point: DataPoint) -> int:
-        return int(self.find(point).size)
-
     def _check_bounds(self, norm, label):
         # Written as "not <=" so that NaN fails the test too.
         if not norm <= self.feature_bound * (1 + 1e-12):

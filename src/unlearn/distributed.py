@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_privacy, _sqrt_gap, publish
+from .core import (_check_privacy, _decode_state, _encode_state, _generator,
+                   _sqrt_gap, publish)
 from .data import Dataset, Update
 from .losses import LossModel
 from .optimizer import GDConfig, contraction_factor, pgd
@@ -217,10 +218,7 @@ class PartitionedState:
         points, inverse = np.unique(rows, axis=0, return_inverse=True)
         b = self.copies[0].labels.size
         return {
-            "format": DIST_SNAPSHOT_FORMAT,
-            "round": self.round_index,
-            "budget": self.budget,
-            "theta_pub": [float(v) for v in self.theta_pub],
+            **_encode_state(DIST_SNAPSHOT_FORMAT, self),
             "points": [[float(v) for v in row] for row in points],
             "copies": [
                 {
@@ -231,36 +229,23 @@ class PartitionedState:
                 }
                 for i, c in enumerate(self.copies)
             ],
-            "noise_rng": self.noise_rng.bit_generator.state,
         }
 
     @classmethod
     def restore(cls, snapshot: dict, data: Dataset) -> "PartitionedState":
-        if snapshot.get("format") != DIST_SNAPSHOT_FORMAT:
-            raise ValueError("unrecognized state format")
+        shared = _decode_state(DIST_SNAPSHOT_FORMAT, snapshot, data)
         points = np.asarray(snapshot["points"], dtype=float)
         copies = []
         for entry in snapshot["copies"]:
             rows = points[np.asarray(entry["indices"], dtype=int)]
-            rng = np.random.default_rng()
-            rng.bit_generator.state = entry["rng"]
             copies.append(CopyState(
                 features=rows[:, :-1].copy(),
                 labels=rows[:, -1].copy(),
                 part=np.asarray(entry["part"], dtype=int),
                 thetas=np.asarray(entry["thetas"], dtype=float),
-                rng=rng,
+                rng=_generator(entry["rng"]),
             ))
-        noise_rng = np.random.default_rng()
-        noise_rng.bit_generator.state = snapshot["noise_rng"]
-        return cls(
-            round_index=int(snapshot["round"]),
-            data=data,
-            copies=copies,
-            theta_pub=np.asarray(snapshot["theta_pub"], dtype=float),
-            budget=int(snapshot["budget"]),
-            noise_rng=noise_rng,
-        )
+        return cls(copies=copies, **shared)
 
 
 def select_best(averages, data: Dataset, loss: LossModel) -> int:
@@ -368,8 +353,11 @@ def dist_unlearn(state: PartitionedState, update: Update, loss: LossModel,
 
     Only partitions whose subsample content changed rerun descent; when
     an edit touches no position anywhere the publish still happens so
-    void deletions are indistinguishable from real ones.
+    void deletions are indistinguishable from real ones. An added point
+    must meet the dataset's bounds and the loss's label set.
     """
+    if update.op == "add":
+        loss.check_labels([update.point.y])
     new_data = state.data.apply(update)
     i = state.round_index + 1
     total_iters = config.total_update_iters(i)

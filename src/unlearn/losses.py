@@ -90,8 +90,6 @@ def _one_row(x, y):
 class LossModel:
     """Base class wiring per-point losses into empirical quantities."""
 
-    kind: str = "abstract"
-
     def __init__(self, space: ParamSpace):
         self.space = space
 
@@ -131,8 +129,12 @@ class LossModel:
                                     np.asarray(theta, dtype=float))
 
     def check_dataset(self, data: Dataset):
-        """Validate that the data matches the declared bounds."""
+        """Validate that the data matches the declared bounds and labels."""
         data.validate_bounds()
+        self.check_labels(data.labels)
+
+    def check_labels(self, labels):
+        """Reject labels outside the loss's label set; any label by default."""
 
     def regularized(self, extra: float) -> "RegularizedLoss":
         return RegularizedLoss(self, extra)
@@ -155,8 +157,6 @@ class RidgeLoss(LossModel):
         self.strong_convexity = self.lam
         self.smoothness = rx * rx + self.lam
         self.lipschitz = rx * (rx * r + ry) + self.lam * r
-
-    kind = "ridge"
 
     def _batch_loss(self, features, labels, theta):
         resid = features @ theta - labels
@@ -190,10 +190,6 @@ class LogisticLoss(LossModel):
         self.smoothness = 0.25 * rx * rx + self.lam
         self.lipschitz = rx + self.lam * r
 
-    @property
-    def kind(self):
-        return "logistic+ridge" if self.lam > 0 else "logistic"
-
     def _batch_loss(self, features, labels, theta):
         margins = labels * (features @ theta)
         return float(np.mean(np.logaddexp(0.0, -margins))) \
@@ -204,9 +200,8 @@ class LogisticLoss(LossModel):
         weights = labels * _expit(-margins)
         return -features.T @ weights / labels.size + self.lam * theta
 
-    def check_dataset(self, data: Dataset):
-        super().check_dataset(data)
-        if not np.all(np.isin(data.labels, (-1.0, 1.0))):
+    def check_labels(self, labels):
+        if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("logistic labels must be -1 or +1")
 
 
@@ -227,10 +222,6 @@ class RegularizedLoss(LossModel):
         self.smoothness = base.smoothness + self.extra
         self.lipschitz = base.lipschitz + self.extra * base.space.diameter
 
-    @property
-    def kind(self):
-        return f"{self.base.kind}+reg"
-
     def _batch_loss(self, features, labels, theta):
         return self.base._batch_loss(features, labels, theta) \
             + 0.5 * self.extra * float(theta @ theta)
@@ -239,8 +230,8 @@ class RegularizedLoss(LossModel):
         return self.base._batch_gradient(features, labels, theta) \
             + self.extra * theta
 
-    def check_dataset(self, data: Dataset):
-        self.base.check_dataset(data)
+    def check_labels(self, labels):
+        self.base.check_labels(labels)
 
 
 def closed_form_ridge_optimizer(data: Dataset, lam: float,

@@ -29,6 +29,7 @@ from unlearn.core import (
 )
 from unlearn.data import DataPoint, Dataset, Update, gen_synthetic_dataset
 from unlearn.losses import (
+    LogisticLoss,
     LossModel,
     ParamSpace,
     RidgeLoss,
@@ -361,6 +362,22 @@ def test_unlearn_rejects_adds_outside_the_bounds(x, y):
         unlearn(state, Update("add", DataPoint(x, y)), loss, config)
 
 
+def test_unlearn_rejects_labels_outside_the_loss_label_set():
+    data = gen_synthetic_dataset(100, 3, model="logistic", seed=8)
+    loss = LogisticLoss(ParamSpace(3, 1.0), lam=1.0)
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state = learn(data, loss, config, seed=8)
+    half = Update("add", DataPoint(np.array([0.1, 0.0, 0.0]), 0.5))
+    with pytest.raises(ValueError, match="logistic labels"):
+        unlearn(state, half, loss, config)
+    regularized = UnlearnConfig("regularized_strong", 1.0, DELTA1, 3)
+    state = learn(data, loss, regularized, seed=8)
+    with pytest.raises(ValueError, match="logistic labels"):
+        unlearn(state, half, loss, regularized)
+    good = Update("add", DataPoint(np.array([0.1, 0.0, 0.0]), -1.0))
+    assert unlearn(state, good, loss, regularized).data.size == 101
+
+
 def round_updates(rounds, dim=3, seed=99):
     rng = np.random.default_rng(seed)
     out = []
@@ -420,6 +437,20 @@ def test_restore_rejects_unknown_formats_and_missing_secrets():
     secret_cfg = UnlearnConfig("strong_secret", 1.0, DELTA1, 4)
     with pytest.raises(ValueError, match="lacks the secret parameter"):
         unlearn(restored, update, loss, secret_cfg)
+
+
+def test_restore_checks_the_dataset_and_the_mode():
+    data, loss = ridge_chain_problem()
+    state = learn(data, loss, UnlearnConfig("strong_secret", 1.0, DELTA1, 3),
+                  seed=13)
+    snap = state.snapshot()
+    wider = gen_synthetic_dataset(200, 5, seed=13)
+    with pytest.raises(ValueError, match="dimension does not match"):
+        UnlearnState.restore(snap, wider)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        UnlearnState.restore({**snap, "mode": "bogus"}, state.data)
+    restored = UnlearnState.restore(snap, state.data)
+    assert restored.snapshot() == snap
 
 
 def test_perfect_mode_restarts_from_the_public_parameter():

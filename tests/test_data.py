@@ -47,7 +47,7 @@ def test_add_appends_one_copy():
     point = DataPoint(np.array([0.5, 0.0]), 0.25)
     after = data.apply(Update("add", point))
     assert after.size == 4
-    assert after.multiplicity(point) == 1
+    assert after.find(point).size == 1
     assert data.size == 3
     assert after.initial_size == 3
 
@@ -56,10 +56,10 @@ def test_delete_removes_exactly_one_copy():
     data = small_dataset()
     point = data.point(0)
     doubled = data.apply(Update("add", point))
-    assert doubled.multiplicity(point) == 2
+    assert doubled.find(point).size == 2
     after = doubled.apply(Update("delete", point))
     assert after.size == 3
-    assert after.multiplicity(point) == 1
+    assert after.find(point).size == 1
 
 
 def test_delete_of_absent_point_changes_nothing():

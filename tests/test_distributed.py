@@ -17,7 +17,8 @@ from unlearn.distributed import (
     reservoir_update,
     select_best,
 )
-from unlearn.losses import ParamSpace, RidgeLoss, closed_form_ridge_optimizer
+from unlearn.losses import (LogisticLoss, ParamSpace, RidgeLoss,
+                            closed_form_ridge_optimizer)
 from unlearn.rng import substream
 
 from helpers import BAD_ADDS
@@ -316,6 +317,18 @@ def test_dist_unlearn_rejects_adds_outside_the_bounds(x, y):
         dist_unlearn(state, Update("add", DataPoint(x, y)), loss, cfg)
 
 
+def test_dist_unlearn_rejects_labels_outside_the_loss_label_set():
+    data = gen_synthetic_dataset(60, 3, model="logistic", seed=18)
+    loss = LogisticLoss(ParamSpace(3, 1.0), lam=1.0)
+    cfg = dist_params(60, 3, loss, 1.0, 1, 1.0, 0.01, copies=2)
+    state = dist_learn(data, loss, cfg, seed=18)
+    half = Update("add", DataPoint(np.array([0.1, 0.0, 0.0]), 0.5))
+    with pytest.raises(ValueError, match="logistic labels"):
+        dist_unlearn(state, half, loss, cfg)
+    good = Update("add", DataPoint(np.array([0.1, 0.0, 0.0]), 1.0))
+    assert dist_unlearn(state, good, loss, cfg).data.size == 61
+
+
 def test_single_partition_single_copy_degenerate_case():
     data = gen_synthetic_dataset(2, 2, seed=19)
     loss = ridge_loss(2)
@@ -357,3 +370,13 @@ def test_restore_rejects_unknown_formats():
     snap = state.snapshot()
     with pytest.raises(ValueError, match="state format"):
         PartitionedState.restore({**snap, "format": "x/2"}, data)
+
+
+def test_restore_rejects_a_dataset_of_another_dimension():
+    data, loss, cfg = small_problem(seed=21)
+    state = dist_learn(data, loss, cfg, seed=21)
+    snap = state.snapshot()
+    wider = gen_synthetic_dataset(60, 5, seed=21)
+    with pytest.raises(ValueError, match="dimension does not match"):
+        PartitionedState.restore(snap, wider)
+    assert PartitionedState.restore(snap, state.data).snapshot() == snap

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from unlearn import core
+from unlearn import core, harness
 from unlearn.cli import main
 from unlearn.data import Dataset, load_updates, save_updates
 from unlearn.distributed import dist_params
@@ -221,6 +221,74 @@ def test_reference_oracles_cover_losses_without_closed_forms():
     assert np.linalg.norm(theta - step) <= 1e-9
     value, vtol = reference_minimum(loss, data)
     assert value <= loss.empirical_loss(data, theta) <= value + vtol
+
+
+def counting(monkeypatch, name):
+    """Count the calls the harness makes to its module-level ``name``."""
+    calls = []
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_strong_mode_chain_runs_one_reference_descent_per_round(monkeypatch):
+    cfg = ExperimentConfig(n=60, dim=3, update_length=2, iters=3,
+                           loss_kind="logistic", data_model="logistic")
+    descents = counting(monkeypatch, "pgd")
+    records = run_chain(cfg)
+    assert len(records) == 3
+    assert len(descents) == 3
+
+
+def test_reference_minimum_tries_the_closed_form_once(monkeypatch):
+    cfg = ExperimentConfig(n=60, dim=3, radius=0.01)
+    data, loss, _ = prepare(cfg, 0)
+    with pytest.raises(ValueError, match="outside the ball"):
+        closed_form_ridge_optimizer(data, cfg.lam, loss.space)
+    solves = counting(monkeypatch, "closed_form_ridge_optimizer")
+    value, tol = reference_minimum(loss, data)
+    assert len(solves) == 1
+    theta, _ = reference_optimum(loss, data)
+    assert value <= loss.empirical_loss(data, theta) <= value + tol
+
+
+def test_retrain_baseline_runs_no_descent(monkeypatch):
+    descents = counting(monkeypatch, "pgd")
+    records = run_retrain_baseline(ExperimentConfig(**QUICK))
+    assert len(records) == 7
+    assert descents == []
+
+
+@pytest.mark.parametrize("loss_kind, lam", [("ridge", 1.0),
+                                           ("logistic", 0.01)])
+def test_strong_mode_excess_risk_matches_the_reference_minimum(loss_kind,
+                                                               lam):
+    # At lam=0.01 the logistic reference descent contracts slowly enough
+    # to leave a nonzero tolerance, so the bracket's gap is exercised.
+    model = "linear" if loss_kind == "ridge" else "logistic"
+    cfg = ExperimentConfig(n=80, dim=3, update_length=4, iters=3, lam=lam,
+                           loss_kind=loss_kind, data_model=model,
+                           update_strategy="random")
+    records = run_chain(cfg)
+    data, loss, updates = prepare(cfg, 0)
+    params = cfg.core_config()
+    state = core.learn(data, loss, params, seed=trial_seed(cfg.seed, 0))
+    states = [state]
+    for update in updates:
+        state = core.unlearn(state, update, loss, params)
+        states.append(state)
+    assert len(records) == len(states)
+    for record, state in zip(records, states):
+        fmin, tol = reference_minimum(loss, state.data, cfg.iters)
+        excess = loss.empirical_loss(state.data, state.theta_pub) - fmin
+        assert record.excess_risk == excess
+        assert record.reference_tolerance == tol
+        assert (tol > 0.0) == (loss_kind == "logistic")
 
 
 def test_summarize_aggregates_the_records():
@@ -460,6 +528,17 @@ def test_cli_invalid_inputs_exit_three(tmp_path):
                  str(tmp_path / "r.jsonl")]) == 3
     assert main(["gen-data", "--out", str(tmp_path / "d.csv"),
                  "--model", "cubic"]) == 3
+
+
+def test_cli_rejects_a_logistic_add_with_a_bad_label(tmp_path):
+    flags = ["run", "--records-out", str(tmp_path / "r.jsonl"), "--n", "60",
+             "--dim", "3", "--loss-kind", "logistic", "--data-model",
+             "logistic", "--updates-path"]
+    for label, code in ((1.0, 0), (0.5, 3)):
+        path = tmp_path / f"u{label}.jsonl"
+        path.write_text(json.dumps({"op": "add", "x": [0.1, 0.0, 0.0],
+                                    "y": label}) + "\n")
+        assert main(flags + [str(path)]) == code
 
 
 def test_cli_io_failures_exit_four(tmp_path):
