@@ -7,9 +7,8 @@ from .core import (MODES, ResolvedSchedule, UnlearnConfig, UnlearnState,
                    regularized_strong_params, sensitivity_bound,
                    sigma_perfect, sigma_strong, unlearn, weak_params,
                    weak_schedule)
-from .data import (DataPoint, Dataset, Update, UpdateSequence,
-                   gen_adversarial_sequence, gen_synthetic_dataset,
-                   load_updates, save_updates)
+from .data import (DataPoint, Dataset, Update, gen_adversarial_sequence,
+                   gen_synthetic_dataset, load_updates, save_updates)
 from .distributed import (DistConfig, PartitionedState, dist_learn,
                           dist_params, dist_publish, dist_unlearn,
                           reservoir_update, select_best)

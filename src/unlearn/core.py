@@ -26,6 +26,7 @@ certified constants so they can be checked independently of the chain.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from dataclasses import dataclass
@@ -65,7 +66,7 @@ __all__ = [
 MODES = ("strong_secret", "strong_perfect", "regularized_strong",
          "regularized_weak")
 
-SNAPSHOT_FORMAT = "unlearn-state/1"
+SNAPSHOT_FORMAT = "unlearn-state/2"
 
 
 def _check_privacy(epsilon: float, delta: float):
@@ -363,10 +364,9 @@ class ResolvedSchedule:
         scaled problems); the budget then falls back to I and the
         regime is logged.
         """
-        eff = self.effective_loss
-        arg = self.loss.space.diameter * eff.strong_convexity * n_current \
-            / (2.0 * self.loss.lipschitz)
-        extra = math.log(arg) / math.log(1.0 / self.gamma) if arg > 0 else -1.0
+        arg = self.loss.space.diameter * self.effective_loss.strong_convexity \
+            * n_current / (2.0 * self.loss.lipschitz)
+        extra = math.log(arg) / math.log(1.0 / self.gamma)
         if extra < 0:
             logger.warning(
                 "learning budget floor: D m n < 2 L, using %d iterations",
@@ -397,16 +397,17 @@ def publish(theta, sigma: float, rng: np.random.Generator) -> np.ndarray:
     return theta + sigma * rng.standard_normal(theta.shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnlearnState:
     """Chain position after round ``round_index``.
 
+    ``schedule`` is the calibration ``learn`` fixed for the chain.
     ``theta_hat`` is the secret pre-noise parameter; in perfect mode it
     is dropped from snapshots (and is None after a restore) because the
     chain never consumes it across rounds there.
     """
 
-    mode: str
+    schedule: ResolvedSchedule
     round_index: int
     theta_hat: np.ndarray | None
     theta_pub: np.ndarray
@@ -415,28 +416,30 @@ class UnlearnState:
     noise_rng: np.random.Generator
 
     def snapshot(self) -> dict:
-        """Portable state between rounds; excludes the dataset."""
-        keep_secret = self.mode != "strong_perfect"
+        """Portable state between rounds; the dataset only by its digest."""
+        mode = self.schedule.config.mode
         return {
-            **_encode_state(SNAPSHOT_FORMAT, self),
-            "mode": self.mode,
-            "theta_hat": (
-                [float(v) for v in self.theta_hat]
-                if keep_secret and self.theta_hat is not None else None
-            ),
+            **_encode_state(SNAPSHOT_FORMAT, self, self.schedule.sigma),
+            "mode": mode,
+            "theta_hat": (None if mode == "strong_perfect"
+                          else [float(v) for v in self.theta_hat]),
         }
 
     @classmethod
-    def restore(cls, snapshot: dict, data: Dataset) -> "UnlearnState":
-        shared = _decode_state(SNAPSHOT_FORMAT, snapshot, data)
-        if snapshot["mode"] not in MODES:
-            raise ValueError(f"unknown mode {snapshot['mode']!r}")
+    def restore(cls, snapshot: dict, data: Dataset, loss: LossModel,
+                config: UnlearnConfig) -> "UnlearnState":
+        """Resume a chain on its rows; the schedule is rebuilt from n_0."""
+        shared = _decode_state(SNAPSHOT_FORMAT, snapshot, data, loss)
+        if snapshot["mode"] != config.mode:
+            raise ValueError(f"snapshot mode {snapshot['mode']!r} does not "
+                             "match the config")
+        sched = config.resolve(loss, shared["data"].initial_size, data.dim)
+        _check_sigma(snapshot, sched.sigma)
         theta_hat = snapshot["theta_hat"]
-        return cls(
-            mode=snapshot["mode"],
-            theta_hat=None if theta_hat is None else np.asarray(theta_hat),
-            **shared,
-        )
+        if theta_hat is None and config.mode != "strong_perfect":
+            raise ValueError("snapshot lacks the secret parameter")
+        return cls(schedule=sched, theta_hat=None if theta_hat is None
+                   else _vector(theta_hat, data.dim), **shared)
 
 
 def _generator(state: dict) -> np.random.Generator:
@@ -445,23 +448,57 @@ def _generator(state: dict) -> np.random.Generator:
     return rng
 
 
-def _encode_state(fmt: str, state) -> dict:
+def _vector(values, dim: int) -> np.ndarray:
+    theta = np.asarray(values, dtype=float)
+    if theta.shape != (dim,):
+        raise ValueError("snapshot dimension does not match the dataset")
+    return theta
+
+
+def _rows_digest(data: Dataset) -> str:
+    rows = np.column_stack([data.features, data.labels])
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+def _encode_state(fmt: str, state, sigma: float) -> dict:
     """Snapshot fields shared by the single-machine and distributed states."""
     return {"format": fmt, "round": state.round_index, "budget": state.budget,
             "theta_pub": [float(v) for v in state.theta_pub],
-            "noise_rng": state.noise_rng.bit_generator.state}
+            "noise_rng": state.noise_rng.bit_generator.state,
+            "initial_size": state.data.initial_size, "sigma": sigma,
+            "size": state.data.size, "rows_sha256": _rows_digest(state.data)}
 
 
-def _decode_state(fmt: str, snapshot: dict, data: Dataset) -> dict:
-    """Constructor fields of ``_encode_state``, checked against ``data``."""
+def _decode_state(fmt: str, snapshot: dict, data: Dataset,
+                  loss: LossModel) -> dict:
+    """Constructor fields of ``_encode_state``; ``data`` must hold its rows."""
     if snapshot.get("format") != fmt:
         raise ValueError("unrecognized state format")
-    theta_pub = np.asarray(snapshot["theta_pub"], dtype=float)
-    if theta_pub.shape != (data.dim,):
-        raise ValueError("snapshot dimension does not match the dataset")
+    theta_pub = _vector(snapshot["theta_pub"], data.dim)
+    if data.size != snapshot["size"] or \
+            _rows_digest(data) != snapshot["rows_sha256"]:
+        raise ValueError("dataset rows do not match the snapshot")
     return dict(round_index=int(snapshot["round"]), theta_pub=theta_pub,
-                data=data, budget=int(snapshot["budget"]),
+                data=_chain_data(data, loss, snapshot["initial_size"]),
+                budget=int(snapshot["budget"]),
                 noise_rng=_generator(snapshot["noise_rng"]))
+
+
+def _chain_data(data: Dataset, loss: LossModel, n0: int) -> Dataset:
+    """A chain's own copy of ``data``, checked against ``loss``, floor n0/2."""
+    loss.check_dataset(data)
+    return Dataset(data.features.copy(), data.labels.copy(),
+                   data.feature_bound, data.label_bound, initial_size=n0)
+
+
+def _check_sigma(snapshot: dict, sigma: float):
+    if sigma != snapshot["sigma"]:
+        raise ValueError("loss or config does not match the snapshot's sigma")
+
+
+def _check_chain(state_loss, state_config, loss, config):
+    if loss is not state_loss or config != state_config:
+        raise ValueError("loss or config is not the chain's own")
 
 
 def fresh_mean(data: Dataset, loss: LossModel, config: UnlearnConfig) -> GDTrace:
@@ -482,60 +519,41 @@ def learn(data: Dataset, loss: LossModel, config: UnlearnConfig,
     The dataset passed here defines n_0 for the size floor and the
     noise calibration, regardless of its own edit history.
     """
-    if data.size < 2:
-        raise ValueError("need at least two points")
-    loss.check_dataset(data)
-    data = Dataset(data.features.copy(), data.labels.copy(),
-                   data.feature_bound, data.label_bound,
-                   initial_size=data.size)
+    data = _chain_data(data, loss, data.size)
     sched = config.resolve(loss, data.size, data.dim)
     trace = pgd(sched.effective_loss, data, np.zeros(data.dim),
                 GDConfig(sched.eta, sched.train_iters(data.size)))
     rng = substream(seed, "noise")
     theta_pub = publish(trace.theta, sched.sigma, rng)
-    return UnlearnState(
-        mode=config.mode,
-        round_index=0,
-        theta_hat=trace.theta,
-        theta_pub=theta_pub,
-        data=data,
-        budget=trace.gradient_evaluations,
-        noise_rng=rng,
-    )
+    return UnlearnState(schedule=sched, round_index=0, theta_hat=trace.theta,
+                        theta_pub=theta_pub, data=data,
+                        budget=trace.gradient_evaluations, noise_rng=rng)
 
 
 def unlearn(state: UnlearnState, update: Update, loss: LossModel,
             config: UnlearnConfig) -> UnlearnState:
     """Apply one edit and publish refreshed parameters.
 
-    An added point must meet the dataset's bounds and the loss's label
-    set. Deleting an absent point leaves the dataset unchanged but still
+    ``loss`` and ``config`` must be the chain's own. An added point must
+    meet the loss's and the dataset's bounds and the loss's label set.
+    Deleting an absent point leaves the dataset unchanged but still
     runs the descent and publishes, so observers cannot tell a void
     deletion from a real one.
     """
-    if config.mode != state.mode:
+    sched = state.schedule
+    if config.mode != sched.config.mode:
         raise ValueError("config mode does not match state")
-    sched = config.resolve(loss, state.data.initial_size, state.data.dim)
+    _check_chain(sched.loss, sched.config, loss, config)
     if update.op == "add":
-        loss.check_labels([update.point.y])
+        loss.check_point(update.point)
     new_data = state.data.apply(update)
     i = state.round_index + 1
-    if config.mode == "strong_perfect":
-        warm = state.theta_pub
-    else:
-        if state.theta_hat is None:
-            raise ValueError("state lacks the secret parameter; "
-                             "was it restored from a perfect-mode snapshot?")
-        warm = state.theta_hat
+    warm = state.theta_pub if config.mode == "strong_perfect" \
+        else state.theta_hat
     trace = pgd(sched.effective_loss, new_data, warm,
                 GDConfig(sched.eta, sched.update_iters(i)))
     theta_pub = publish(trace.theta, sched.sigma, state.noise_rng)
-    return UnlearnState(
-        mode=state.mode,
-        round_index=i,
-        theta_hat=trace.theta,
-        theta_pub=theta_pub,
-        data=new_data,
-        budget=state.budget + trace.gradient_evaluations,
-        noise_rng=state.noise_rng,
-    )
+    return UnlearnState(schedule=sched, round_index=i, theta_hat=trace.theta,
+                        theta_pub=theta_pub, data=new_data,
+                        budget=state.budget + trace.gradient_evaluations,
+                        noise_rng=state.noise_rng)

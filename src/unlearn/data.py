@@ -22,7 +22,6 @@ __all__ = [
     "DataPoint",
     "Dataset",
     "Update",
-    "UpdateSequence",
     "gen_adversarial_sequence",
     "gen_synthetic_dataset",
     "load_updates",
@@ -54,23 +53,6 @@ class Update:
     def __post_init__(self):
         if self.op not in ("add", "delete"):
             raise ValueError(f"unknown update op {self.op!r}")
-
-
-@dataclass(frozen=True)
-class UpdateSequence:
-    """An ordered stream of edits with the strategy that produced it."""
-
-    updates: tuple
-    kind: str = "replay"
-
-    def __len__(self):
-        return len(self.updates)
-
-    def __iter__(self):
-        return iter(self.updates)
-
-    def __getitem__(self, i):
-        return self.updates[i]
 
 
 class Dataset:
@@ -238,7 +220,7 @@ def _extreme_point(rng, data: Dataset) -> DataPoint:
 
 
 def gen_adversarial_sequence(data: Dataset, length, strategy="churn",
-                             seed=0) -> UpdateSequence:
+                             seed=0) -> tuple:
     """Build an edit stream whose every prefix respects the size floor.
 
     Strategies:
@@ -289,10 +271,10 @@ def gen_adversarial_sequence(data: Dataset, length, strategy="churn",
                 update = Update("delete", current.point(i))
         updates.append(update)
         current = current.apply(update)
-    return UpdateSequence(tuple(updates), kind=strategy)
+    return tuple(updates)
 
 
-def save_updates(seq: UpdateSequence, path):
+def save_updates(seq, path):
     """Write one JSON object per line: {"op", "x", "y"}."""
     with open(path, "w") as fh:
         for u in seq:
@@ -303,7 +285,7 @@ def save_updates(seq: UpdateSequence, path):
             fh.write("\n")
 
 
-def load_updates(path) -> UpdateSequence:
+def load_updates(path) -> tuple:
     updates = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -320,4 +302,4 @@ def load_updates(path) -> UpdateSequence:
             if not np.all(np.isfinite(point.x)) or not math.isfinite(point.y):
                 raise ValueError(f"non-finite update at line {line_no}")
             updates.append(Update(op, point))
-    return UpdateSequence(tuple(updates), kind="replay")
+    return tuple(updates)

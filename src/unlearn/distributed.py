@@ -6,6 +6,10 @@ optimized separately; a copy's parameter is the average of its
 partition optimizers and the best copy (lowest empirical loss on the
 full current dataset) is published with Gaussian noise.
 
+Partition j of a copy is its positions [j B/K, (j+1) B/K): positions
+are i.i.d., so this fixed split has the law of a random one, with no
+map to draw, store or scan.
+
 Edits reach the subsamples through reservoir maintenance that preserves
 the i.i.d.-from-current-data law of every position: an add overwrites
 Binomial(B, 1/n_i) random positions with the new point; a delete
@@ -22,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_check_privacy, _decode_state, _encode_state, _generator,
-                   _sqrt_gap, publish)
+from .core import (_chain_data, _check_chain, _check_privacy, _check_sigma,
+                   _decode_state, _encode_state, _generator, _sqrt_gap,
+                   publish)
 from .data import Dataset, Update
 from .losses import LossModel
 from .optimizer import GDConfig, contraction_factor, pgd
@@ -43,7 +48,7 @@ __all__ = [
     "select_best",
 ]
 
-DIST_SNAPSHOT_FORMAT = "unlearn-dist-state/1"
+DIST_SNAPSHOT_FORMAT = "unlearn-dist-state/2"
 
 
 @dataclass(frozen=True)
@@ -167,13 +172,12 @@ def dist_params(n: int, dim: int, loss: LossModel, sample_exponent: float,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CopyState:
-    """One subsampled run: its points, partition map and optimizers."""
+    """One subsampled run: its points and per-partition optimizers."""
 
-    features: np.ndarray   # (B, d) subsample rows
+    features: np.ndarray   # (B, d) subsample rows, partition by position
     labels: np.ndarray     # (B,)
-    part: np.ndarray       # (B,) partition id of each position, fixed
     thetas: np.ndarray     # (K, d) per-partition optimizer estimates
     rng: np.random.Generator
 
@@ -198,54 +202,59 @@ class UpdateReport:
     copies: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionedState:
-    """Distributed chain position after round ``round_index``."""
+    """Distributed chain position after round ``round_index``, with the
+    loss and config the chain was learned with."""
 
     round_index: int
     data: Dataset
-    copies: list
+    copies: tuple
     theta_pub: np.ndarray
     budget: int
     noise_rng: np.random.Generator
+    loss: LossModel
+    config: DistConfig
     last_report: UpdateReport | None = None
 
     def snapshot(self) -> dict:
-        """Portable state; subsample rows are deduplicated into a store."""
-        rows = np.vstack([
-            np.column_stack([c.features, c.labels]) for c in self.copies
-        ])
-        points, inverse = np.unique(rows, axis=0, return_inverse=True)
-        b = self.copies[0].labels.size
+        """Portable state; each subsample row is named by its first equal
+        row in ``data``, as the reservoir writes only rows of the data."""
+        rows = np.vstack([np.column_stack([c.features, c.labels])
+                          for c in (self.data, *self.copies)])
+        _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                      return_inverse=True)
+        indices = first[inverse[self.data.size:]].reshape(len(self.copies), -1)
         return {
-            **_encode_state(DIST_SNAPSHOT_FORMAT, self),
-            "points": [[float(v) for v in row] for row in points],
+            **_encode_state(DIST_SNAPSHOT_FORMAT, self, self.config.sigma),
             "copies": [
                 {
-                    "indices": [int(j) for j in inverse[i * b:(i + 1) * b]],
-                    "part": [int(j) for j in c.part],
+                    "indices": [int(j) for j in idx],
                     "thetas": [[float(v) for v in row] for row in c.thetas],
                     "rng": c.rng.bit_generator.state,
                 }
-                for i, c in enumerate(self.copies)
+                for idx, c in zip(indices, self.copies)
             ],
         }
 
     @classmethod
-    def restore(cls, snapshot: dict, data: Dataset) -> "PartitionedState":
-        shared = _decode_state(DIST_SNAPSHOT_FORMAT, snapshot, data)
-        points = np.asarray(snapshot["points"], dtype=float)
-        copies = []
-        for entry in snapshot["copies"]:
-            rows = points[np.asarray(entry["indices"], dtype=int)]
-            copies.append(CopyState(
-                features=rows[:, :-1].copy(),
-                labels=rows[:, -1].copy(),
-                part=np.asarray(entry["part"], dtype=int),
-                thetas=np.asarray(entry["thetas"], dtype=float),
-                rng=_generator(entry["rng"]),
-            ))
-        return cls(copies=copies, **shared)
+    def restore(cls, snapshot: dict, data: Dataset, loss: LossModel,
+                config: DistConfig) -> "PartitionedState":
+        """Resume a chain on the rows it had, with its loss and config."""
+        shared = _decode_state(DIST_SNAPSHOT_FORMAT, snapshot, data, loss)
+        _check_sigma(snapshot, config.sigma)
+        entries, data = snapshot["copies"], shared["data"]
+        idx = np.asarray([e["indices"] for e in entries], dtype=int)
+        thetas = np.asarray([e["thetas"] for e in entries], dtype=float)
+        if idx.shape != (config.copies, config.sample_size) or \
+                thetas.shape != (config.copies, config.num_partitions,
+                                 data.dim) or \
+                not np.all((idx >= 0) & (idx < data.size)):
+            raise ValueError("snapshot copies do not have the config's shape")
+        copies = tuple(CopyState(data.features[j], data.labels[j], t,
+                                 _generator(e["rng"]))
+                       for j, t, e in zip(idx, thetas, entries))
+        return cls(copies=copies, loss=loss, config=config, **shared)
 
 
 def select_best(averages, data: Dataset, loss: LossModel) -> int:
@@ -260,45 +269,50 @@ def dist_publish(thetas: np.ndarray, sigma: float,
     return publish(np.asarray(thetas, dtype=float).mean(axis=0), sigma, rng)
 
 
+def _descend(loss: LossModel, features, labels, thetas, touched,
+             iterations: int):
+    """Descend from ``thetas[j]`` on rows [j B/K, (j+1) B/K), j touched.
+
+    Returns the new (K, d) estimates and the point-gradients spent.
+    """
+    chunk = labels.size // thetas.shape[0]
+    gd = GDConfig.for_loss(loss, iterations)
+    thetas = thetas.copy()
+    grads = 0
+    for j in touched:
+        rows = slice(j * chunk, (j + 1) * chunk)
+        trace = pgd(loss, Dataset(features[rows], labels[rows]), thetas[j],
+                    gd)
+        thetas[j] = trace.theta
+        grads += trace.gradient_evaluations
+    return thetas, grads
+
+
 def dist_learn(data: Dataset, loss: LossModel, config: DistConfig,
                seed: int = 0) -> PartitionedState:
     """Draw the subsampled copies, optimize every partition, publish."""
     if data.size != config.n:
         raise ValueError("dataset size does not match the configuration")
-    loss.check_dataset(data)
-    data = Dataset(data.features.copy(), data.labels.copy(),
-                   data.feature_bound, data.label_bound,
-                   initial_size=data.size)
-    b, k = config.sample_size, config.num_partitions
-    chunk = b // k
-    gd = GDConfig.for_loss(loss, config.train_iters)
+    data = _chain_data(data, loss, data.size)
+    k = config.num_partitions
     copies = []
     budget = 0
     for c in range(config.copies):
-        boot = substream(seed, "bootstrap", c)
-        idx = boot.integers(data.size, size=b)
-        features = data.features[idx].copy()
-        labels = data.labels[idx].copy()
-        part = substream(seed, "partition", c).permutation(
-            np.repeat(np.arange(k), chunk))
-        thetas = np.zeros((k, config.dim))
-        for j in range(k):
-            mask = part == j
-            sub = Dataset(features[mask], labels[mask],
-                          data.feature_bound, data.label_bound)
-            trace = pgd(loss, sub, np.zeros(config.dim), gd)
-            thetas[j] = trace.theta
-            budget += trace.gradient_evaluations
-        copies.append(CopyState(
-            features=features, labels=labels, part=part, thetas=thetas,
-            rng=substream(seed, "reservoir", c),
-        ))
+        idx = substream(seed, "bootstrap", c).integers(
+            data.size, size=config.sample_size)
+        features, labels = data.features[idx], data.labels[idx]
+        thetas, grads = _descend(loss, features, labels,
+                                 np.zeros((k, config.dim)), range(k),
+                                 config.train_iters)
+        copies.append(CopyState(features, labels, thetas,
+                                substream(seed, "reservoir", c)))
+        budget += grads
     best = select_best([c.average() for c in copies], data, loss)
     noise_rng = substream(seed, "noise")
     theta_pub = dist_publish(copies[best].thetas, config.sigma, noise_rng)
     return PartitionedState(
-        round_index=0, data=data, copies=copies, theta_pub=theta_pub,
-        budget=budget, noise_rng=noise_rng, last_report=None,
+        round_index=0, data=data, copies=tuple(copies), theta_pub=theta_pub,
+        budget=budget, noise_rng=noise_rng, loss=loss, config=config,
     )
 
 
@@ -351,46 +365,33 @@ def dist_unlearn(state: PartitionedState, update: Update, loss: LossModel,
                  config: DistConfig) -> PartitionedState:
     """Apply one edit to every copy and publish the refreshed best copy.
 
-    Only partitions whose subsample content changed rerun descent; when
-    an edit touches no position anywhere the publish still happens so
-    void deletions are indistinguishable from real ones. An added point
-    must meet the dataset's bounds and the loss's label set.
+    ``loss`` and ``config`` must be the chain's own. Only partitions
+    whose subsample content changed rerun descent; when an edit touches
+    no position anywhere the publish still happens so void deletions are
+    indistinguishable from real ones. An added point must meet the
+    loss's and the dataset's bounds and the loss's label set.
     """
+    _check_chain(state.loss, state.config, loss, config)
     if update.op == "add":
-        loss.check_labels([update.point.y])
+        loss.check_point(update.point)
     new_data = state.data.apply(update)
     i = state.round_index + 1
-    total_iters = config.total_update_iters(i)
-    k = config.num_partitions
-    chunk = config.sample_size // k
-    eta = GDConfig.for_loss(loss, 1).step_size
+    chunk = config.sample_size // config.num_partitions
     new_copies = []
     reports = []
     budget = 0
     for copy in state.copies:
         features, labels, changed = reservoir_update(
             copy.features, copy.labels, update, new_data, copy.rng)
-        per_part = np.bincount(copy.part[changed], minlength=k) \
-            if changed.size else np.zeros(k, dtype=int)
+        per_part = np.bincount(changed // chunk,
+                               minlength=config.num_partitions)
         touched = np.flatnonzero(per_part)
-        thetas = copy.thetas.copy()
-        grads = 0
-        iterations = 0
-        if touched.size:
-            iterations = config.partition_iters(i, int(touched.size))
-            gd = GDConfig(eta, iterations)
-            for j in touched:
-                mask = copy.part == j
-                sub = Dataset(features[mask], labels[mask],
-                              new_data.feature_bound, new_data.label_bound)
-                trace = pgd(loss, sub, thetas[j], gd)
-                thetas[j] = trace.theta
-                grads += trace.gradient_evaluations
+        iterations = config.partition_iters(i, touched.size) \
+            if touched.size else 0
+        thetas, grads = _descend(loss, features, labels, copy.thetas,
+                                 touched, iterations)
         budget += grads
-        new_copies.append(CopyState(
-            features=features, labels=labels, part=copy.part,
-            thetas=thetas, rng=copy.rng,
-        ))
+        new_copies.append(CopyState(features, labels, thetas, copy.rng))
         reports.append(CopyReport(
             modified_per_partition=per_part,
             touched=tuple(int(j) for j in touched),
@@ -401,12 +402,9 @@ def dist_unlearn(state: PartitionedState, update: Update, loss: LossModel,
     theta_pub = dist_publish(new_copies[best].thetas, config.sigma,
                              state.noise_rng)
     return PartitionedState(
-        round_index=i,
-        data=new_data,
-        copies=new_copies,
-        theta_pub=theta_pub,
-        budget=state.budget + budget,
-        noise_rng=state.noise_rng,
-        last_report=UpdateReport(round_index=i, total_iters=total_iters,
-                                 copies=tuple(reports)),
+        round_index=i, data=new_data, copies=tuple(new_copies),
+        theta_pub=theta_pub, budget=state.budget + budget,
+        noise_rng=state.noise_rng, loss=loss, config=config,
+        last_report=UpdateReport(i, config.total_update_iters(i),
+                                 tuple(reports)),
     )

@@ -27,7 +27,7 @@ from .data import (Dataset, gen_adversarial_sequence,
 from .distributed import dist_learn, dist_params, dist_unlearn
 from .losses import (LogisticLoss, LossModel, ParamSpace, RegularizedLoss,
                      RidgeLoss, closed_form_ridge_optimizer)
-from .optimizer import GDConfig, pgd
+from .optimizer import GDConfig, contraction_factor, pgd
 from .rng import spawn_key
 
 __all__ = [
@@ -217,10 +217,7 @@ def reference_optimum(loss: LossModel, data: Dataset, hint_iters: int = 50):
     theta = _ridge_minimizer(loss, data)
     if theta is not None:
         return theta, 0.0
-    if loss.strong_convexity <= 0:
-        raise ValueError("requires strong convexity")
-    gamma = (loss.smoothness - loss.strong_convexity) \
-        / (loss.smoothness + loss.strong_convexity)
+    gamma = contraction_factor(loss)
     iterations = max(200, 10 * hint_iters)
     trace = pgd(loss, data, np.zeros(data.dim),
                 GDConfig.for_loss(loss, iterations))
@@ -294,8 +291,7 @@ def run_chain(config: ExperimentConfig, trial: int = 0,
             hint = params.train_iters
             iters = hint if rnd == 0 else params.total_update_iters(rnd)
         else:
-            if rnd == 0:
-                sched = params.resolve(loss, state.data.size, state.data.dim)
+            sched = state.schedule
             hint = params.iters
             iters = (sched.update_iters(rnd) if rnd
                      else sched.train_iters(sched.n))

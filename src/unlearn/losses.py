@@ -93,10 +93,12 @@ class LossModel:
     def __init__(self, space: ParamSpace):
         self.space = space
 
-    # Certified constants; subclasses assign concrete values.
+    # Certified constants and the data bounds they hold for, set by subclasses.
     strong_convexity: float
     smoothness: float
     lipschitz: float
+    feature_bound: float
+    label_bound: float
 
     def point_loss(self, x, y, theta) -> float:
         """Loss of the single point (x, y): a one-row batch."""
@@ -129,12 +131,14 @@ class LossModel:
                                     np.asarray(theta, dtype=float))
 
     def check_dataset(self, data: Dataset):
-        """Validate that the data matches the declared bounds and labels."""
-        data.validate_bounds()
-        self.check_labels(data.labels)
+        """Reject rows outside the loss's bounds or the dataset's own."""
+        Dataset(data.features, data.labels,
+                min(self.feature_bound, data.feature_bound),
+                min(self.label_bound, data.label_bound)).validate_bounds()
 
-    def check_labels(self, labels):
-        """Reject labels outside the loss's label set; any label by default."""
+    def check_point(self, point):
+        """Reject the single point (x, y): a one-row dataset."""
+        self.check_dataset(Dataset(point.x, [point.y], np.inf, np.inf))
 
     def regularized(self, extra: float) -> "RegularizedLoss":
         return RegularizedLoss(self, extra)
@@ -200,8 +204,9 @@ class LogisticLoss(LossModel):
         weights = labels * _expit(-margins)
         return -features.T @ weights / labels.size + self.lam * theta
 
-    def check_labels(self, labels):
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
+    def check_dataset(self, data: Dataset):
+        super().check_dataset(data)
+        if not np.all(np.isin(data.labels, (-1.0, 1.0))):
             raise ValueError("logistic labels must be -1 or +1")
 
 
@@ -230,8 +235,8 @@ class RegularizedLoss(LossModel):
         return self.base._batch_gradient(features, labels, theta) \
             + self.extra * theta
 
-    def check_labels(self, labels):
-        self.base.check_labels(labels)
+    def check_dataset(self, data: Dataset):
+        self.base.check_dataset(data)
 
 
 def closed_form_ridge_optimizer(data: Dataset, lam: float,

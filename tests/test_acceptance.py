@@ -264,8 +264,8 @@ def test_criterion_08_distributed_recursion():
         / (loss.strong_convexity * config.sample_size)
 
     def partition_star(copy, j):
-        mask = copy.part == j
-        sub = Dataset(copy.features[mask], copy.labels[mask])
+        rows = slice(j * chunk, (j + 1) * chunk)
+        sub = Dataset(copy.features[rows], copy.labels[rows])
         return closed_form_ridge_optimizer(sub, 1.0, loss.space)
 
     stars = [[partition_star(c, j) for j in range(config.num_partitions)]

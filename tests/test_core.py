@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from unlearn.core import (
@@ -27,11 +28,13 @@ from unlearn.core import (
     weak_params,
     weak_schedule,
 )
-from unlearn.data import DataPoint, Dataset, Update, gen_synthetic_dataset
+from unlearn.data import (DataPoint, Dataset, Update,
+                          gen_adversarial_sequence, gen_synthetic_dataset)
 from unlearn.losses import (
     LogisticLoss,
     LossModel,
     ParamSpace,
+    RegularizedLoss,
     RidgeLoss,
     closed_form_ridge_optimizer,
 )
@@ -399,7 +402,7 @@ def test_snapshot_restore_replays_identically(mode, iters):
     state = learn(data, loss, config, seed=11)
     for update in updates[:2]:
         state = unlearn(state, update, loss, config)
-    resumed = UnlearnState.restore(state.snapshot(), state.data)
+    resumed = UnlearnState.restore(state.snapshot(), state.data, loss, config)
     for update in updates[2:]:
         state = unlearn(state, update, loss, config)
         resumed = unlearn(resumed, update, loss, config)
@@ -426,30 +429,33 @@ def test_restore_rejects_unknown_formats_and_missing_secrets():
     state = learn(data, loss, perfect_cfg, seed=13)
     snap = state.snapshot()
     with pytest.raises(ValueError, match="state format"):
-        UnlearnState.restore({**snap, "format": "unlearn-state/9"}, data)
-    restored = UnlearnState.restore(snap, state.data)
+        UnlearnState.restore({**snap, "format": "unlearn-state/9"}, data,
+                             loss, perfect_cfg)
+    restored = UnlearnState.restore(snap, state.data, loss, perfect_cfg)
     update = Update("add", DataPoint(np.array([1.0, 0.0, 0.0]), 0.5))
     # the perfect chain never needs the secret again
     after = unlearn(restored, update, loss, perfect_cfg)
     assert after.round_index == 1
-    # but a secret-state chain cannot continue from a perfect snapshot
-    restored.mode = "strong_secret"
+    # but a secret-state chain cannot continue without its secret
     secret_cfg = UnlearnConfig("strong_secret", 1.0, DELTA1, 4)
+    secret = learn(data, loss, secret_cfg, seed=13)
     with pytest.raises(ValueError, match="lacks the secret parameter"):
-        unlearn(restored, update, loss, secret_cfg)
+        UnlearnState.restore({**secret.snapshot(), "theta_hat": None},
+                             secret.data, loss, secret_cfg)
 
 
 def test_restore_checks_the_dataset_and_the_mode():
     data, loss = ridge_chain_problem()
-    state = learn(data, loss, UnlearnConfig("strong_secret", 1.0, DELTA1, 3),
-                  seed=13)
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state = learn(data, loss, config, seed=13)
     snap = state.snapshot()
     wider = gen_synthetic_dataset(200, 5, seed=13)
     with pytest.raises(ValueError, match="dimension does not match"):
-        UnlearnState.restore(snap, wider)
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        UnlearnState.restore({**snap, "mode": "bogus"}, state.data)
-    restored = UnlearnState.restore(snap, state.data)
+        UnlearnState.restore(snap, wider, loss, config)
+    with pytest.raises(ValueError, match="mode 'bogus' does not match"):
+        UnlearnState.restore({**snap, "mode": "bogus"}, state.data, loss,
+                             config)
+    restored = UnlearnState.restore(snap, state.data, loss, config)
     assert restored.snapshot() == snap
 
 
@@ -457,7 +463,8 @@ def test_perfect_mode_restarts_from_the_public_parameter():
     data, loss = ridge_chain_problem()
     config = UnlearnConfig("strong_perfect", 1.0, DELTA1, 4)
     state = learn(data, loss, config, seed=14)
-    stripped = UnlearnState.restore(state.snapshot(), state.data)
+    stripped = UnlearnState.restore(state.snapshot(), state.data, loss,
+                                    config)
     update = Update("add", DataPoint(np.array([0.0, 1.0, 0.0]), 0.5))
     a = unlearn(state, update, loss, config)
     b = unlearn(stripped, update, loss, config)
@@ -486,3 +493,156 @@ def test_regularized_strong_risk_decomposition():
     assert excess <= rhs_b + 1e-12
     assert excess <= rhs_a * (1 + 1e-9) + 0.5 * sched.m_reg * \
         np.linalg.norm(star) ** 2 + 1e-12
+
+
+def test_learn_resolves_the_schedule_once_per_chain(monkeypatch):
+    calls = []
+    original = UnlearnConfig.resolve
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(UnlearnConfig, "resolve", counted)
+    data, loss = ridge_chain_problem()
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state = learn(data, loss, config, seed=15)
+    for update in round_updates(10):
+        state = unlearn(state, update, loss, config)
+    assert state.round_index == 10
+    assert len(calls) == 1
+    assert state.schedule.n == data.size
+
+
+def test_unlearn_rejects_another_loss_or_config():
+    data, loss = ridge_chain_problem()
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state = learn(data, loss, config, seed=16)
+    update = round_updates(1)[0]
+    twin = RidgeLoss(ParamSpace(3, 1.0), label_bound=0.5, lam=1.0)
+    weaker = RidgeLoss(ParamSpace(3, 1.0), label_bound=0.5, lam=0.01)
+    for other in (twin, weaker):
+        with pytest.raises(ValueError, match="not the chain's own"):
+            unlearn(state, update, other, config)
+    looser = UnlearnConfig("strong_secret", 0.5, DELTA1, 3)
+    with pytest.raises(ValueError, match="not the chain's own"):
+        unlearn(state, update, loss, looser)
+    assert unlearn(state, update, loss,
+                   UnlearnConfig("strong_secret", 1.0, DELTA1, 3)).budget > 0
+
+
+def wide_bound_dataset(n=60, dim=3, seed=17):
+    # Rows of norm up to 0.9 under a declared feature bound of 10, so
+    # only the loss's own bound of 1 can reject a wider row.
+    base = gen_synthetic_dataset(n, dim, noise=0.05, label_bound=0.5,
+                                 feature_bound=0.9, seed=seed)
+    return Dataset(base.features, base.labels, feature_bound=10.0,
+                   label_bound=0.5)
+
+
+def test_learn_checks_rows_against_the_loss_bounds():
+    data = wide_bound_dataset()
+    loss = RidgeLoss(ParamSpace(3, 1.0), label_bound=0.5, lam=1.0)
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state = learn(data, loss, config, seed=17)
+    wide = Dataset(np.vstack([data.features, [[5.0, 0.0, 0.0]]]),
+                   np.append(data.labels, 0.0), feature_bound=10.0,
+                   label_bound=0.5)
+    with pytest.raises(ValueError, match="feature norm exceeds"):
+        learn(wide, loss, config, seed=17)
+    far = Update("add", DataPoint(np.array([5.0, 0.0, 0.0]), 0.0))
+    with pytest.raises(ValueError, match="feature norm exceeds"):
+        unlearn(state, far, loss, config)
+    regularized = UnlearnConfig("regularized_strong", 1.0, DELTA1, 3)
+    with pytest.raises(ValueError, match="feature norm exceeds"):
+        learn(wide, loss, regularized, seed=17)
+    # A wrapped loss checks adds against its base's bounds.
+    wrapped = RegularizedLoss(RidgeLoss(ParamSpace(3, 1.0), label_bound=0.5),
+                              1.0)
+    state = learn(data, wrapped, config, seed=17)
+    with pytest.raises(ValueError, match="feature norm exceeds"):
+        unlearn(state, far, wrapped, config)
+    near = Update("add", DataPoint(np.array([0.5, 0.0, 0.0]), 0.25))
+    assert unlearn(state, near, wrapped, config).data.size == data.size + 1
+    # The dataset's own declared bound still holds where it is tighter.
+    tight = Dataset(data.features, data.labels, feature_bound=0.5,
+                    label_bound=0.5)
+    with pytest.raises(ValueError, match="feature norm exceeds"):
+        learn(tight, loss, config, seed=17)
+
+
+def deleting_chain(config, deletes=5, n=20, seed=18):
+    data, loss = ridge_chain_problem(n=n, seed=seed)
+    state = learn(data, loss, config, seed=seed)
+    for i in range(deletes):
+        state = unlearn(state, Update("delete", state.data.point(i)), loss,
+                        config)
+    return state, loss
+
+
+def test_restore_onto_a_fresh_dataset_keeps_the_chain_calibration():
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state, loss = deleting_chain(config)
+    fresh = Dataset(state.data.features, state.data.labels,
+                    state.data.feature_bound, state.data.label_bound)
+    assert fresh.initial_size == 15
+    restored = UnlearnState.restore(state.snapshot(), fresh, loss, config)
+    assert restored.data.initial_size == 20
+    assert restored.schedule.n == state.schedule.n == 20
+    assert restored.schedule.sigma == state.schedule.sigma
+    # Both chains may delete down to 10 points, and neither below.
+    for chain in (state, restored):
+        for _ in range(5):
+            chain = unlearn(chain, Update("delete", chain.data.point(0)),
+                            loss, config)
+        with pytest.raises(ValueError, match="floor violated"):
+            unlearn(chain, Update("delete", chain.data.point(0)), loss,
+                    config)
+
+
+def test_restore_checks_everything_it_is_handed():
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state, loss = deleting_chain(config)
+    snap = state.snapshot()
+    assert snap["format"] == "unlearn-state/2"
+    assert (snap["initial_size"], snap["size"]) == (20, 15)
+    cases = [
+        ({**snap, "theta_hat": [0.1] * 5}, state.data, loss, config,
+         "dimension does not match"),
+        ({**snap, "format": "unlearn-state/1"}, state.data, loss, config,
+         "state format"),
+        (snap, gen_synthetic_dataset(15, 3, noise=0.05, label_bound=0.5,
+                                     seed=99), loss, config,
+         "rows do not match"),
+        (snap, state.data, loss,
+         UnlearnConfig("strong_secret", 0.5, DELTA1, 3), "snapshot's sigma"),
+        (snap, state.data, RidgeLoss(ParamSpace(3, 1.0), label_bound=0.5,
+                                     lam=0.5), config, "snapshot's sigma"),
+        (snap, state.data, RidgeLoss(ParamSpace(3, 1.0), feature_bound=0.1,
+                                     label_bound=0.5, lam=1.0), config,
+         "exceeds declared bound"),
+    ]
+    for snapshot, data, other_loss, other_config, message in cases:
+        with pytest.raises(ValueError, match=message):
+            UnlearnState.restore(snapshot, data, other_loss, other_config)
+
+
+@settings(max_examples=12, deadline=None)
+@given(mode=st.sampled_from(MODES), cut=st.integers(0, 6),
+       strategy=st.sampled_from(["churn", "random", "drift"]),
+       seed=st.integers(0, 2 ** 16))
+def test_snapshot_restore_replay_is_byte_equal(mode, cut, strategy, seed):
+    data, loss = ridge_chain_problem(n=30, seed=seed)
+    config = UnlearnConfig(mode, 1.0, DELTA1,
+                           4 if mode == "strong_perfect" else 2)
+    updates = gen_adversarial_sequence(data, 6, strategy, seed=seed)
+    state = learn(data, loss, config, seed=seed)
+    for update in updates[:cut]:
+        state = unlearn(state, update, loss, config)
+    resumed = UnlearnState.restore(state.snapshot(), state.data, loss,
+                                   config)
+    for update in updates[cut:]:
+        state = unlearn(state, update, loss, config)
+        resumed = unlearn(resumed, update, loss, config)
+        assert state.theta_pub.tobytes() == resumed.theta_pub.tobytes()
+    assert state.snapshot() == resumed.snapshot()

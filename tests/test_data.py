@@ -9,7 +9,6 @@ from unlearn.data import (
     DataPoint,
     Dataset,
     Update,
-    UpdateSequence,
     gen_adversarial_sequence,
     gen_synthetic_dataset,
     load_updates,
@@ -36,7 +35,7 @@ def test_update_rejects_unknown_op():
 
 def test_update_sequence_is_indexable():
     u = Update("add", DataPoint(np.zeros(1), 0.0))
-    seq = UpdateSequence((u, u), kind="replay")
+    seq = (u, u)
     assert len(seq) == 2
     assert seq[1] is u
     assert list(seq) == [u, u]
@@ -167,7 +166,6 @@ def test_noiseless_linear_data_identifies_the_planted_weights():
 def test_churn_stream_keeps_size_near_the_start():
     data = gen_synthetic_dataset(100, 3, seed=6)
     seq = gen_adversarial_sequence(data, 10000, strategy="churn", seed=6)
-    assert seq.kind == "churn"
     current = data
     for update in seq:
         current = current.apply(update)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unlearn.data import DataPoint, Dataset, Update, gen_synthetic_dataset
+from unlearn import distributed
+from unlearn.data import (DataPoint, Dataset, Update,
+                          gen_adversarial_sequence, gen_synthetic_dataset)
 from unlearn.distributed import (
     DIST_SNAPSHOT_FORMAT,
     CopyState,
@@ -159,9 +162,9 @@ def test_learn_budget_and_partition_accuracy():
         1.0 * cfg.sample_size * (1.0 + 10.0 * log2d))
     for copy in state.copies:
         for j in range(cfg.num_partitions):
-            mask = copy.part == j
-            assert int(mask.sum()) == chunk
-            sub = Dataset(copy.features[mask], copy.labels[mask])
+            rows = slice(j * chunk, (j + 1) * chunk)
+            assert copy.labels[rows].size == chunk
+            sub = Dataset(copy.features[rows], copy.labels[rows])
             star = closed_form_ridge_optimizer(sub, 1.0, loss.space)
             gap = np.linalg.norm(copy.thetas[j] - star)
             assert gap <= cfg.gamma ** cfg.train_iters * \
@@ -268,8 +271,7 @@ def test_dist_publish_averages_then_perturbs():
     rng = substream(16, "noise")
     out = dist_publish(thetas, 1e-300, rng)
     assert np.allclose(out, [0.5, 0.5], atol=1e-12)
-    copy = CopyState(np.zeros((2, 2)), np.zeros(2), np.zeros(2, dtype=int),
-                     thetas, rng)
+    copy = CopyState(np.zeros((2, 2)), np.zeros(2), thetas, rng)
     assert np.linalg.norm(copy.average()) <= 1.0
 
 
@@ -352,11 +354,11 @@ def test_snapshot_restore_replays_identically():
         state = dist_unlearn(state, update, loss, cfg)
     snap = state.snapshot()
     assert snap["format"] == DIST_SNAPSHOT_FORMAT
-    resumed = PartitionedState.restore(snap, state.data)
+    resumed = PartitionedState.restore(snap, state.data, loss, cfg)
     for before_c, after_c in zip(state.copies, resumed.copies):
         assert np.array_equal(before_c.features, after_c.features)
         assert np.array_equal(before_c.labels, after_c.labels)
-        assert np.array_equal(before_c.part, after_c.part)
+        assert np.array_equal(before_c.thetas, after_c.thetas)
     for update in updates[2:]:
         state = dist_unlearn(state, update, loss, cfg)
         resumed = dist_unlearn(resumed, update, loss, cfg)
@@ -369,7 +371,7 @@ def test_restore_rejects_unknown_formats():
     state = dist_learn(data, loss, cfg, seed=21)
     snap = state.snapshot()
     with pytest.raises(ValueError, match="state format"):
-        PartitionedState.restore({**snap, "format": "x/2"}, data)
+        PartitionedState.restore({**snap, "format": "x/2"}, data, loss, cfg)
 
 
 def test_restore_rejects_a_dataset_of_another_dimension():
@@ -378,5 +380,106 @@ def test_restore_rejects_a_dataset_of_another_dimension():
     snap = state.snapshot()
     wider = gen_synthetic_dataset(60, 5, seed=21)
     with pytest.raises(ValueError, match="dimension does not match"):
-        PartitionedState.restore(snap, wider)
-    assert PartitionedState.restore(snap, state.data).snapshot() == snap
+        PartitionedState.restore(snap, wider, loss, cfg)
+    assert PartitionedState.restore(snap, state.data, loss,
+                                    cfg).snapshot() == snap
+
+
+def test_partitions_are_positional_and_drawn_from_no_stream(monkeypatch):
+    assert [f.name for f in dataclasses.fields(CopyState)] == \
+        ["features", "labels", "thetas", "rng"]
+    labels = []
+    original = distributed.substream
+
+    def recorded(seed, *path):
+        labels.append(path[0])
+        return original(seed, *path)
+
+    monkeypatch.setattr(distributed, "substream", recorded)
+    data, loss, cfg = small_problem(seed=22)
+    dist_learn(data, loss, cfg, seed=22)
+    assert set(labels) == {"bootstrap", "reservoir", "noise"}
+
+
+def test_dist_unlearn_rejects_another_loss_or_config():
+    data, loss, cfg = small_problem(seed=23)
+    state = dist_learn(data, loss, cfg, seed=23)
+    update = Update("add", DataPoint(np.array([0.0, 0.6, 0.0]), 0.5))
+    with pytest.raises(ValueError, match="not the chain's own"):
+        dist_unlearn(state, update, ridge_loss(3), cfg)
+    more = dist_params(60, 3, loss, 1.0, 1, 1.0, 0.01, copies=3)
+    with pytest.raises(ValueError, match="not the chain's own"):
+        dist_unlearn(state, update, loss, more)
+    same = dist_params(60, 3, loss, 1.0, 1, 1.0, 0.01, copies=2)
+    assert dist_unlearn(state, update, loss, same).round_index == 1
+
+
+def test_dist_learn_and_add_check_rows_against_the_loss_bounds():
+    base = gen_synthetic_dataset(60, 3, noise=0.05, feature_bound=0.9,
+                                 seed=24)
+    data = Dataset(base.features, base.labels, feature_bound=10.0)
+    loss = ridge_loss(3)
+    cfg = dist_params(60, 3, loss, 1.0, 1, 1.0, 0.01, copies=2)
+    state = dist_learn(data, loss, cfg, seed=24)
+    far = DataPoint(np.array([5.0, 0.0, 0.0]), 0.0)
+    with pytest.raises(ValueError, match="feature norm exceeds"):
+        dist_unlearn(state, Update("add", far), loss, cfg)
+    wide = Dataset(np.vstack([data.features[1:], far.x]),
+                   np.append(data.labels[1:], far.y), feature_bound=10.0)
+    with pytest.raises(ValueError, match="feature norm exceeds"):
+        dist_learn(wide, loss, cfg, seed=24)
+
+
+def test_restore_checks_everything_it_is_handed():
+    data, loss, cfg = small_problem(seed=25)
+    state = dist_learn(data, loss, cfg, seed=25)
+    state = dist_unlearn(state, Update("delete", data.point(0)), loss, cfg)
+    snap = state.snapshot()
+    assert (snap["initial_size"], snap["size"]) == (60, 59)
+    copy0 = snap["copies"][0]
+
+    def with_copy0(**fields):
+        return {**snap, "copies": [{**copy0, **fields}] + snap["copies"][1:]}
+
+    shape = "do not have the config's shape"
+    cases = [
+        ({**snap, "copies": snap["copies"][:1]}, shape),
+        (with_copy0(indices=copy0["indices"][:-1]), "with a sequence"),
+        (with_copy0(indices=[59] + copy0["indices"][1:]), shape),
+        (with_copy0(indices=[-1] + copy0["indices"][1:]), shape),
+        (with_copy0(thetas=[[0.0] * 5]), "with a sequence"),
+        ({**snap, "copies": [{**c, "thetas": [[0.0] * 5]}
+                             for c in snap["copies"]]}, shape),
+        ({**snap, "format": "unlearn-dist-state/1"}, "state format"),
+    ]
+    for snapshot, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PartitionedState.restore(snapshot, state.data, loss, cfg)
+    other_rows = gen_synthetic_dataset(59, 3, noise=0.05, seed=99)
+    with pytest.raises(ValueError, match="rows do not match"):
+        PartitionedState.restore(snap, other_rows, loss, cfg)
+    other = dist_params(60, 3, loss, 1.0, 2, 1.0, 0.01, copies=2)
+    with pytest.raises(ValueError, match="snapshot's sigma"):
+        PartitionedState.restore(snap, state.data, loss, other)
+    fresh = Dataset(state.data.features, state.data.labels)
+    restored = PartitionedState.restore(snap, fresh, loss, cfg)
+    assert restored.data.initial_size == 60
+    assert restored.snapshot() == snap
+
+
+@settings(max_examples=10, deadline=None)
+@given(cut=st.integers(0, 5), strategy=st.sampled_from(["churn", "random"]),
+       seed=st.integers(0, 2 ** 16))
+def test_snapshot_restore_replay_is_byte_equal(cut, strategy, seed):
+    data, loss, cfg = small_problem(n=40, seed=seed)
+    updates = gen_adversarial_sequence(data, 5, strategy, seed=seed)
+    state = dist_learn(data, loss, cfg, seed=seed)
+    for update in updates[:cut]:
+        state = dist_unlearn(state, update, loss, cfg)
+    resumed = PartitionedState.restore(state.snapshot(), state.data, loss,
+                                       cfg)
+    for update in updates[cut:]:
+        state = dist_unlearn(state, update, loss, cfg)
+        resumed = dist_unlearn(resumed, update, loss, cfg)
+        assert state.theta_pub.tobytes() == resumed.theta_pub.tobytes()
+    assert state.snapshot() == resumed.snapshot()

@@ -77,7 +77,6 @@ def test_prepare_materializes_the_configured_pieces():
     assert data.size == 120
     assert data.dim == 5
     assert len(updates) == 6
-    assert updates.kind == "random"
     assert loss.strong_convexity == cfg.lam
     again, _, again_updates = prepare(cfg, trial=0)
     assert np.array_equal(again.features, data.features)
@@ -243,6 +242,21 @@ def test_strong_mode_chain_runs_one_reference_descent_per_round(monkeypatch):
     records = run_chain(cfg)
     assert len(records) == 3
     assert len(descents) == 3
+
+
+def test_core_chain_resolves_its_schedule_once(monkeypatch):
+    calls = []
+    original = core.UnlearnConfig.resolve
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(core.UnlearnConfig, "resolve", counted)
+    records = run_chain(ExperimentConfig(n=60, dim=3, update_length=10,
+                                         iters=3))
+    assert len(records) == 11
+    assert [args[1:] for args in calls] == [(60, 3)]
 
 
 def test_reference_minimum_tries_the_closed_form_once(monkeypatch):
@@ -435,7 +449,7 @@ def test_cli_train_writes_a_snapshot(tmp_path):
                  "--update-length", "0", "--iters", "3"])
     assert code == 0
     snap = json.loads(out.read_text())
-    assert snap["format"] == "unlearn-state/1"
+    assert snap["format"] == "unlearn-state/2"
     assert snap["round"] == 0
 
 
