@@ -137,7 +137,11 @@ def trial_seed(seed: int, trial: int) -> int:
 
 
 def prepare(config: ExperimentConfig, trial: int = 0):
-    """Materialize (dataset, loss, updates) for one trial."""
+    """Materialize (dataset, loss, updates) for one trial.
+
+    The rows are not checked against the loss here: ``learn`` and
+    ``dist_learn`` check them when the chain starts.
+    """
     tseed = trial_seed(config.seed, trial)
     if config.data_path:
         data = Dataset.from_csv(config.data_path, config.feature_bound,
@@ -150,7 +154,6 @@ def prepare(config: ExperimentConfig, trial: int = 0):
             noise=config.data_noise, feature_bound=config.feature_bound,
             label_bound=config.label_bound, seed=tseed)
     loss = config.loss()
-    loss.check_dataset(data)
     if config.updates_path:
         updates = load_updates(config.updates_path)
     else:
@@ -336,6 +339,7 @@ def run_retrain_baseline(config: ExperimentConfig,
     I + log(epsilon n / sqrt(d)) / log(1/gamma) expense shape.
     """
     data, loss, updates = prepare(config, 0)
+    loss.check_dataset(data)
     sched = config.core_config().resolve(loss, data.size, data.dim)
     gamma = sched.gamma
     radius = loss.space.radius
@@ -391,9 +395,10 @@ def verify_unlearning_certificate(config: ExperimentConfig,
         raise ValueError("certificates cover the single-machine modes")
     trials = config.trials if trials is None else trials
     perfect = config.mode == "strong_perfect"
-    data, loss, _ = prepare(config, 0)
-    sched = config.core_config().resolve(loss, data.size, data.dim)
-    eff = sched.effective_loss
+    # Trial 0's learn fixes the schedule; its chain continues below.
+    chain = _rounds(config, 0)
+    sched = next(chain)[2].schedule
+    loss, eff = sched.loss, sched.effective_loss
     if perfect:
         bound = 2.0 * core.perfect_drift_bound(
             loss.lipschitz, loss.strong_convexity, sched.gamma, sched.n,
@@ -412,9 +417,10 @@ def verify_unlearning_certificate(config: ExperimentConfig,
     rounds = 0
     for t in range(trials):
         trial_ok = True
-        for rnd, (loss_t, params, state, _) in enumerate(_rounds(config, t)):
-            if rnd == 0:
-                continue
+        if t:
+            chain = _rounds(config, t)
+            next(chain)  # round 0 is the from-scratch learn
+        for rnd, (loss_t, params, state, _) in enumerate(chain, start=1):
             mean = fresh_mean(state.data, loss_t, params).theta
             gap = float(np.linalg.norm(mean - state.theta_hat))
             theta_star, tol = reference_optimum(eff, state.data, config.iters)

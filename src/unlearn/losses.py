@@ -130,6 +130,14 @@ class LossModel:
         return self._batch_gradient(data.features, data.labels,
                                     np.asarray(theta, dtype=float))
 
+    def quadratic(self, features, labels):
+        """``(H, g)`` with batch gradient ``H theta - g``; None if not quadratic.
+
+        H is a fresh symmetric array whose eigenvalues are at least
+        ``strong_convexity``; ``pgd`` relies on that bound.
+        """
+        return None
+
     def check_dataset(self, data: Dataset):
         """Reject rows outside the loss's bounds or the dataset's own."""
         Dataset(data.features, data.labels,
@@ -170,6 +178,17 @@ class RidgeLoss(LossModel):
     def _batch_gradient(self, features, labels, theta):
         resid = features @ theta - labels
         return features.T @ resid / resid.size + self.lam * theta
+
+    def quadratic(self, features, labels):
+        return _normal_equations(features, labels, self.lam)
+
+
+def _normal_equations(features, labels, lam):
+    # (X^T X / n + lam I, X^T y / n): the ridge gradient is H theta - g.
+    n = labels.size
+    gram = features.T @ features / n
+    gram[np.diag_indices_from(gram)] += lam
+    return gram, features.T @ labels / n
 
 
 def _expit(t):
@@ -235,6 +254,14 @@ class RegularizedLoss(LossModel):
         return self.base._batch_gradient(features, labels, theta) \
             + self.extra * theta
 
+    def quadratic(self, features, labels):
+        base = self.base.quadratic(features, labels)
+        if base is None:
+            return None
+        hessian, rhs = base
+        hessian[np.diag_indices_from(hessian)] += self.extra
+        return hessian, rhs
+
     def check_dataset(self, data: Dataset):
         self.base.check_dataset(data)
 
@@ -252,10 +279,7 @@ def closed_form_ridge_optimizer(data: Dataset, lam: float,
         raise ValueError("empty dataset")
     if lam < 0:
         raise ValueError("ridge coefficient must be nonnegative")
-    n = data.size
-    gram = data.features.T @ data.features / n
-    gram[np.diag_indices_from(gram)] += lam
-    rhs = data.features.T @ data.labels / n
+    gram, rhs = _normal_equations(data.features, data.labels, lam)
     try:
         theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:

@@ -5,6 +5,21 @@ contracts the distance to the constrained minimizer by
 gamma = (M-m)/(M+m) per iteration. For merely convex M-smooth
 objectives the step size 1/M gives the usual M |theta_0 - theta*|^2 / (2T)
 bound on the objective gap.
+
+Quadratic losses (ridge, and ridge plus added quadratics) have gradient
+H theta - g, so an unprojected step is the affine map
+theta -> theta* + (I - eta H)(theta - theta*) with theta* = H^-1 g, and
+T steps are theta_T = theta* + (I - eta H)^T (theta_0 - theta*). ``pgd``
+uses that map, with the matrix power taken by repeated squaring, when
+the projection provably never binds: the eigenvalues of H lie in
+[m, tr H - (d-1) m], so every step contracts theta - theta* by at most
+rho = max(|1 - eta m|, |1 - eta (tr H - (d-1) m)|), and if rho < 1 and
+|theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9) no iterate after the
+start leaves the ball. It also needs the strongly convex regime and
+T >= d: the loop costs about 2 T n d flops, the map n d^2 for H plus
+O(d^3 log T) for the power, so the map pays once T reaches d. Any other
+case runs the iterative loop. Both report the nominal T * n
+point-gradients.
 """
 
 from __future__ import annotations
@@ -70,17 +85,57 @@ def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig) -> GDTrace:
     published parameters do); every iterate from the first step on is
     feasible, and the contraction guarantee is unaffected because the
     shipped losses satisfy their regularity bounds on all of R^d.
+
+    When the regime is strongly convex, ``loss.quadratic`` gives (H, g),
+    T >= d and the ball certificate |theta*| + rho |theta_0 - theta*|
+    <= r (1 - 1e-9) holds with rho < 1 (see the module docstring), the
+    T steps are taken at once as theta* + (I - eta H)^T (theta_0 -
+    theta*); this agrees with the loop to rounding, since the loop's
+    projections would all be identities. T >= d because building H
+    costs n d^2, which the loop's 2 T n d only exceeds from there on.
+    Otherwise the loop runs. Either way the trace counts T * n
+    point-gradients.
     """
     if data.size == 0:
         raise ValueError("empty dataset")
     theta = np.asarray(theta0, dtype=float).copy()
     if theta.shape != (data.dim,):
         raise ValueError("start point has wrong dimension")
+    evaluations = config.iterations * data.size
+    if config.regime == "strongly_convex_smooth" and \
+            config.iterations >= data.dim:
+        mapped = _unprojected_map(loss, data, theta, config)
+        if mapped is not None:
+            return GDTrace(theta=mapped, gradient_evaluations=evaluations)
     space = loss.space
     for _ in range(config.iterations):
         grad = loss.empirical_gradient(data, theta)
         theta = space.project(theta - config.step_size * grad)
-    return GDTrace(theta=theta, gradient_evaluations=config.iterations * data.size)
+    return GDTrace(theta=theta, gradient_evaluations=evaluations)
+
+
+def _unprojected_map(loss: LossModel, data: Dataset, theta0,
+                     config: GDConfig):
+    """T quadratic steps in closed form; None unless the ball cannot bind."""
+    quad = loss.quadratic(data.features, data.labels)
+    if quad is None:
+        return None
+    hessian, rhs = quad
+    eta, m, dim = config.step_size, loss.strong_convexity, data.dim
+    rho = max(abs(1.0 - eta * m),
+              abs(1.0 - eta * (np.trace(hessian) - (dim - 1) * m)))
+    if not rho < 1.0:
+        return None
+    try:
+        star = np.linalg.solve(hessian, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    reach = np.linalg.norm(star) + rho * np.linalg.norm(theta0 - star)
+    if not reach <= loss.space.radius * (1.0 - 1e-9):
+        return None
+    step = np.eye(dim) - eta * hessian
+    return star + np.linalg.matrix_power(step, config.iterations) \
+        @ (theta0 - star)
 
 
 def contraction_factor(loss: LossModel) -> float:

@@ -22,7 +22,7 @@ from unlearn.harness import (
     trial_seed,
     verify_unlearning_certificate,
 )
-from unlearn.losses import closed_form_ridge_optimizer
+from unlearn.losses import LossModel, closed_form_ridge_optimizer
 
 QUICK = dict(n=120, update_length=6, iters=3)
 
@@ -257,6 +257,41 @@ def test_core_chain_resolves_its_schedule_once(monkeypatch):
                                          iters=3))
     assert len(records) == 11
     assert [args[1:] for args in calls] == [(60, 3)]
+
+
+def test_chain_scans_the_dataset_against_the_loss_once(monkeypatch):
+    scans = []
+    original = LossModel.check_dataset
+
+    def counted(self, data):
+        scans.append(data.size)
+        return original(self, data)
+
+    monkeypatch.setattr(LossModel, "check_dataset", counted)
+    records = run_chain(ExperimentConfig(n=60, dim=3, update_length=1,
+                                         update_strategy="random", iters=2))
+    assert len(records) == 2
+    assert scans.count(60) == 1
+
+
+def test_certificate_prepares_each_trial_once(monkeypatch):
+    prepared = counting(monkeypatch, "prepare")
+    report = verify_unlearning_certificate(
+        ExperimentConfig(n=60, dim=3, update_length=2, iters=3), trials=2)
+    assert report["rounds"] == 4
+    assert len(prepared) == 2
+
+
+def test_cli_baseline_checks_the_rows_against_the_loss(tmp_path):
+    rng = np.random.default_rng(0)
+    csv_path = tmp_path / "half.csv"
+    Dataset(rng.uniform(-0.5, 0.5, size=(40, 3)), np.full(40, 0.5)).to_csv(
+        csv_path)
+    flags = ["baseline", "--records-out", str(tmp_path / "b.jsonl"),
+             "--dim", "3", "--data-path", str(csv_path), "--update-length",
+             "2"]
+    assert main(flags) == 0
+    assert main(flags + ["--loss-kind", "logistic"]) == 3
 
 
 def test_reference_minimum_tries_the_closed_form_once(monkeypatch):

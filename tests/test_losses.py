@@ -275,3 +275,33 @@ def test_logistic_rejects_labels_off_the_unit_pair():
     loss = LogisticLoss(ParamSpace(1, 1.0))
     with pytest.raises(ValueError, match="logistic labels"):
         loss.check_dataset(data)
+
+
+def test_quadratic_form_reproduces_the_gradient():
+    rng = np.random.default_rng(21)
+    data = make_dataset(rng, 30, 4)
+    space = ParamSpace(4, 2.0)
+    theta = ball_points(rng, 1, 4, radius=2.0)[0]
+    ridge = RidgeLoss(space, lam=0.3)
+    for loss in (ridge, RegularizedLoss(RegularizedLoss(ridge, 0.2), 0.1)):
+        hessian, rhs = loss.quadratic(data.features, data.labels)
+        assert_allclose(hessian, hessian.T, rtol=0, atol=0)
+        assert np.linalg.eigvalsh(hessian).min() >= \
+            loss.strong_convexity * (1 - 1e-12)
+        assert_allclose(hessian @ theta - rhs,
+                        loss.empirical_gradient(data, theta),
+                        rtol=1e-12, atol=1e-14)
+    logistic = LogisticLoss(space, lam=0.3)
+    assert logistic.quadratic(data.features, data.labels) is None
+    assert RegularizedLoss(logistic, 0.1).quadratic(
+        data.features, data.labels) is None
+
+
+def test_closed_form_solves_the_ridge_quadratic_exactly():
+    rng = np.random.default_rng(22)
+    data = make_dataset(rng, 50, 3)
+    space = ParamSpace(3, 5.0)
+    hessian, rhs = RidgeLoss(space, lam=0.7).quadratic(data.features,
+                                                       data.labels)
+    assert np.array_equal(closed_form_ridge_optimizer(data, 0.7, space),
+                          np.linalg.solve(hessian, rhs))

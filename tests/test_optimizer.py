@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from unlearn.data import Dataset
 from unlearn.losses import (
+    LogisticLoss,
     LossModel,
     ParamSpace,
     RegularizedLoss,
@@ -170,3 +172,121 @@ def test_contraction_factor_rejects_inconsistent_constants():
     bad.smoothness = 0.5
     with pytest.raises(ValueError, match="smoothness"):
         contraction_factor(bad)
+
+
+def loop_pgd(loss, data, theta0, cfg):
+    """The iterative descent, step by step, as the reference."""
+    theta = np.asarray(theta0, dtype=float)
+    for _ in range(cfg.iterations):
+        theta = loss.space.project(
+            theta - cfg.step_size * loss.empirical_gradient(data, theta))
+    return theta
+
+
+def count_gradients(monkeypatch):
+    calls = []
+    original = LossModel.empirical_gradient
+
+    def counted(self, data, theta):
+        calls.append(data.size)
+        return original(self, data, theta)
+
+    monkeypatch.setattr(LossModel, "empirical_gradient", counted)
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       dim=st.integers(1, 6), extra_iters=st.integers(0, 300),
+       radius=st.floats(0.2, 5.0), lam=st.floats(0.01, 2.0),
+       added=st.one_of(st.none(), st.floats(0.01, 1.0)),
+       start=st.floats(0.0, 3.0))
+def test_closed_form_agrees_with_the_loop(seed, n, dim, extra_iters, radius,
+                                          lam, added, start):
+    rng = np.random.default_rng(seed)
+    data = Dataset(ball_points(rng, n, dim), rng.uniform(-1, 1, size=n))
+    loss = RidgeLoss(ParamSpace(dim, radius), lam=lam)
+    if added is not None:
+        loss = RegularizedLoss(loss, added)
+    # Starts from the center to three radii out: inside and outside.
+    theta0 = ball_points(rng, 1, dim, radius=start * radius)[0]
+    cfg = GDConfig.for_loss(loss, iterations=dim + extra_iters)
+    fast = pgd(loss, data, theta0, cfg)
+    slow = loop_pgd(loss, data, theta0, cfg)
+    scale = max(np.linalg.norm(slow), np.linalg.norm(theta0))
+    assert np.linalg.norm(fast.theta - slow) <= 1e-12 * scale
+    assert fast.gradient_evaluations == cfg.iterations * n
+
+
+@pytest.mark.parametrize("regularized", [False, True])
+def test_ridge_descent_inside_the_ball_takes_no_gradient_steps(monkeypatch,
+                                                               regularized):
+    data, loss, _ = ridge_problem(seed=10, n=23)
+    if regularized:
+        loss = RegularizedLoss(loss, 0.3)
+    cfg = GDConfig.for_loss(loss, iterations=50)
+    expected = loop_pgd(loss, data, np.zeros(3), cfg)
+    calls = count_gradients(monkeypatch)
+    trace = pgd(loss, data, np.zeros(3), cfg)
+    assert calls == []
+    assert trace.gradient_evaluations == 50 * 23
+    assert_allclose(trace.theta, expected, rtol=1e-12, atol=0)
+
+
+def loop_cases():
+    data, ridge, _ = ridge_problem(seed=11)
+    strong = GDConfig.for_loss(ridge, iterations=20)
+    rng = np.random.default_rng(12)
+    x = ball_points(rng, 30, 3)
+    signs = np.where(x @ np.array([1.0, -1.0, 0.5]) >= 0, 1.0, -1.0)
+    logistic = LogisticLoss(ParamSpace(3, 5.0), lam=0.5)
+    wide = ridge_problem(seed=13, dim=5)
+    flat = RidgeLoss(ParamSpace(3, 5.0), label_bound=0.5, lam=0.0)
+    # Labels proportional to the first feature put the minimizer near
+    # (0.5, 0, 0), well outside a radius-0.05 ball.
+    tied = Dataset(x, np.clip(x[:, 0], -0.5, 0.5), 1.0, 0.5)
+    small = RidgeLoss(ParamSpace(3, 0.05), label_bound=0.5, lam=0.1)
+    return {
+        "ball binds": (small, tied, np.zeros(3),
+                       GDConfig.for_loss(small, iterations=20)),
+        # A perfect-mode warm start is a noisy published parameter,
+        # which may lie far outside the ball.
+        "warm start far outside": (ridge, data, np.full(3, 30.0), strong),
+        "convex regime": (flat, data, np.zeros(3), GDConfig.for_loss(
+            flat, iterations=20, regime="convex_smooth")),
+        "convex regime with a ridge term": (ridge, data, np.zeros(3),
+                                            GDConfig.for_loss(
+                                                ridge, iterations=20,
+                                                regime="convex_smooth")),
+        # Past 2/M a step can expand theta - theta*, so even a start at
+        # the minimizer proves nothing about later iterates.
+        "step too long to contract": (
+            ridge, data, closed_form_ridge_optimizer(data, 1.0, ridge.space),
+            GDConfig(3.0 / ridge.smoothness, 20)),
+        "logistic": (logistic, Dataset(x, signs), np.zeros(3),
+                     GDConfig.for_loss(logistic, iterations=20)),
+        "fewer steps than dimensions": (wide[1], wide[0], np.zeros(5),
+                                        GDConfig.for_loss(wide[1],
+                                                          iterations=4)),
+        "nan start": (ridge, data, np.array([np.nan, 0.0, 0.0]), strong),
+    }
+
+
+@pytest.mark.parametrize("case", list(loop_cases()))
+def test_descents_the_closed_form_cannot_certify_run_the_loop(monkeypatch,
+                                                              case):
+    loss, data, theta0, cfg = loop_cases()[case]
+    expected = loop_pgd(loss, data, theta0, cfg)
+    calls = count_gradients(monkeypatch)
+    trace = pgd(loss, data, theta0, cfg)
+    assert calls == [data.size] * cfg.iterations
+    assert trace.gradient_evaluations == cfg.iterations * data.size
+    assert np.array_equal(trace.theta, expected, equal_nan=True)
+
+
+def test_binding_ball_case_really_binds():
+    loss, data, theta0, cfg = loop_cases()["ball binds"]
+    wide = ParamSpace(3, 5.0)
+    assert np.linalg.norm(closed_form_ridge_optimizer(data, 0.1, wide)) > 0.05
+    assert np.linalg.norm(pgd(loss, data, theta0, cfg).theta) == \
+        pytest.approx(0.05, rel=1e-12)
