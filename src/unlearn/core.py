@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Update
+from .data import Dataset, Update, moments_tolerance
 from .losses import LossModel
 from .optimizer import GDConfig, GDTrace, contraction_factor, pgd
 from .rng import substream
@@ -66,7 +66,7 @@ __all__ = [
 MODES = ("strong_secret", "strong_perfect", "regularized_strong",
          "regularized_weak")
 
-SNAPSHOT_FORMAT = "unlearn-state/2"
+SNAPSHOT_FORMAT = "unlearn-state/3"
 
 
 def _check_privacy(epsilon: float, delta: float):
@@ -416,13 +416,17 @@ class UnlearnState:
     noise_rng: np.random.Generator
 
     def snapshot(self) -> dict:
-        """Portable state between rounds; the dataset only by its digest."""
+        """Portable state between rounds; the dataset only by its digest
+        plus, once a loss has asked for them, its moments (else None)."""
         mode = self.schedule.config.mode
+        moments = self.data.cached_moments
         return {
             **_encode_state(SNAPSHOT_FORMAT, self, self.schedule.sigma),
             "mode": mode,
             "theta_hat": (None if mode == "strong_perfect"
                           else [float(v) for v in self.theta_hat]),
+            "moments": None if moments is None else {
+                "gram": moments[0].tolist(), "xty": moments[1].tolist()},
         }
 
     @classmethod
@@ -438,8 +442,39 @@ class UnlearnState:
         theta_hat = snapshot["theta_hat"]
         if theta_hat is None and config.mode != "strong_perfect":
             raise ValueError("snapshot lacks the secret parameter")
+        shared["data"] = _restore_moments(snapshot, shared["data"], loss)
         return cls(schedule=sched, theta_hat=None if theta_hat is None
                    else _vector(theta_hat, data.dim), **shared)
+
+
+def _restore_moments(snapshot: dict, data: Dataset,
+                     loss: LossModel) -> Dataset:
+    """``data`` carrying the snapshot's moments, checked against its rows.
+
+    Moments carried by rank-1 updates differ from freshly computed ones
+    at rounding level, and a resumed chain must descend on the very
+    moments the original would have used. So they travel with the
+    snapshot and are accepted within ``moments_tolerance`` of the rows'
+    fresh moments: an r-round chain from n_0 rows has summed at most
+    n_0 + r products, each within the loss's bounds.
+    """
+    moments = snapshot["moments"]
+    if moments is None:
+        return data
+    gram = np.asarray(moments["gram"], dtype=float)
+    xty = np.asarray(moments["xty"], dtype=float)
+    fresh_gram, fresh_xty = data.moments()
+    if gram.shape != fresh_gram.shape or xty.shape != fresh_xty.shape:
+        raise ValueError("snapshot moments do not match the dataset's "
+                         "dimension")
+    tol_gram, tol_xty = moments_tolerance(
+        int(snapshot["initial_size"]) + int(snapshot["round"]),
+        loss.feature_bound, loss.label_bound)
+    # Written as "not <=" so that NaN fails the test too.
+    if not (np.all(np.abs(gram - fresh_gram) <= tol_gram)
+            and np.all(np.abs(xty - fresh_xty) <= tol_xty)):
+        raise ValueError("snapshot moments do not match the rows")
+    return data.with_moments(gram, xty)
 
 
 def _generator(state: dict) -> np.random.Generator:

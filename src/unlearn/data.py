@@ -1,10 +1,17 @@
 """Datasets as multisets of labeled points, plus edit streams.
 
-A dataset is an ordered array snapshot of a multiset: duplicate rows are
-distinct copies, deletion removes one copy, and point identity is exact
-equality of the feature vector and label. Every dataset remembers the
-size of the original training set so that edits can enforce the size
-floor n_i >= n_0 / 2 that the deletion guarantees rely on.
+A dataset is an ordered, immutable snapshot of a multiset: duplicate
+rows are distinct copies, deletion removes one copy, and point identity
+is exact equality of the feature vector and label. Every dataset
+remembers the size of the original training set so that edits can
+enforce the size floor n_i >= n_0 / 2 that the deletion guarantees rely
+on.
+
+An edit costs O(n) index work and O(d^2) arithmetic; it copies no rows,
+bar a compaction after on the order of n edits. The versions of one
+dataset share an append-only row buffer and each holds only the slots
+of its rows, and the moments X^T X and X^T y, once computed, are
+carried from version to version by rank-1 updates (see ``Dataset``).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ __all__ = [
     "gen_adversarial_sequence",
     "gen_synthetic_dataset",
     "load_updates",
+    "moments_tolerance",
     "save_updates",
 ]
 
@@ -55,8 +63,119 @@ class Update:
             raise ValueError(f"unknown update op {self.op!r}")
 
 
+class _Rows:
+    """Append-only row buffer shared by the versions of one dataset.
+
+    A slot is written once and never changes, so a version is just the
+    increasing vector of its live slots, and an edit to any version,
+    old or new, leaves every other version as it was. Slots below
+    ``base`` are the rows of the arrays the buffer was lent, used in
+    place; appends go to a tail that grows by doubling, so no edit
+    copies the lent rows.
+    """
+
+    def __init__(self, features, labels):
+        self.base = labels.shape[0]
+        self.base_features, self.base_labels = features, labels
+        self.tail_features = np.empty((16, features.shape[1]))
+        self.tail_labels = np.empty(16)
+        self.count = self.base
+
+    @property
+    def capacity(self) -> int:
+        return self.base + self.tail_labels.shape[0]
+
+    def append(self, x, y) -> int:
+        """Write one row into the next slot and return the slot."""
+        at = self.count - self.base
+        if at == self.tail_labels.shape[0]:
+            self.tail_features = np.concatenate(
+                [self.tail_features, np.empty_like(self.tail_features)])
+            self.tail_labels = np.concatenate(
+                [self.tail_labels, np.empty_like(self.tail_labels)])
+        self.tail_features[at] = x
+        self.tail_labels[at] = y
+        self.count += 1
+        return self.count - 1
+
+    def row(self, slot):
+        if slot < self.base:
+            return self.base_features[slot], self.base_labels[slot]
+        return self.tail_features[slot - self.base], \
+            self.tail_labels[slot - self.base]
+
+    def features_at(self, slots) -> np.ndarray:
+        """Feature rows of ``slots``, an increasing slot vector."""
+        return self._gather(self.base_features, self.tail_features, slots)
+
+    def labels_at(self, slots) -> np.ndarray:
+        return self._gather(self.base_labels, self.tail_labels, slots)
+
+    def _gather(self, base, tail, slots):
+        split = slots.searchsorted(self.base)
+        if split == slots.size:
+            return base[slots]
+        out = np.empty((slots.size,) + base.shape[1:])
+        # In range by construction; "clip" lets take write in place.
+        base.take(slots[:split], axis=0, out=out[:split], mode="clip")
+        tail.take(slots[split:] - self.base, axis=0, out=out[split:],
+                  mode="clip")
+        return out
+
+    def slots_labeled(self, y) -> np.ndarray:
+        """Increasing slots whose label equals ``y``."""
+        tail = np.flatnonzero(self.tail_labels[:self.count - self.base] == y)
+        return np.concatenate((np.flatnonzero(self.base_labels == y),
+                               tail + self.base))
+
+
+def _row_moments(features, labels):
+    """(X^T X, X^T y) of the rows, read-only."""
+    return _frozen(features.T @ features, features.T @ labels)
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def moments_tolerance(terms: int, feature_bound: float,
+                      label_bound: float) -> tuple:
+    """Entrywise bound on the gap between two roundings of the moments.
+
+    An entry of X^T X (of X^T y) is a sum of products x_i x_j (y x_i)
+    of magnitude at most R_x^2 (R_x R_y). Computed in any order from at
+    most ``terms`` such products, whether in one pass over the rows or
+    as a first pass followed by rank-1 updates, it lies within
+    gamma_terms * terms * R_x^2 of the exact sum, where gamma_k =
+    k u / (1 - k u) and u = 2^-53. Two such results therefore differ
+    by at most twice that; the pair of bounds is returned.
+    """
+    ku = terms * 2.0 ** -53
+    scale = 2.0 * ku / (1.0 - ku) * terms
+    return (scale * feature_bound * feature_bound,
+            scale * feature_bound * label_bound)
+
+
 class Dataset:
     """Multiset of labeled points with a size floor.
+
+    A dataset built from arrays holds them as they are. Its edits share
+    one append-only row buffer (lent those arrays, so a delete copies
+    no rows): each version keeps only the increasing vector of its live
+    slots, in the row order an array snapshot would have, so an add
+    writes one row and a delete drops one index. ``features`` and
+    ``labels`` gather a version's rows on first read and cache them.
+    The buffer is compacted into a fresh dataset once it holds more
+    than twice the live rows, so (beyond a 16-row minimum tail) it
+    holds at most four times the live rows however long the stream.
+
+    The moments (X^T X, X^T y) are computed from the rows when first
+    asked for and from then on carried through every edit by rank-1
+    updates, so ridge-family losses never touch the rows again. A
+    dataset whose moments nobody asked for (a logistic chain's) never
+    pays for them.
 
     Attributes:
         features: (n, d) array, one row per copy.
@@ -74,30 +193,91 @@ class Dataset:
         labels = np.asarray(labels, dtype=float).ravel()
         if features.shape[0] != labels.shape[0]:
             raise ValueError("features and labels disagree on length")
-        self.features = features
-        self.labels = labels
+        # Array-backed: no buffer until the first edit, which lends these
+        # arrays to one that only its descendants hold.
+        self._rows = self._live = self._moments = None
+        self._features = features
+        self._labels = labels
         self.feature_bound = float(feature_bound)
         self.label_bound = float(label_bound)
         self.initial_size = int(initial_size if initial_size is not None
                                 else features.shape[0])
 
     @property
+    def features(self) -> np.ndarray:
+        if self._features is None:
+            self._features = self._rows.features_at(self._live)
+        return self._features
+
+    @property
+    def labels(self) -> np.ndarray:
+        if self._labels is None:
+            self._labels = self._rows.labels_at(self._live)
+        return self._labels
+
+    @property
     def size(self) -> int:
-        return self.features.shape[0]
+        return (self._labels if self._live is None else self._live).shape[0]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return (self._features if self._rows is None
+                else self._rows.base_features).shape[1]
+
+    def _row(self, i):
+        if self._live is None:
+            return self._features[i], self._labels[i]
+        return self._rows.row(self._live[i])
 
     def point(self, i: int) -> DataPoint:
-        return DataPoint(self.features[i].copy(), float(self.labels[i]))
+        x, y = self._row(i)
+        return DataPoint(x.copy(), float(y))
 
     def find(self, point: DataPoint) -> np.ndarray:
-        """Indices of all copies equal to ``point`` (exact equality)."""
+        """Indices of all copies equal to ``point`` (exact equality).
+
+        Only the rows whose label matches are compared.
+        """
         if self.size == 0:
             return np.empty(0, dtype=int)
-        hits = np.all(self.features == point.x, axis=1) & (self.labels == point.y)
-        return np.flatnonzero(hits)
+        if self._labels is not None:
+            hits = np.flatnonzero(self._labels == point.y)
+        else:
+            # Cheaper than gathering the labels: compare the buffer's.
+            slots = self._rows.slots_labeled(point.y)
+            hits = self._live.searchsorted(slots)
+            hits = hits[self._live.take(hits, mode="clip") == slots]
+        rows = (self._features[hits] if self._features is not None
+                else self._rows.features_at(self._live[hits]))
+        return hits[np.all(rows == point.x, axis=1)]
+
+    def moments(self) -> tuple:
+        """(X^T X, X^T y), read-only; computed from the rows only once."""
+        if self._moments is None:
+            self._moments = _row_moments(self.features, self.labels)
+        return self._moments
+
+    @property
+    def cached_moments(self):
+        """The moments if this version already holds them, else None."""
+        return self._moments
+
+    def with_moments(self, gram, xty) -> "Dataset":
+        """These rows carrying the given moments (say, restored ones).
+
+        The caller vouches that they are the rows' moments up to
+        rounding (see ``moments_tolerance``).
+        """
+        twin = self._clone()
+        twin._moments = _frozen(np.array(gram, dtype=float),
+                                np.array(xty, dtype=float))
+        return twin
+
+    def _clone(self) -> "Dataset":
+        # A shallow copy, without copy.copy's generic (slower) protocol.
+        twin = object.__new__(Dataset)
+        twin.__dict__.update(self.__dict__)
+        return twin
 
     def _check_bounds(self, norm, label):
         # Written as "not <=" so that NaN fails the test too.
@@ -117,31 +297,50 @@ class Dataset:
         Adding appends a copy, and raises if the point breaks the
         declared bounds or is not finite. Deleting removes one copy if
         present and is a no-op on the contents otherwise. Raises if the
-        edit would push the size below initial_size / 2.
+        edit would push the size below initial_size / 2. Neither this
+        dataset nor any other version of it changes.
         """
+        point = update.point
         if update.op == "add":
-            if update.point.x.shape != (self.dim,):
+            if point.x.shape != (self.dim,):
                 raise ValueError("added point has wrong dimension")
-            self._check_bounds(np.linalg.norm(update.point.x),
-                               abs(update.point.y))
-            feats = np.vstack([self.features, update.point.x])
-            labs = np.append(self.labels, update.point.y)
+            self._check_bounds(np.linalg.norm(point.x), abs(point.y))
+            size = self.size + 1
         else:
-            idx = self.find(update.point)
-            if idx.size == 0:
-                feats, labs = self.features, self.labels
-            else:
-                keep = np.ones(self.size, dtype=bool)
-                keep[idx[0]] = False
-                feats = self.features[keep]
-                labs = self.labels[keep]
-        if feats.shape[0] < self.initial_size / 2:
+            hits = self.find(point)
+            size = self.size - min(hits.size, 1)
+        if size < self.initial_size / 2:
             raise ValueError(
-                f"dataset floor violated: {feats.shape[0]} points is below "
+                f"dataset floor violated: {size} points is below "
                 f"{self.initial_size}/2"
             )
-        return Dataset(feats, labs, self.feature_bound, self.label_bound,
-                       self.initial_size)
+        child = self._clone()
+        if size == self.size:  # deleting an absent point
+            return child
+        if self._rows is None:
+            rows, live = _Rows(self._features, self._labels), \
+                np.arange(self.size)
+        else:
+            rows, live = self._rows, self._live
+        if update.op == "add":
+            x, y, sign = point.x, point.y, 1.0
+            live = np.concatenate((live, [rows.append(x, y)]))
+        else:
+            (x, y), sign = self._row(hits[0]), -1.0
+            live = np.concatenate((live[:hits[0]], live[hits[0] + 1:]))
+        if self._moments is not None:
+            gram, xty = self._moments
+            child._moments = _frozen(gram + sign * np.outer(x, x),
+                                     xty + (sign * y) * x)
+        if rows.count > 2 * live.size:
+            # Compact: the child keeps only its own rows, as arrays.
+            child._rows = child._live = None
+            child._features = rows.features_at(live)
+            child._labels = rows.labels_at(live)
+        else:
+            child._rows, child._live = rows, live
+            child._features = child._labels = None
+        return child
 
     def to_csv(self, path):
         """Write as CSV with header x_1,...,x_d,y at 17 significant digits."""

@@ -25,8 +25,8 @@ from .core import UnlearnConfig, fresh_mean, gaussian_mechanism_epsilon
 from .data import (Dataset, gen_adversarial_sequence,
                    gen_synthetic_dataset, load_updates)
 from .distributed import dist_learn, dist_params, dist_unlearn
-from .losses import (LogisticLoss, LossModel, ParamSpace, RegularizedLoss,
-                     RidgeLoss, closed_form_ridge_optimizer)
+from .losses import (LogisticLoss, LossModel, ParamSpace, RidgeLoss,
+                     closed_form_ridge_optimizer)
 from .optimizer import GDConfig, contraction_factor, pgd
 from .rng import spawn_key
 
@@ -192,14 +192,10 @@ class MetricsRecord:
 
 def _ridge_minimizer(loss: LossModel, data: Dataset):
     """Closed-form minimizer of ridge plus quadratics; None if refused."""
-    extra = 0.0
-    while isinstance(loss, RegularizedLoss):
-        extra += loss.extra
-        loss = loss.base
-    if not isinstance(loss, RidgeLoss):
+    if loss.ridge_lam is None:
         return None
     try:
-        return closed_form_ridge_optimizer(data, loss.lam + extra, loss.space)
+        return closed_form_ridge_optimizer(data, loss.ridge_lam, loss.space)
     except ValueError:
         return None
 

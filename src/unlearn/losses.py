@@ -28,6 +28,14 @@ Adding a quadratic (a/2)|theta|^2 on top of any model yields certified
 constants (m + a, M + a, L + a D); the Lipschitz term uses the diameter
 because the added gradient a * theta is only bounded by a * r <= a * D
 on Theta and downstream noise calibration budgets for a D.
+
+Ridge, and ridge plus added quadratics, are quadratic in theta: with
+total coefficient lam_eff (``ridge_lam``) the empirical gradient is
+(X^T X theta - X^T y) / n + lam_eff theta. Those losses read the data's
+moments (see ``Dataset.moments``), which a chain carries through its
+edits, so their gradients, their ``quadratic`` form and the closed-form
+oracle cost O(d^2) or O(d^3) whatever n is. Losses and gradients of
+single points, and every logistic quantity, come from the rows.
 """
 
 from __future__ import annotations
@@ -99,6 +107,9 @@ class LossModel:
     lipschitz: float
     feature_bound: float
     label_bound: float
+    # lam_eff of a ridge-family loss, whose gradient the moments give;
+    # None for any other loss.
+    ridge_lam: float | None = None
 
     def point_loss(self, x, y, theta) -> float:
         """Loss of the single point (x, y): a one-row batch."""
@@ -124,19 +135,29 @@ class LossModel:
                                 np.asarray(theta, dtype=float))
 
     def empirical_gradient(self, data: Dataset, theta) -> np.ndarray:
-        """Gradient of the mean loss; norm is at most L on Theta."""
+        """Gradient of the mean loss; norm is at most L on Theta.
+
+        Ridge-family losses take it from the data's moments.
+        """
         if data.size == 0:
             raise ValueError("empty dataset")
-        return self._batch_gradient(data.features, data.labels,
-                                    np.asarray(theta, dtype=float))
+        theta = np.asarray(theta, dtype=float)
+        if self.ridge_lam is None:
+            return self._batch_gradient(data.features, data.labels, theta)
+        gram, xty = data.moments()
+        return (gram @ theta - xty) / data.size + self.ridge_lam * theta
 
-    def quadratic(self, features, labels):
-        """``(H, g)`` with batch gradient ``H theta - g``; None if not quadratic.
+    def quadratic(self, data: Dataset):
+        """``(H, g)`` with empirical gradient ``H theta - g``; None if the
+        loss is not quadratic.
 
-        H is a fresh symmetric array whose eigenvalues are at least
-        ``strong_convexity``; ``pgd`` relies on that bound.
+        Built from the data's moments in O(d^2). H is a fresh symmetric
+        array whose eigenvalues are at least ``strong_convexity``;
+        ``pgd`` relies on that bound.
         """
-        return None
+        if self.ridge_lam is None:
+            return None
+        return _normal_equations(data, self.ridge_lam)
 
     def check_dataset(self, data: Dataset):
         """Reject rows outside the loss's bounds or the dataset's own."""
@@ -164,7 +185,7 @@ class RidgeLoss(LossModel):
             raise ValueError("bounds must be positive")
         self.feature_bound = float(feature_bound)
         self.label_bound = float(label_bound)
-        self.lam = float(lam)
+        self.lam = self.ridge_lam = float(lam)
         rx, ry, r = self.feature_bound, self.label_bound, space.radius
         self.strong_convexity = self.lam
         self.smoothness = rx * rx + self.lam
@@ -179,16 +200,13 @@ class RidgeLoss(LossModel):
         resid = features @ theta - labels
         return features.T @ resid / resid.size + self.lam * theta
 
-    def quadratic(self, features, labels):
-        return _normal_equations(features, labels, self.lam)
 
-
-def _normal_equations(features, labels, lam):
+def _normal_equations(data: Dataset, lam):
     # (X^T X / n + lam I, X^T y / n): the ridge gradient is H theta - g.
-    n = labels.size
-    gram = features.T @ features / n
-    gram[np.diag_indices_from(gram)] += lam
-    return gram, features.T @ labels / n
+    gram, xty = data.moments()
+    hessian = gram / data.size
+    hessian[np.diag_indices_from(hessian)] += lam
+    return hessian, xty / data.size
 
 
 def _expit(t):
@@ -242,9 +260,19 @@ class RegularizedLoss(LossModel):
         super().__init__(base.space)
         self.base = base
         self.extra = float(extra)
+        if base.ridge_lam is not None:
+            self.ridge_lam = base.ridge_lam + self.extra
         self.strong_convexity = base.strong_convexity + self.extra
         self.smoothness = base.smoothness + self.extra
         self.lipschitz = base.lipschitz + self.extra * base.space.diameter
+
+    @property
+    def feature_bound(self) -> float:
+        return self.base.feature_bound
+
+    @property
+    def label_bound(self) -> float:
+        return self.base.label_bound
 
     def _batch_loss(self, features, labels, theta):
         return self.base._batch_loss(features, labels, theta) \
@@ -254,14 +282,6 @@ class RegularizedLoss(LossModel):
         return self.base._batch_gradient(features, labels, theta) \
             + self.extra * theta
 
-    def quadratic(self, features, labels):
-        base = self.base.quadratic(features, labels)
-        if base is None:
-            return None
-        hessian, rhs = base
-        hessian[np.diag_indices_from(hessian)] += self.extra
-        return hessian, rhs
-
     def check_dataset(self, data: Dataset):
         self.base.check_dataset(data)
 
@@ -270,7 +290,8 @@ def closed_form_ridge_optimizer(data: Dataset, lam: float,
                                 space: ParamSpace) -> np.ndarray:
     """Exact minimizer of the empirical ridge loss over Theta.
 
-    Solves (X^T X / n + lam I) theta = X^T y / n. Only valid when the
+    Solves (X^T X / n + lam I) theta = X^T y / n, from the data's
+    moments, the same system ``quadratic`` builds. Only valid when the
     unconstrained solution lies inside the ball, in which case it is
     also the constrained minimizer; otherwise this oracle refuses
     rather than return a wrong answer.
@@ -279,7 +300,7 @@ def closed_form_ridge_optimizer(data: Dataset, lam: float,
         raise ValueError("empty dataset")
     if lam < 0:
         raise ValueError("ridge coefficient must be nonnegative")
-    gram, rhs = _normal_equations(data.features, data.labels, lam)
+    gram, rhs = _normal_equations(data, lam)
     try:
         theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:

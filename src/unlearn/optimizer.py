@@ -16,8 +16,9 @@ the projection provably never binds: the eigenvalues of H lie in
 rho = max(|1 - eta m|, |1 - eta (tr H - (d-1) m)|), and if rho < 1 and
 |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9) no iterate after the
 start leaves the ball. It also needs the strongly convex regime and
-T >= d: the loop costs about 2 T n d flops, the map n d^2 for H plus
-O(d^3 log T) for the power, so the map pays once T reaches d. Any other
+T >= d. H and every loop gradient come from the data's maintained
+moments (see ``Dataset.moments``), so the rule compares the loop's
+T d^2 flops with the power's d^3 log T, up to the log factor. Any other
 case runs the iterative loop. Both report the nominal T * n
 point-gradients.
 """
@@ -91,9 +92,9 @@ def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig) -> GDTrace:
     <= r (1 - 1e-9) holds with rho < 1 (see the module docstring), the
     T steps are taken at once as theta* + (I - eta H)^T (theta_0 -
     theta*); this agrees with the loop to rounding, since the loop's
-    projections would all be identities. T >= d because building H
-    costs n d^2, which the loop's 2 T n d only exceeds from there on.
-    Otherwise the loop runs. Either way the trace counts T * n
+    projections would all be identities. T >= d because the power
+    costs d^3 log T, which the loop's T d^2 only approaches from about
+    there on. Otherwise the loop runs. Either way the trace counts T * n
     point-gradients.
     """
     if data.size == 0:
@@ -117,7 +118,7 @@ def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig) -> GDTrace:
 def _unprojected_map(loss: LossModel, data: Dataset, theta0,
                      config: GDConfig):
     """T quadratic steps in closed form; None unless the ball cannot bind."""
-    quad = loss.quadratic(data.features, data.labels)
+    quad = loss.quadratic(data)
     if quad is None:
         return None
     hessian, rhs = quad

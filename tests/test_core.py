@@ -29,7 +29,8 @@ from unlearn.core import (
     weak_schedule,
 )
 from unlearn.data import (DataPoint, Dataset, Update,
-                          gen_adversarial_sequence, gen_synthetic_dataset)
+                          gen_adversarial_sequence, gen_synthetic_dataset,
+                          moments_tolerance)
 from unlearn.losses import (
     LogisticLoss,
     LossModel,
@@ -604,7 +605,7 @@ def test_restore_checks_everything_it_is_handed():
     config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
     state, loss = deleting_chain(config)
     snap = state.snapshot()
-    assert snap["format"] == "unlearn-state/2"
+    assert snap["format"] == "unlearn-state/3"
     assert (snap["initial_size"], snap["size"]) == (20, 15)
     cases = [
         ({**snap, "theta_hat": [0.1] * 5}, state.data, loss, config,
@@ -646,3 +647,146 @@ def test_snapshot_restore_replay_is_byte_equal(mode, cut, strategy, seed):
         resumed = unlearn(resumed, update, loss, config)
         assert state.theta_pub.tobytes() == resumed.theta_pub.tobytes()
     assert state.snapshot() == resumed.snapshot()
+
+
+def test_snapshot_carries_the_moments_and_restore_checks_them():
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state, loss = deleting_chain(config)
+    snap = state.snapshot()
+    gram, xty = state.data.moments()
+    assert snap["moments"] == {"gram": gram.tolist(), "xty": xty.tolist()}
+    restored = UnlearnState.restore(snap, state.data, loss, config)
+    assert restored.data.cached_moments[0].tobytes() == gram.tobytes()
+    assert restored.data.cached_moments[1].tobytes() == xty.tobytes()
+    # Against the rows' fresh moments, for 20 rows and 5 rounds.
+    fresh = Dataset(state.data.features, state.data.labels).moments()[0]
+    tol, _ = moments_tolerance(25, loss.feature_bound, loss.label_bound)
+    unit = 2.0 ** -53  # 2 gamma_25 * 25 * R_x^2 with R_x = 1
+    assert tol == pytest.approx(2 * 25 * 25 * unit / (1 - 25 * unit))
+
+    def with_entry(value):
+        tampered = [row[:] for row in snap["moments"]["gram"]]
+        tampered[0][1] = value
+        return {**snap, "moments": {**snap["moments"], "gram": tampered}}
+
+    UnlearnState.restore(with_entry(fresh[0, 1] + 0.5 * tol), state.data,
+                         loss, config)
+    for value in (fresh[0, 1] + 1.5 * tol, fresh[0, 1] - 1.5 * tol,
+                  float("nan")):
+        with pytest.raises(ValueError, match="moments do not match the rows"):
+            UnlearnState.restore(with_entry(value), state.data, loss, config)
+    short = {**snap, "moments": {**snap["moments"], "xty": xty.tolist()[:2]}}
+    with pytest.raises(ValueError, match="moments do not match the dataset"):
+        UnlearnState.restore(short, state.data, loss, config)
+
+
+def test_restore_rejects_the_previous_snapshot_format():
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state, loss = deleting_chain(config, deletes=1)
+    old = {k: v for k, v in state.snapshot().items() if k != "moments"}
+    with pytest.raises(ValueError, match="unrecognized state format"):
+        UnlearnState.restore({**old, "format": "unlearn-state/2"},
+                             state.data, loss, config)
+
+
+def test_logistic_chain_round_trips_without_moments():
+    data = gen_synthetic_dataset(60, 3, model="logistic", seed=5)
+    loss = LogisticLoss(ParamSpace(3, 1.0), lam=1.0)
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    updates = gen_adversarial_sequence(data, 6, "random", seed=5)
+    state = learn(data, loss, config, seed=5)
+    for update in updates[:3]:
+        state = unlearn(state, update, loss, config)
+    snap = state.snapshot()
+    assert snap["moments"] is None
+    resumed = UnlearnState.restore(snap, state.data, loss, config)
+    for update in updates[3:]:
+        state = unlearn(state, update, loss, config)
+        resumed = unlearn(resumed, update, loss, config)
+        assert state.theta_pub.tobytes() == resumed.theta_pub.tobytes()
+    assert resumed.data.cached_moments is None
+    assert state.snapshot() == resumed.snapshot()
+
+
+def chain_config(mode):
+    return UnlearnConfig(mode, 1.0, DELTA1,
+                         4 if mode == "strong_perfect" else 2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(mode=st.sampled_from(MODES), seed=st.integers(0, 2 ** 16),
+       rounds=st.integers(0, 3))
+def test_void_delete_matches_a_real_one_in_shape_and_budget(mode, seed,
+                                                            rounds):
+    data, loss = ridge_chain_problem(n=30, seed=seed)
+    config = chain_config(mode)
+    updates = gen_adversarial_sequence(data, rounds, "churn", seed=seed)
+
+    def chain():
+        state = learn(data, loss, config, seed=seed)
+        for update in updates:
+            state = unlearn(state, update, loss, config)
+        return state
+
+    real_prev, void_prev = chain(), chain()
+    real = unlearn(real_prev, Update("delete", real_prev.data.point(0)),
+                   loss, config)
+    absent = DataPoint(np.full(3, 0.01), 0.123)
+    assert void_prev.data.find(absent).size == 0
+    void = unlearn(void_prev, Update("delete", absent), loss, config)
+    iters = real.schedule.update_iters(rounds + 1)
+    for before, after in ((real_prev, real), (void_prev, void)):
+        assert after.round_index == rounds + 1
+        assert after.theta_pub.shape == before.theta_pub.shape == (3,)
+        assert after.budget - before.budget == iters * after.data.size
+    assert void.data.size == void_prev.data.size == real.data.size + 1
+    # Each published one draw of the same noise stream.
+    assert real.noise_rng.bit_generator.state == \
+        void.noise_rng.bit_generator.state
+
+
+@settings(max_examples=12, deadline=None)
+@given(mode=st.sampled_from(MODES), seed=st.integers(0, 2 ** 16),
+       edits=st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)),
+                      min_size=1, max_size=16))
+def test_chain_never_crosses_the_size_floor(mode, seed, edits):
+    data, loss = ridge_chain_problem(n=12, seed=seed)
+    config = chain_config(mode)
+    state = learn(data, loss, config, seed=seed)
+    for add, pick in edits:
+        if add:
+            update = Update("add", DataPoint(np.full(3, 0.1), 0.25))
+        else:
+            update = Update("delete",
+                            state.data.point(pick % state.data.size))
+        if not add and state.data.size - 1 < 6:
+            with pytest.raises(ValueError, match="floor violated"):
+                unlearn(state, update, loss, config)
+        else:
+            state = unlearn(state, update, loss, config)
+        assert state.data.size >= state.data.initial_size / 2 == 6
+
+
+@settings(max_examples=12, deadline=None)
+@given(mode=st.sampled_from(MODES), seed=st.integers(0, 2 ** 16),
+       strategy=st.sampled_from(["churn", "random", "drift"]),
+       bad=st.lists(st.tuples(st.integers(0, 8),
+                              st.integers(0, len(BAD_ADDS) - 1)),
+                    max_size=4))
+def test_every_published_dataset_passes_the_loss_checks(mode, seed,
+                                                        strategy, bad):
+    data, loss = ridge_chain_problem(n=30, seed=seed)
+    config = chain_config(mode)
+    stream = list(gen_adversarial_sequence(data, 8, strategy, seed=seed))
+    rejected = [Update("add", DataPoint(*BAD_ADDS[k])) for _, k in bad]
+    for (at, _), update in zip(bad, rejected):
+        stream.insert(at, update)
+    state = learn(data, loss, config, seed=seed)
+    loss.check_dataset(state.data)
+    for update in stream:
+        if any(update is r for r in rejected):
+            with pytest.raises(ValueError):
+                unlearn(state, update, loss, config)
+            continue
+        state = unlearn(state, update, loss, config)
+        loss.check_dataset(state.data)

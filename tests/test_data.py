@@ -12,6 +12,7 @@ from unlearn.data import (
     gen_adversarial_sequence,
     gen_synthetic_dataset,
     load_updates,
+    moments_tolerance,
     save_updates,
 )
 from unlearn.losses import ParamSpace, closed_form_ridge_optimizer
@@ -267,3 +268,129 @@ def test_csv_loader_rejects_bad_files(tmp_path):
     path.write_text("x_1,y\n0.1,0.0\nnan,0.0\n")
     with pytest.raises(ValueError, match="feature norm exceeds"):
         Dataset.from_csv(path)
+
+
+# The store against a naive model: a version is a list of (x, y) rows,
+# an add appends and a delete removes the first equal row.
+GRID = (-0.5, -0.0, 0.0, 0.5)
+
+
+def model_apply(rows, op, x, y):
+    if op == "add":
+        return rows + [(x, y)]
+    for i, (rx, ry) in enumerate(rows):
+        if ry == y and all(a == b for a, b in zip(rx, x)):
+            return rows[:i] + rows[i + 1:]
+    return rows
+
+
+def fresh_moments(data):
+    return data.features.T @ data.features, data.features.T @ data.labels
+
+
+def assert_moments_within_bound(data, terms):
+    gram, xty = data.moments()
+    fresh_gram, fresh_xty = fresh_moments(data)
+    tol_gram, tol_xty = moments_tolerance(terms, data.feature_bound,
+                                          data.label_bound)
+    assert np.all(np.abs(gram - fresh_gram) <= tol_gram)
+    assert np.all(np.abs(xty - fresh_xty) <= tol_xty)
+
+
+def assert_matches_model(data, rows, probes):
+    # ``find`` and ``point`` first, while the rows may still be ungathered.
+    for x, y in probes:
+        expected = [i for i, (rx, ry) in enumerate(rows)
+                    if ry == y and all(a == b for a, b in zip(rx, x))]
+        assert data.find(DataPoint(np.array(x), y)).tolist() == expected
+    assert data.size == len(rows)
+    for i, (x, y) in enumerate(rows):
+        point = data.point(i)
+        assert point.x.tobytes() == np.array(x).tobytes() and point.y == y
+    feats = np.array([x for x, _ in rows]).reshape(len(rows), data.dim)
+    assert data.features.tobytes() == feats.tobytes()
+    assert data.labels.tobytes() == np.array([y for _, y in rows]).tobytes()
+
+
+grid_points = st.tuples(st.tuples(st.sampled_from(GRID),
+                                  st.sampled_from(GRID)),
+                        st.sampled_from((-1.0, 0.0, 1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.lists(grid_points, min_size=1, max_size=10),
+       edits=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                st.sampled_from(("add", "add", "real",
+                                                 "void")),
+                                grid_points, st.integers(0, 10 ** 6),
+                                st.booleans()),
+                      min_size=10, max_size=80),
+       with_moments=st.booleans())
+def test_store_matches_a_list_of_rows(start, edits, with_moments):
+    """Edits to any version, in any order, agree with a naive model."""
+    base = Dataset(np.array([x for x, _ in start]),
+                   np.array([y for _, y in start]))
+    if with_moments:
+        base.moments()
+    n0 = base.size
+    versions = [(base, list(start))]
+    probes = list(start)
+    for parent_pick, op, (x, y), row_pick, gather in edits:
+        # Mostly the newest version, so the buffer fills, grows and is
+        # compacted; else any older one, any number of times.
+        data, rows = versions[-1 if parent_pick % 3
+                              else parent_pick % len(versions)]
+        if op == "real" and rows:
+            x, y = rows[row_pick % len(rows)]
+            op = "delete"
+        elif op != "add":
+            op = "delete"
+            if any(ry == y and rx == x for rx, ry in rows):
+                x, y = (9.0, 9.0), 0.0  # a row no version holds
+        probes.append((x, y))
+        expected = model_apply(rows, op, x, y)
+        update = Update(op, DataPoint(np.array(x), y))
+        if len(expected) < n0 / 2:
+            with pytest.raises(ValueError, match="floor violated"):
+                data.apply(update)
+            continue
+        child = data.apply(update)
+        if gather:
+            child.features
+        versions.append((child, expected))
+    for data, rows in versions:
+        assert_matches_model(data, rows, probes[-8:])
+        assert data.initial_size == n0
+        if with_moments:
+            assert data.cached_moments is not None
+            assert_moments_within_bound(data, n0 + len(edits))
+        else:
+            assert data.cached_moments is None
+
+
+def test_long_stream_keeps_moments_and_memory_steady():
+    """2e4 random edits: the rows stay those of the naive model, the
+    moments within the restore bound, and the row buffer within four
+    times the live rows."""
+    rng = np.random.default_rng(31)
+    data = gen_synthetic_dataset(500, 5, seed=31)
+    data.moments()
+    n0 = data.size
+    rows = [(tuple(x), y) for x, y in zip(data.features, data.labels)]
+    for step in range(1, 20_001):
+        if data.size - 1 < n0 / 2 or rng.random() < 0.5:
+            x = rng.standard_normal(5)
+            x *= rng.random() / np.linalg.norm(x)
+            point = DataPoint(x, rng.uniform(-1, 1))
+            update = Update("add", point)
+        else:
+            point = data.point(int(rng.integers(data.size)))
+            update = Update("delete", point)
+        rows = model_apply(rows, update.op, tuple(point.x), point.y)
+        data = data.apply(update)
+        if data._rows is not None:
+            assert data._rows.count <= 2 * data.size
+            assert data._rows.capacity <= 4 * data.size
+        if step % 5000 == 0:
+            assert_matches_model(data, rows, rows[:3])
+            assert_moments_within_bound(data, n0 + step)

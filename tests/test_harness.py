@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from unlearn import core, harness
+from unlearn import data as data_module
 from unlearn.cli import main
 from unlearn.data import Dataset, load_updates, save_updates
 from unlearn.distributed import dist_params
@@ -274,6 +275,28 @@ def test_chain_scans_the_dataset_against_the_loss_once(monkeypatch):
     assert scans.count(60) == 1
 
 
+def test_gap_chain_builds_the_gram_from_rows_only_at_learn(monkeypatch):
+    """Descents, the gap oracle and both closed-form references read the
+    moments the chain carries; only learn computes them from rows."""
+    builds = []
+    original = data_module._row_moments
+
+    def counted(features, labels):
+        builds.append(labels.size)
+        return original(features, labels)
+
+    monkeypatch.setattr(data_module, "_row_moments", counted)
+    cfg = ExperimentConfig(n=400, dim=5, mode="regularized_strong",
+                           update_strategy="random", iters=3)
+    for length, rounds in ((0, 1), (6, 7)):
+        builds.clear()
+        records = run_chain(cfg.override(update_length=length),
+                            compute_gap=True)
+        assert len(records) == rounds
+        assert all(r.mean_gap is not None for r in records)
+        assert builds == [400]
+
+
 def test_certificate_prepares_each_trial_once(monkeypatch):
     prepared = counting(monkeypatch, "prepare")
     report = verify_unlearning_certificate(
@@ -484,7 +507,7 @@ def test_cli_train_writes_a_snapshot(tmp_path):
                  "--update-length", "0", "--iters", "3"])
     assert code == 0
     snap = json.loads(out.read_text())
-    assert snap["format"] == "unlearn-state/2"
+    assert snap["format"] == "unlearn-state/3"
     assert snap["round"] == 0
 
 

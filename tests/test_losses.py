@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from unlearn.data import Dataset
+from unlearn.data import DataPoint, Dataset, Update
 from unlearn.losses import (
     LogisticLoss,
     ParamSpace,
@@ -284,7 +284,7 @@ def test_quadratic_form_reproduces_the_gradient():
     theta = ball_points(rng, 1, 4, radius=2.0)[0]
     ridge = RidgeLoss(space, lam=0.3)
     for loss in (ridge, RegularizedLoss(RegularizedLoss(ridge, 0.2), 0.1)):
-        hessian, rhs = loss.quadratic(data.features, data.labels)
+        hessian, rhs = loss.quadratic(data)
         assert_allclose(hessian, hessian.T, rtol=0, atol=0)
         assert np.linalg.eigvalsh(hessian).min() >= \
             loss.strong_convexity * (1 - 1e-12)
@@ -292,16 +292,34 @@ def test_quadratic_form_reproduces_the_gradient():
                         loss.empirical_gradient(data, theta),
                         rtol=1e-12, atol=1e-14)
     logistic = LogisticLoss(space, lam=0.3)
-    assert logistic.quadratic(data.features, data.labels) is None
-    assert RegularizedLoss(logistic, 0.1).quadratic(
-        data.features, data.labels) is None
+    assert logistic.quadratic(data) is None
+    assert RegularizedLoss(logistic, 0.1).quadratic(data) is None
+
+
+def test_ridge_gradient_from_moments_matches_the_rows():
+    """The moments path against the row path it replaced, on moments
+    carried through edits, to a tolerance set by the dtype."""
+    rng = np.random.default_rng(23)
+    data = make_dataset(rng, 200, 4)
+    data.moments()
+    for x in ball_points(rng, 30, 4):
+        data = data.apply(Update("add", DataPoint(x, rng.uniform(-1, 1))))
+        data = data.apply(Update("delete", data.point(0)))
+    space = ParamSpace(4, 1.0)
+    ridge = RidgeLoss(space, lam=0.3)
+    for loss in (ridge, RegularizedLoss(ridge, 0.2)):
+        tol = 10 * (data.size + 60) * np.finfo(float).eps * loss.lipschitz
+        for theta in ball_points(rng, 5, 4):
+            assert_allclose(loss.empirical_gradient(data, theta),
+                            loss._batch_gradient(data.features, data.labels,
+                                                 theta),
+                            rtol=0, atol=tol)
 
 
 def test_closed_form_solves_the_ridge_quadratic_exactly():
     rng = np.random.default_rng(22)
     data = make_dataset(rng, 50, 3)
     space = ParamSpace(3, 5.0)
-    hessian, rhs = RidgeLoss(space, lam=0.7).quadratic(data.features,
-                                                       data.labels)
+    hessian, rhs = RidgeLoss(space, lam=0.7).quadratic(data)
     assert np.array_equal(closed_form_ridge_optimizer(data, 0.7, space),
                           np.linalg.solve(hessian, rhs))
