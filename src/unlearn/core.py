@@ -417,7 +417,7 @@ class UnlearnState:
 
     def snapshot(self) -> dict:
         """Portable state between rounds; the dataset only by its digest
-        plus, once a loss has asked for them, its moments (else None)."""
+        plus, for a ridge-family loss, the moments it carries (else None)."""
         mode = self.schedule.config.mode
         moments = self.data.cached_moments
         return {
@@ -426,7 +426,8 @@ class UnlearnState:
             "theta_hat": (None if mode == "strong_perfect"
                           else [float(v) for v in self.theta_hat]),
             "moments": None if moments is None else {
-                "gram": moments[0].tolist(), "xty": moments[1].tolist()},
+                "gram": moments[0].tolist(), "xty": moments[1].tolist(),
+                "carried": moments[2]},
         }
 
     @classmethod
@@ -453,28 +454,33 @@ def _restore_moments(snapshot: dict, data: Dataset,
 
     Moments carried by rank-1 updates differ from freshly computed ones
     at rounding level, and a resumed chain must descend on the very
-    moments the original would have used. So they travel with the
-    snapshot and are accepted within ``moments_tolerance`` of the rows'
-    fresh moments: an r-round chain from n_0 rows has summed at most
-    n_0 + r products, each within the loss's bounds.
+    moments the original would have used, and recompute them from the
+    rows at the same edit. So they travel with the snapshot, with the
+    count of updates they carry, and are accepted within
+    ``moments_tolerance`` of the rows' fresh moments. A ridge-family
+    chain carries them from learn on and any other chain never does.
     """
     moments = snapshot["moments"]
+    if (moments is None) != (loss.ridge_lam is None):
+        raise ValueError("snapshot moments do not match the loss")
     if moments is None:
         return data
     gram = np.asarray(moments["gram"], dtype=float)
     xty = np.asarray(moments["xty"], dtype=float)
+    carried = moments["carried"]
     fresh_gram, fresh_xty = data.moments()
     if gram.shape != fresh_gram.shape or xty.shape != fresh_xty.shape:
         raise ValueError("snapshot moments do not match the dataset's "
                          "dimension")
+    if type(carried) is not int or not 0 <= carried <= data.size:
+        raise ValueError("snapshot moments carry an impossible update count")
     tol_gram, tol_xty = moments_tolerance(
-        int(snapshot["initial_size"]) + int(snapshot["round"]),
-        loss.feature_bound, loss.label_bound)
+        data.size, carried, loss.feature_bound, loss.label_bound)
     # Written as "not <=" so that NaN fails the test too.
     if not (np.all(np.abs(gram - fresh_gram) <= tol_gram)
             and np.all(np.abs(xty - fresh_xty) <= tol_xty)):
         raise ValueError("snapshot moments do not match the rows")
-    return data.with_moments(gram, xty)
+    return data._with_moments(gram, xty, carried)
 
 
 def _generator(state: dict) -> np.random.Generator:
@@ -555,6 +561,8 @@ def learn(data: Dataset, loss: LossModel, config: UnlearnConfig,
     noise calibration, regardless of its own edit history.
     """
     data = _chain_data(data, loss, data.size)
+    if loss.ridge_lam is not None:
+        data.moments()  # carried through every edit from here on
     sched = config.resolve(loss, data.size, data.dim)
     trace = pgd(sched.effective_loss, data, np.zeros(data.dim),
                 GDConfig(sched.eta, sched.train_iters(data.size)))

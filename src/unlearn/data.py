@@ -11,7 +11,10 @@ An edit costs O(n) index work and O(d^2) arithmetic; it copies no rows,
 bar a compaction after on the order of n edits. The versions of one
 dataset share an append-only row buffer and each holds only the slots
 of its rows, and the moments X^T X and X^T y, once computed, are
-carried from version to version by rank-1 updates (see ``Dataset``).
+carried from version to version by rank-1 updates and recomputed from
+the rows once n updates have been carried, so they cost O(d^2) per edit
+amortised and their rounding error does not grow with the stream (see
+``Dataset``).
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ class _Rows:
         self.tail_labels = np.empty(16)
         self.count = self.base
 
-    @property
-    def capacity(self) -> int:
-        return self.base + self.tail_labels.shape[0]
-
     def append(self, x, y) -> int:
         """Write one row into the next slot and return the slot."""
         at = self.count - self.base
@@ -122,12 +121,6 @@ class _Rows:
                   mode="clip")
         return out
 
-    def slots_labeled(self, y) -> np.ndarray:
-        """Increasing slots whose label equals ``y``."""
-        tail = np.flatnonzero(self.tail_labels[:self.count - self.base] == y)
-        return np.concatenate((np.flatnonzero(self.base_labels == y),
-                               tail + self.base))
-
 
 def _row_moments(features, labels):
     """(X^T X, X^T y) of the rows, read-only."""
@@ -140,18 +133,23 @@ def _frozen(*arrays):
     return arrays
 
 
-def moments_tolerance(terms: int, feature_bound: float,
+def moments_tolerance(size: int, carried: int, feature_bound: float,
                       label_bound: float) -> tuple:
-    """Entrywise bound on the gap between two roundings of the moments.
+    """Entrywise bound on the gap between carried and fresh moments.
 
     An entry of X^T X (of X^T y) is a sum of products x_i x_j (y x_i)
-    of magnitude at most R_x^2 (R_x R_y). Computed in any order from at
-    most ``terms`` such products, whether in one pass over the rows or
-    as a first pass followed by rank-1 updates, it lies within
-    gamma_terms * terms * R_x^2 of the exact sum, where gamma_k =
-    k u / (1 - k u) and u = 2^-53. Two such results therefore differ
-    by at most twice that; the pair of bounds is returned.
+    of magnitude at most R_x^2 (R_x R_y). Moments computed from the
+    rows of an earlier version and then carried through ``carried``
+    rank-1 updates to a version of ``size`` rows have summed at most
+    k = size + 2 * carried such products (each update moves the size by
+    one), in some order; the version's fresh moments sum ``size`` of
+    them. Each result lies within gamma_k * k * R_x^2 of the exact sum,
+    where gamma_k = k u / (1 - k u) and u = 2^-53, so the two differ by
+    at most twice that; the pair of bounds is returned. ``Dataset``
+    keeps ``carried`` at most ``size``, so k <= 3 * size however long
+    the stream.
     """
+    terms = size + 2 * carried
     ku = terms * 2.0 ** -53
     scale = 2.0 * ku / (1.0 - ku) * terms
     return (scale * feature_bound * feature_bound,
@@ -173,9 +171,13 @@ class Dataset:
 
     The moments (X^T X, X^T y) are computed from the rows when first
     asked for and from then on carried through every edit by rank-1
-    updates, so ridge-family losses never touch the rows again. A
-    dataset whose moments nobody asked for (a logistic chain's) never
-    pays for them.
+    updates, so ridge-family losses need not touch the rows again. Once
+    a version would carry more updates than it has rows, its moments
+    are recomputed from its rows instead: that costs O(n d^2) once per
+    n edits, keeps the rounding error within ``moments_tolerance`` of a
+    bounded number of terms, and depends only on the edit history, so
+    a chain and its replay recompute at the same edits. A dataset whose
+    moments nobody asked for (a logistic chain's) never pays for them.
 
     Attributes:
         features: (n, d) array, one row per copy.
@@ -236,41 +238,42 @@ class Dataset:
     def find(self, point: DataPoint) -> np.ndarray:
         """Indices of all copies equal to ``point`` (exact equality).
 
-        Only the rows whose label matches are compared.
+        Only the feature rows whose label matches are compared.
         """
         if self.size == 0:
             return np.empty(0, dtype=int)
-        if self._labels is not None:
-            hits = np.flatnonzero(self._labels == point.y)
-        else:
-            # Cheaper than gathering the labels: compare the buffer's.
-            slots = self._rows.slots_labeled(point.y)
-            hits = self._live.searchsorted(slots)
-            hits = hits[self._live.take(hits, mode="clip") == slots]
+        hits = np.flatnonzero(self.labels == point.y)
         rows = (self._features[hits] if self._features is not None
                 else self._rows.features_at(self._live[hits]))
         return hits[np.all(rows == point.x, axis=1)]
 
-    def moments(self) -> tuple:
-        """(X^T X, X^T y), read-only; computed from the rows only once."""
-        if self._moments is None:
-            self._moments = _row_moments(self.features, self.labels)
-        return self._moments
+    def moments(self, keep: bool = True) -> tuple:
+        """(X^T X, X^T y), read-only; computed from the rows only once.
+
+        With ``keep=False`` a version that does not carry them yet
+        computes them without keeping them, so it and its edits stay as
+        they were (see ``LossModel.empirical_gradient``).
+        """
+        if self._moments is not None:
+            return self._moments[:2]
+        moments = _row_moments(self.features, self.labels)
+        if keep:
+            self._moments = (*moments, 0)
+        return moments
 
     @property
     def cached_moments(self):
-        """The moments if this version already holds them, else None."""
+        """``(gram, xty, carried)`` if this version already holds its
+        moments, else None; ``carried`` counts the rank-1 updates since
+        they were last computed from rows."""
         return self._moments
 
-    def with_moments(self, gram, xty) -> "Dataset":
-        """These rows carrying the given moments (say, restored ones).
-
-        The caller vouches that they are the rows' moments up to
-        rounding (see ``moments_tolerance``).
-        """
+    def _with_moments(self, gram, xty, carried: int) -> "Dataset":
+        # These rows carrying restored moments; the caller checks them
+        # against the rows (see ``moments_tolerance``).
         twin = self._clone()
-        twin._moments = _frozen(np.array(gram, dtype=float),
-                                np.array(xty, dtype=float))
+        twin._moments = (*_frozen(np.array(gram, dtype=float),
+                                  np.array(xty, dtype=float)), carried)
         return twin
 
     def _clone(self) -> "Dataset":
@@ -328,10 +331,6 @@ class Dataset:
         else:
             (x, y), sign = self._row(hits[0]), -1.0
             live = np.concatenate((live[:hits[0]], live[hits[0] + 1:]))
-        if self._moments is not None:
-            gram, xty = self._moments
-            child._moments = _frozen(gram + sign * np.outer(x, x),
-                                     xty + (sign * y) * x)
         if rows.count > 2 * live.size:
             # Compact: the child keeps only its own rows, as arrays.
             child._rows = child._live = None
@@ -340,6 +339,15 @@ class Dataset:
         else:
             child._rows, child._live = rows, live
             child._features = child._labels = None
+        if self._moments is not None:
+            gram, xty, carried = self._moments
+            if carried < size:
+                child._moments = (*_frozen(gram + sign * np.outer(x, x),
+                                           xty + (sign * y) * x),
+                                  carried + 1)
+            else:
+                child._moments = None
+                child.moments()
         return child
 
     def to_csv(self, path):

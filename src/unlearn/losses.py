@@ -31,11 +31,15 @@ on Theta and downstream noise calibration budgets for a D.
 
 Ridge, and ridge plus added quadratics, are quadratic in theta: with
 total coefficient lam_eff (``ridge_lam``) the empirical gradient is
-(X^T X theta - X^T y) / n + lam_eff theta. Those losses read the data's
-moments (see ``Dataset.moments``), which a chain carries through its
-edits, so their gradients, their ``quadratic`` form and the closed-form
-oracle cost O(d^2) or O(d^3) whatever n is. Losses and gradients of
-single points, and every logistic quantity, come from the rows.
+(X^T X theta - X^T y) / n + lam_eff theta. Their ``quadratic`` form and
+the closed-form oracle read the moments the data carries (see
+``Dataset.moments``), as a ridge-family chain's data does from learn
+on, and their gradient does too; so on a chain these cost O(d^2) or
+O(d^3) whatever n is. On data that carries no moments, ``quadratic``
+builds them from the rows for n d^2 without keeping them, and the
+gradient reads the rows for O(n d), as building the moments would cost
+n d^2. Losses and gradients of single points, and every logistic
+quantity, come from the rows.
 """
 
 from __future__ import annotations
@@ -107,8 +111,8 @@ class LossModel:
     lipschitz: float
     feature_bound: float
     label_bound: float
-    # lam_eff of a ridge-family loss, whose gradient the moments give;
-    # None for any other loss.
+    # lam_eff of a ridge-family loss, whose gradient the moments can
+    # give; None for any other loss.
     ridge_lam: float | None = None
 
     def point_loss(self, x, y, theta) -> float:
@@ -137,12 +141,13 @@ class LossModel:
     def empirical_gradient(self, data: Dataset, theta) -> np.ndarray:
         """Gradient of the mean loss; norm is at most L on Theta.
 
-        Ridge-family losses take it from the data's moments.
+        Ridge-family losses take it from the data's moments when the
+        data already carries them, and from the rows otherwise.
         """
         if data.size == 0:
             raise ValueError("empty dataset")
         theta = np.asarray(theta, dtype=float)
-        if self.ridge_lam is None:
+        if self.ridge_lam is None or data.cached_moments is None:
             return self._batch_gradient(data.features, data.labels, theta)
         gram, xty = data.moments()
         return (gram @ theta - xty) / data.size + self.ridge_lam * theta
@@ -151,9 +156,10 @@ class LossModel:
         """``(H, g)`` with empirical gradient ``H theta - g``; None if the
         loss is not quadratic.
 
-        Built from the data's moments in O(d^2). H is a fresh symmetric
-        array whose eigenvalues are at least ``strong_convexity``;
-        ``pgd`` relies on that bound.
+        Built from the moments the data carries in O(d^2), else from
+        its rows in n d^2. H is a fresh symmetric array whose
+        eigenvalues are at least ``strong_convexity``; ``pgd`` relies on
+        that bound.
         """
         if self.ridge_lam is None:
             return None
@@ -203,7 +209,7 @@ class RidgeLoss(LossModel):
 
 def _normal_equations(data: Dataset, lam):
     # (X^T X / n + lam I, X^T y / n): the ridge gradient is H theta - g.
-    gram, xty = data.moments()
+    gram, xty = data.moments(keep=False)
     hessian = gram / data.size
     hessian[np.diag_indices_from(hessian)] += lam
     return hessian, xty / data.size

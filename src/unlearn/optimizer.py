@@ -16,9 +16,12 @@ the projection provably never binds: the eigenvalues of H lie in
 rho = max(|1 - eta m|, |1 - eta (tr H - (d-1) m)|), and if rho < 1 and
 |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9) no iterate after the
 start leaves the ball. It also needs the strongly convex regime and
-T >= d. H and every loop gradient come from the data's maintained
-moments (see ``Dataset.moments``), so the rule compares the loop's
-T d^2 flops with the power's d^3 log T, up to the log factor. Any other
+T >= d. On data that carries its moments (see ``Dataset.moments``; a
+ridge-family chain's data does from learn on) H and every loop gradient
+come from them, and the rule compares the loop's T d^2 flops with the
+power's d^3 log T. On data that does not, the loop reads the rows for
+2 T n d flops and the map builds H for n d^2 plus the power. Either
+way the map pays from about T = d on, up to the log factor. Any other
 case runs the iterative loop. Both report the nominal T * n
 point-gradients.
 """
@@ -92,9 +95,10 @@ def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig) -> GDTrace:
     <= r (1 - 1e-9) holds with rho < 1 (see the module docstring), the
     T steps are taken at once as theta* + (I - eta H)^T (theta_0 -
     theta*); this agrees with the loop to rounding, since the loop's
-    projections would all be identities. T >= d because the power
-    costs d^3 log T, which the loop's T d^2 only approaches from about
-    there on. Otherwise the loop runs. Either way the trace counts T * n
+    projections would all be identities. T >= d because only from
+    about there on does the loop cost (T d^2 on carried moments, 2 T n d
+    on rows) reach the map's (d^3 log T, plus n d^2 to build H from
+    rows). Otherwise the loop runs. Either way the trace counts T * n
     point-gradients.
     """
     if data.size == 0:

@@ -654,13 +654,16 @@ def test_snapshot_carries_the_moments_and_restore_checks_them():
     state, loss = deleting_chain(config)
     snap = state.snapshot()
     gram, xty = state.data.moments()
-    assert snap["moments"] == {"gram": gram.tolist(), "xty": xty.tolist()}
+    assert snap["moments"] == {"gram": gram.tolist(), "xty": xty.tolist(),
+                               "carried": 5}
     restored = UnlearnState.restore(snap, state.data, loss, config)
     assert restored.data.cached_moments[0].tobytes() == gram.tobytes()
     assert restored.data.cached_moments[1].tobytes() == xty.tobytes()
-    # Against the rows' fresh moments, for 20 rows and 5 rounds.
+    assert restored.data.cached_moments[2] == 5
+    # Against the rows' fresh moments: 15 rows carrying 5 updates have
+    # summed at most 15 + 2 * 5 products.
     fresh = Dataset(state.data.features, state.data.labels).moments()[0]
-    tol, _ = moments_tolerance(25, loss.feature_bound, loss.label_bound)
+    tol, _ = moments_tolerance(15, 5, loss.feature_bound, loss.label_bound)
     unit = 2.0 ** -53  # 2 gamma_25 * 25 * R_x^2 with R_x = 1
     assert tol == pytest.approx(2 * 25 * 25 * unit / (1 - 25 * unit))
 
@@ -678,6 +681,42 @@ def test_snapshot_carries_the_moments_and_restore_checks_them():
     short = {**snap, "moments": {**snap["moments"], "xty": xty.tolist()[:2]}}
     with pytest.raises(ValueError, match="moments do not match the dataset"):
         UnlearnState.restore(short, state.data, loss, config)
+    for carried in (-1, 16, 2.0, None):
+        odd = {**snap, "moments": {**snap["moments"], "carried": carried}}
+        with pytest.raises(ValueError, match="impossible update count"):
+            UnlearnState.restore(odd, state.data, loss, config)
+    with pytest.raises(ValueError, match="moments do not match the loss"):
+        UnlearnState.restore({**snap, "moments": None}, state.data, loss,
+                             config)
+
+
+def test_replay_recomputes_the_moments_at_the_same_edits():
+    """A small chain recomputes its moments from the rows every few
+    edits; a chain resumed from any round does so at the same edits and
+    publishes the same bytes."""
+    data, loss = ridge_chain_problem(n=8, seed=12)
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 2)
+    updates = gen_adversarial_sequence(data, 30, "churn", seed=12)
+    state = learn(data, loss, config, seed=12)
+    snapshots, carried = [], []
+    for update in updates:
+        snapshots.append(state.snapshot())
+        state = unlearn(state, update, loss, config)
+        carried.append(state.data.cached_moments[2])
+        assert carried[-1] <= state.data.size
+    assert carried.count(0) == 3
+    for cut in (0, 7, 10, 23):
+        resumed = UnlearnState.restore(
+            snapshots[cut], replay_rows(data, updates[:cut]), loss, config)
+        for update in updates[cut:]:
+            resumed = unlearn(resumed, update, loss, config)
+        assert resumed.snapshot() == state.snapshot()
+
+
+def replay_rows(data, updates):
+    for update in updates:
+        data = data.apply(update)
+    return data
 
 
 def test_restore_rejects_the_previous_snapshot_format():
@@ -699,6 +738,10 @@ def test_logistic_chain_round_trips_without_moments():
         state = unlearn(state, update, loss, config)
     snap = state.snapshot()
     assert snap["moments"] is None
+    with pytest.raises(ValueError, match="moments do not match the loss"):
+        UnlearnState.restore(
+            {**snap, "moments": {"gram": [[0.0] * 3] * 3, "xty": [0.0] * 3,
+                                 "carried": 0}}, state.data, loss, config)
     resumed = UnlearnState.restore(snap, state.data, loss, config)
     for update in updates[3:]:
         state = unlearn(state, update, loss, config)

@@ -288,10 +288,12 @@ def fresh_moments(data):
     return data.features.T @ data.features, data.features.T @ data.labels
 
 
-def assert_moments_within_bound(data, terms):
-    gram, xty = data.moments()
+def assert_moments_within_bound(data):
+    gram, xty, carried = data.cached_moments
+    assert 0 <= carried <= data.size
     fresh_gram, fresh_xty = fresh_moments(data)
-    tol_gram, tol_xty = moments_tolerance(terms, data.feature_bound,
+    tol_gram, tol_xty = moments_tolerance(data.size, carried,
+                                          data.feature_bound,
                                           data.label_bound)
     assert np.all(np.abs(gram - fresh_gram) <= tol_gram)
     assert np.all(np.abs(xty - fresh_xty) <= tol_xty)
@@ -363,15 +365,15 @@ def test_store_matches_a_list_of_rows(start, edits, with_moments):
         assert data.initial_size == n0
         if with_moments:
             assert data.cached_moments is not None
-            assert_moments_within_bound(data, n0 + len(edits))
+            assert_moments_within_bound(data)
         else:
             assert data.cached_moments is None
 
 
 def test_long_stream_keeps_moments_and_memory_steady():
     """2e4 random edits: the rows stay those of the naive model, the
-    moments within the restore bound, and the row buffer within four
-    times the live rows."""
+    moments within the restore bound, which itself stays within that of
+    3 n products, and the row buffer within four times the live rows."""
     rng = np.random.default_rng(31)
     data = gen_synthetic_dataset(500, 5, seed=31)
     data.moments()
@@ -388,9 +390,11 @@ def test_long_stream_keeps_moments_and_memory_steady():
             update = Update("delete", point)
         rows = model_apply(rows, update.op, tuple(point.x), point.y)
         data = data.apply(update)
-        if data._rows is not None:
-            assert data._rows.count <= 2 * data.size
-            assert data._rows.capacity <= 4 * data.size
+        store = data._rows
+        if store is not None:
+            assert store.count <= 2 * data.size
+            assert store.base + store.tail_labels.shape[0] <= 4 * data.size
+        assert data.cached_moments[2] <= data.size
         if step % 5000 == 0:
             assert_matches_model(data, rows, rows[:3])
-            assert_moments_within_bound(data, n0 + step)
+            assert_moments_within_bound(data)

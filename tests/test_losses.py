@@ -297,16 +297,23 @@ def test_quadratic_form_reproduces_the_gradient():
 
 
 def test_ridge_gradient_from_moments_matches_the_rows():
-    """The moments path against the row path it replaced, on moments
-    carried through edits, to a tolerance set by the dtype."""
+    """On data without moments the gradient is the row path's and keeps
+    none; on moments carried through edits it matches the row path to a
+    tolerance set by the dtype."""
     rng = np.random.default_rng(23)
     data = make_dataset(rng, 200, 4)
+    ridge = RidgeLoss(ParamSpace(4, 1.0), lam=0.3)
+    for loss in (ridge, RegularizedLoss(ridge, 0.2)):
+        theta = ball_points(rng, 1, 4)[0]
+        assert np.array_equal(loss.empirical_gradient(data, theta),
+                              loss._batch_gradient(data.features,
+                                                   data.labels, theta))
+        loss.quadratic(data)
+        assert data.cached_moments is None
     data.moments()
     for x in ball_points(rng, 30, 4):
         data = data.apply(Update("add", DataPoint(x, rng.uniform(-1, 1))))
         data = data.apply(Update("delete", data.point(0)))
-    space = ParamSpace(4, 1.0)
-    ridge = RidgeLoss(space, lam=0.3)
     for loss in (ridge, RegularizedLoss(ridge, 0.2)):
         tol = 10 * (data.size + 60) * np.finfo(float).eps * loss.lipschitz
         for theta in ball_points(rng, 5, 4):
