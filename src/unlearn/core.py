@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Update, moments_tolerance
-from .losses import LossModel
+from .losses import LossModel, RegularizedLoss
 from .optimizer import GDConfig, GDTrace, contraction_factor, pgd
 from .rng import substream
 
@@ -351,7 +351,7 @@ class ResolvedSchedule:
                 self.m_reg, self.sigma = weak_params(
                     loss.lipschitz, loss.smoothness, diameter, n, dim,
                     iters, eps, delta, config.schedule_exponent)
-            self.effective_loss = loss.regularized(self.m_reg)
+            self.effective_loss = RegularizedLoss(loss, self.m_reg)
             # Calibration uses the convex-loss contraction M/(M + 2 m_reg);
             # descent on the effective loss can only contract faster.
             self.gamma = loss.smoothness / (loss.smoothness + 2.0 * self.m_reg)
@@ -561,8 +561,6 @@ def learn(data: Dataset, loss: LossModel, config: UnlearnConfig,
     noise calibration, regardless of its own edit history.
     """
     data = _chain_data(data, loss, data.size)
-    if loss.ridge_lam is not None:
-        data.moments()  # carried through every edit from here on
     sched = config.resolve(loss, data.size, data.dim)
     trace = pgd(sched.effective_loss, data, np.zeros(data.dim),
                 GDConfig(sched.eta, sched.train_iters(data.size)))

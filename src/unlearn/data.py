@@ -112,8 +112,6 @@ class _Rows:
 
     def _gather(self, base, tail, slots):
         split = slots.searchsorted(self.base)
-        if split == slots.size:
-            return base[slots]
         out = np.empty((slots.size,) + base.shape[1:])
         # In range by construction; "clip" lets take write in place.
         base.take(slots[:split], axis=0, out=out[:split], mode="clip")
@@ -240,26 +238,17 @@ class Dataset:
 
         Only the feature rows whose label matches are compared.
         """
-        if self.size == 0:
-            return np.empty(0, dtype=int)
         hits = np.flatnonzero(self.labels == point.y)
         rows = (self._features[hits] if self._features is not None
                 else self._rows.features_at(self._live[hits]))
         return hits[np.all(rows == point.x, axis=1)]
 
-    def moments(self, keep: bool = True) -> tuple:
-        """(X^T X, X^T y), read-only; computed from the rows only once.
-
-        With ``keep=False`` a version that does not carry them yet
-        computes them without keeping them, so it and its edits stay as
-        they were (see ``LossModel.empirical_gradient``).
-        """
-        if self._moments is not None:
-            return self._moments[:2]
-        moments = _row_moments(self.features, self.labels)
-        if keep:
-            self._moments = (*moments, 0)
-        return moments
+    def moments(self) -> tuple:
+        """(X^T X, X^T y), read-only; built from the rows on first use and
+        kept."""
+        if self._moments is None:
+            self._moments = (*_row_moments(self.features, self.labels), 0)
+        return self._moments[:2]
 
     @property
     def cached_moments(self):

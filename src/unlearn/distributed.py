@@ -327,13 +327,13 @@ def reservoir_update(features: np.ndarray, labels: np.ndarray,
     the edited dataset. Positions whose value is overwritten with an
     identical value do not count as changed.
     """
+    if new_data.size < 1:
+        raise ValueError("empty dataset")
     b = labels.size
     features = features.copy()
     labels = labels.copy()
     point = update.point
     if update.op == "add":
-        if new_data.size < 1:
-            raise ValueError("empty dataset")
         count = int(rng.binomial(b, 1.0 / new_data.size))
         pos = rng.choice(b, size=count, replace=False) if count else \
             np.empty(0, dtype=int)
@@ -343,8 +343,6 @@ def reservoir_update(features: np.ndarray, labels: np.ndarray,
         features[pos] = point.x
         labels[pos] = point.y
     else:
-        if new_data.size < 1:
-            raise ValueError("cannot redraw from an empty dataset")
         hits = np.flatnonzero(
             np.all(features == point.x, axis=1) & (labels == point.y))
         if hits.size:

@@ -31,15 +31,12 @@ on Theta and downstream noise calibration budgets for a D.
 
 Ridge, and ridge plus added quadratics, are quadratic in theta: with
 total coefficient lam_eff (``ridge_lam``) the empirical gradient is
-(X^T X theta - X^T y) / n + lam_eff theta. Their ``quadratic`` form and
-the closed-form oracle read the moments the data carries (see
-``Dataset.moments``), as a ridge-family chain's data does from learn
-on, and their gradient does too; so on a chain these cost O(d^2) or
-O(d^3) whatever n is. On data that carries no moments, ``quadratic``
-builds them from the rows for n d^2 without keeping them, and the
-gradient reads the rows for O(n d), as building the moments would cost
-n d^2. Losses and gradients of single points, and every logistic
-quantity, come from the rows.
+(X^T X theta - X^T y) / n + lam_eff theta. It, their ``quadratic``
+form and the closed-form oracle read only the data's moments (see
+``Dataset.moments``): built from the rows once for n d^2 and carried
+through every edit, so from then on these cost O(d^2) or O(d^3)
+whatever n is. Loss values, losses and gradients of single points, and
+every logistic quantity, come from the rows.
 """
 
 from __future__ import annotations
@@ -111,8 +108,8 @@ class LossModel:
     lipschitz: float
     feature_bound: float
     label_bound: float
-    # lam_eff of a ridge-family loss, whose gradient the moments can
-    # give; None for any other loss.
+    # lam_eff of a ridge-family loss, whose gradient the moments give;
+    # None for any other loss.
     ridge_lam: float | None = None
 
     def point_loss(self, x, y, theta) -> float:
@@ -141,13 +138,12 @@ class LossModel:
     def empirical_gradient(self, data: Dataset, theta) -> np.ndarray:
         """Gradient of the mean loss; norm is at most L on Theta.
 
-        Ridge-family losses take it from the data's moments when the
-        data already carries them, and from the rows otherwise.
+        Ridge-family losses take it from the data's moments.
         """
         if data.size == 0:
             raise ValueError("empty dataset")
         theta = np.asarray(theta, dtype=float)
-        if self.ridge_lam is None or data.cached_moments is None:
+        if self.ridge_lam is None:
             return self._batch_gradient(data.features, data.labels, theta)
         gram, xty = data.moments()
         return (gram @ theta - xty) / data.size + self.ridge_lam * theta
@@ -156,10 +152,9 @@ class LossModel:
         """``(H, g)`` with empirical gradient ``H theta - g``; None if the
         loss is not quadratic.
 
-        Built from the moments the data carries in O(d^2), else from
-        its rows in n d^2. H is a fresh symmetric array whose
-        eigenvalues are at least ``strong_convexity``; ``pgd`` relies on
-        that bound.
+        Built from the data's moments in O(d^2). H is a fresh symmetric
+        array whose eigenvalues are at least ``strong_convexity``;
+        ``pgd`` relies on that bound.
         """
         if self.ridge_lam is None:
             return None
@@ -174,9 +169,6 @@ class LossModel:
     def check_point(self, point):
         """Reject the single point (x, y): a one-row dataset."""
         self.check_dataset(Dataset(point.x, [point.y], np.inf, np.inf))
-
-    def regularized(self, extra: float) -> "RegularizedLoss":
-        return RegularizedLoss(self, extra)
 
 
 class RidgeLoss(LossModel):
@@ -209,7 +201,7 @@ class RidgeLoss(LossModel):
 
 def _normal_equations(data: Dataset, lam):
     # (X^T X / n + lam I, X^T y / n): the ridge gradient is H theta - g.
-    gram, xty = data.moments(keep=False)
+    gram, xty = data.moments()
     hessian = gram / data.size
     hessian[np.diag_indices_from(hessian)] += lam
     return hessian, xty / data.size

@@ -63,11 +63,15 @@ def test_delete_removes_exactly_one_copy():
 
 
 def test_delete_of_absent_point_changes_nothing():
-    data = small_dataset()
     ghost = DataPoint(np.array([0.9, 0.0]), 0.0)
-    after = data.apply(Update("delete", ghost))
-    assert np.array_equal(sorted_rows(after), sorted_rows(data))
-    assert after.initial_size == data.initial_size
+    empty = Dataset(np.empty((0, 2)), np.empty(0), initial_size=0)
+    emptied = empty.apply(Update("add", ghost)).apply(Update("delete", ghost))
+    for data in (small_dataset(), empty, emptied):
+        assert data.find(ghost).dtype == np.intp
+        after = data.apply(Update("delete", ghost))
+        assert np.array_equal(sorted_rows(after), sorted_rows(data))
+        assert after.size == data.size
+        assert after.initial_size == data.initial_size
 
 
 def test_size_floor_blocks_deep_deletion():

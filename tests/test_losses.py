@@ -297,30 +297,33 @@ def test_quadratic_form_reproduces_the_gradient():
 
 
 def test_ridge_gradient_from_moments_matches_the_rows():
-    """On data without moments the gradient is the row path's and keeps
-    none; on moments carried through edits it matches the row path to a
-    tolerance set by the dtype."""
+    """On fresh data the gradient builds the moments from the rows and
+    keeps them; on them, and on moments carried through edits, it
+    matches the row path to a tolerance set by the dtype."""
     rng = np.random.default_rng(23)
-    data = make_dataset(rng, 200, 4)
     ridge = RidgeLoss(ParamSpace(4, 1.0), lam=0.3)
-    for loss in (ridge, RegularizedLoss(ridge, 0.2)):
-        theta = ball_points(rng, 1, 4)[0]
-        assert np.array_equal(loss.empirical_gradient(data, theta),
-                              loss._batch_gradient(data.features,
-                                                   data.labels, theta))
-        loss.quadratic(data)
-        assert data.cached_moments is None
+    losses = (ridge, RegularizedLoss(ridge, 0.2))
+
+    def assert_matches_rows(loss, data, theta):
+        tol = 10 * (data.size + 60) * np.finfo(float).eps * loss.lipschitz
+        assert_allclose(loss.empirical_gradient(data, theta),
+                        loss._batch_gradient(data.features, data.labels,
+                                             theta),
+                        rtol=0, atol=tol)
+
+    for loss in losses:
+        fresh = make_dataset(rng, 200, 4)
+        assert fresh.cached_moments is None
+        assert_matches_rows(loss, fresh, ball_points(rng, 1, 4)[0])
+        assert fresh.cached_moments is not None
+    data = make_dataset(rng, 200, 4)
     data.moments()
     for x in ball_points(rng, 30, 4):
         data = data.apply(Update("add", DataPoint(x, rng.uniform(-1, 1))))
         data = data.apply(Update("delete", data.point(0)))
-    for loss in (ridge, RegularizedLoss(ridge, 0.2)):
-        tol = 10 * (data.size + 60) * np.finfo(float).eps * loss.lipschitz
+    for loss in losses:
         for theta in ball_points(rng, 5, 4):
-            assert_allclose(loss.empirical_gradient(data, theta),
-                            loss._batch_gradient(data.features, data.labels,
-                                                 theta),
-                            rtol=0, atol=tol)
+            assert_matches_rows(loss, data, theta)
 
 
 def test_closed_form_solves_the_ridge_quadratic_exactly():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from unlearn import data as data_module
 from unlearn.data import Dataset
 from unlearn.losses import (
     LogisticLoss,
@@ -282,6 +283,29 @@ def test_descents_the_closed_form_cannot_certify_run_the_loop(monkeypatch,
     assert calls == [data.size] * cfg.iterations
     assert trace.gradient_evaluations == cfg.iterations * data.size
     assert np.array_equal(trace.theta, expected, equal_nan=True)
+
+
+def test_loop_on_fresh_ridge_data_reads_the_moments_only(monkeypatch):
+    """A descent on data without moments builds X^T X from the rows once
+    and takes every step's gradient from it, not from the rows."""
+    loss, data, theta0, cfg = loop_cases()["ball binds"]
+    builds, row_gradients = [], []
+    row_moments, batch_gradient = data_module._row_moments, \
+        RidgeLoss._batch_gradient
+
+    def counted_moments(features, labels):
+        builds.append(labels.size)
+        return row_moments(features, labels)
+
+    def counted_gradient(self, features, labels, theta):
+        row_gradients.append(labels.size)
+        return batch_gradient(self, features, labels, theta)
+
+    monkeypatch.setattr(data_module, "_row_moments", counted_moments)
+    monkeypatch.setattr(RidgeLoss, "_batch_gradient", counted_gradient)
+    pgd(loss, data, theta0, cfg)
+    assert builds == [data.size]
+    assert row_gradients == []
 
 
 def test_binding_ball_case_really_binds():
