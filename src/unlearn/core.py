@@ -66,7 +66,7 @@ __all__ = [
 MODES = ("strong_secret", "strong_perfect", "regularized_strong",
          "regularized_weak")
 
-SNAPSHOT_FORMAT = "unlearn-state/3"
+SNAPSHOT_FORMAT = "unlearn-state/4"
 
 
 def _check_privacy(epsilon: float, delta: float):
@@ -416,18 +416,14 @@ class UnlearnState:
     noise_rng: np.random.Generator
 
     def snapshot(self) -> dict:
-        """Portable state between rounds; the dataset only by its digest
-        plus, for a ridge-family loss, the moments it carries (else None)."""
+        """Portable state between rounds (see ``_encode_state``), plus the
+        mode and, outside perfect mode, the secret parameter."""
         mode = self.schedule.config.mode
-        moments = self.data.cached_moments
         return {
             **_encode_state(SNAPSHOT_FORMAT, self, self.schedule.sigma),
             "mode": mode,
             "theta_hat": (None if mode == "strong_perfect"
                           else [float(v) for v in self.theta_hat]),
-            "moments": None if moments is None else {
-                "gram": moments[0].tolist(), "xty": moments[1].tolist(),
-                "carried": moments[2]},
         }
 
     @classmethod
@@ -443,7 +439,6 @@ class UnlearnState:
         theta_hat = snapshot["theta_hat"]
         if theta_hat is None and config.mode != "strong_perfect":
             raise ValueError("snapshot lacks the secret parameter")
-        shared["data"] = _restore_moments(snapshot, shared["data"], loss)
         return cls(schedule=sched, theta_hat=None if theta_hat is None
                    else _vector(theta_hat, data.dim), **shared)
 
@@ -465,22 +460,27 @@ def _restore_moments(snapshot: dict, data: Dataset,
         raise ValueError("snapshot moments do not match the loss")
     if moments is None:
         return data
-    gram = np.asarray(moments["gram"], dtype=float)
-    xty = np.asarray(moments["xty"], dtype=float)
-    carried = moments["carried"]
-    fresh_gram, fresh_xty = data.moments()
+    try:
+        gram = np.asarray(moments["gram"], dtype=float)
+        xty = np.asarray(moments["xty"], dtype=float)
+        yty = float(moments["yty"])
+        carried = moments["carried"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError("snapshot moments lack a field") from exc
+    fresh_gram, fresh_xty, fresh_yty = data.moments()
     if gram.shape != fresh_gram.shape or xty.shape != fresh_xty.shape:
         raise ValueError("snapshot moments do not match the dataset's "
                          "dimension")
     if type(carried) is not int or not 0 <= carried <= data.size:
         raise ValueError("snapshot moments carry an impossible update count")
-    tol_gram, tol_xty = moments_tolerance(
+    tol_gram, tol_xty, tol_yty = moments_tolerance(
         data.size, carried, loss.feature_bound, loss.label_bound)
     # Written as "not <=" so that NaN fails the test too.
     if not (np.all(np.abs(gram - fresh_gram) <= tol_gram)
-            and np.all(np.abs(xty - fresh_xty) <= tol_xty)):
+            and np.all(np.abs(xty - fresh_xty) <= tol_xty)
+            and abs(yty - fresh_yty) <= tol_yty):
         raise ValueError("snapshot moments do not match the rows")
-    return data._with_moments(gram, xty, carried)
+    return data._with_moments(gram, xty, yty, carried)
 
 
 def _generator(state: dict) -> np.random.Generator:
@@ -502,12 +502,18 @@ def _rows_digest(data: Dataset) -> str:
 
 
 def _encode_state(fmt: str, state, sigma: float) -> dict:
-    """Snapshot fields shared by the single-machine and distributed states."""
+    """Snapshot fields shared by the single-machine and distributed states:
+    the dataset by its digest plus, for a ridge-family loss, the moments
+    it carries (else None)."""
+    moments = state.data.cached_moments
     return {"format": fmt, "round": state.round_index, "budget": state.budget,
             "theta_pub": [float(v) for v in state.theta_pub],
             "noise_rng": state.noise_rng.bit_generator.state,
             "initial_size": state.data.initial_size, "sigma": sigma,
-            "size": state.data.size, "rows_sha256": _rows_digest(state.data)}
+            "size": state.data.size, "rows_sha256": _rows_digest(state.data),
+            "moments": None if moments is None else {
+                "gram": moments[0].tolist(), "xty": moments[1].tolist(),
+                "yty": float(moments[2]), "carried": moments[3]}}
 
 
 def _decode_state(fmt: str, snapshot: dict, data: Dataset,
@@ -519,8 +525,9 @@ def _decode_state(fmt: str, snapshot: dict, data: Dataset,
     if data.size != snapshot["size"] or \
             _rows_digest(data) != snapshot["rows_sha256"]:
         raise ValueError("dataset rows do not match the snapshot")
+    data = _chain_data(data, loss, snapshot["initial_size"])
     return dict(round_index=int(snapshot["round"]), theta_pub=theta_pub,
-                data=_chain_data(data, loss, snapshot["initial_size"]),
+                data=_restore_moments(snapshot, data, loss),
                 budget=int(snapshot["budget"]),
                 noise_rng=_generator(snapshot["noise_rng"]))
 

@@ -10,7 +10,7 @@ on.
 An edit costs O(n) index work and O(d^2) arithmetic; it copies no rows,
 bar a compaction after on the order of n edits. The versions of one
 dataset share an append-only row buffer and each holds only the slots
-of its rows, and the moments X^T X and X^T y, once computed, are
+of its rows, and the moments X^T X, X^T y and y^T y, once computed, are
 carried from version to version by rank-1 updates and recomputed from
 the rows once n updates have been carried, so they cost O(d^2) per edit
 amortised and their rounding error does not grow with the stream (see
@@ -121,8 +121,9 @@ class _Rows:
 
 
 def _row_moments(features, labels):
-    """(X^T X, X^T y) of the rows, read-only."""
-    return _frozen(features.T @ features, features.T @ labels)
+    """(X^T X, X^T y, y^T y) of the rows, the arrays read-only."""
+    return (*_frozen(features.T @ features, features.T @ labels),
+            float(labels @ labels))
 
 
 def _frozen(*arrays):
@@ -135,23 +136,24 @@ def moments_tolerance(size: int, carried: int, feature_bound: float,
                       label_bound: float) -> tuple:
     """Entrywise bound on the gap between carried and fresh moments.
 
-    An entry of X^T X (of X^T y) is a sum of products x_i x_j (y x_i)
-    of magnitude at most R_x^2 (R_x R_y). Moments computed from the
-    rows of an earlier version and then carried through ``carried``
-    rank-1 updates to a version of ``size`` rows have summed at most
-    k = size + 2 * carried such products (each update moves the size by
-    one), in some order; the version's fresh moments sum ``size`` of
-    them. Each result lies within gamma_k * k * R_x^2 of the exact sum,
-    where gamma_k = k u / (1 - k u) and u = 2^-53, so the two differ by
-    at most twice that; the pair of bounds is returned. ``Dataset``
-    keeps ``carried`` at most ``size``, so k <= 3 * size however long
-    the stream.
+    An entry of X^T X (of X^T y, and y^T y) is a sum of products
+    x_i x_j (y x_i, y y) of magnitude at most R_x^2 (R_x R_y, R_y^2).
+    Moments computed from the rows of an earlier version and then
+    carried through ``carried`` rank-1 updates to a version of ``size``
+    rows have summed at most k = size + 2 * carried such products (each
+    update moves the size by one), in some order; the version's fresh
+    moments sum ``size`` of them. Each result lies within
+    gamma_k * k * R^2 of the exact sum, where gamma_k = k u / (1 - k u)
+    and u = 2^-53, so the two differ by at most twice that; the three
+    bounds are returned. ``Dataset`` keeps ``carried`` at most ``size``,
+    so k <= 3 * size however long the stream.
     """
     terms = size + 2 * carried
     ku = terms * 2.0 ** -53
     scale = 2.0 * ku / (1.0 - ku) * terms
     return (scale * feature_bound * feature_bound,
-            scale * feature_bound * label_bound)
+            scale * feature_bound * label_bound,
+            scale * label_bound * label_bound)
 
 
 class Dataset:
@@ -167,11 +169,12 @@ class Dataset:
     than twice the live rows, so (beyond a 16-row minimum tail) it
     holds at most four times the live rows however long the stream.
 
-    The moments (X^T X, X^T y) are computed from the rows when first
-    asked for and from then on carried through every edit by rank-1
-    updates, so ridge-family losses need not touch the rows again. Once
-    a version would carry more updates than it has rows, its moments
-    are recomputed from its rows instead: that costs O(n d^2) once per
+    The moments (X^T X, X^T y, y^T y) are computed from the rows when
+    first asked for and from then on carried through every edit by
+    rank-1 updates, so ridge-family losses, values and gradients alike,
+    need not touch the rows again. Once a version would carry more
+    updates than it has rows, its moments are recomputed from its rows
+    instead: that costs O(n d^2) once per
     n edits, keeps the rounding error within ``moments_tolerance`` of a
     bounded number of terms, and depends only on the edit history, so
     a chain and its replay recompute at the same edits. A dataset whose
@@ -244,25 +247,26 @@ class Dataset:
         return hits[np.all(rows == point.x, axis=1)]
 
     def moments(self) -> tuple:
-        """(X^T X, X^T y), read-only; built from the rows on first use and
-        kept."""
+        """(X^T X, X^T y, y^T y), the arrays read-only; built from the rows
+        on first use and kept."""
         if self._moments is None:
             self._moments = (*_row_moments(self.features, self.labels), 0)
-        return self._moments[:2]
+        return self._moments[:3]
 
     @property
     def cached_moments(self):
-        """``(gram, xty, carried)`` if this version already holds its
+        """``(gram, xty, yty, carried)`` if this version already holds its
         moments, else None; ``carried`` counts the rank-1 updates since
         they were last computed from rows."""
         return self._moments
 
-    def _with_moments(self, gram, xty, carried: int) -> "Dataset":
+    def _with_moments(self, gram, xty, yty, carried: int) -> "Dataset":
         # These rows carrying restored moments; the caller checks them
         # against the rows (see ``moments_tolerance``).
         twin = self._clone()
         twin._moments = (*_frozen(np.array(gram, dtype=float),
-                                  np.array(xty, dtype=float)), carried)
+                                  np.array(xty, dtype=float)),
+                         float(yty), carried)
         return twin
 
     def _clone(self) -> "Dataset":
@@ -329,11 +333,11 @@ class Dataset:
             child._rows, child._live = rows, live
             child._features = child._labels = None
         if self._moments is not None:
-            gram, xty, carried = self._moments
+            gram, xty, yty, carried = self._moments
             if carried < size:
                 child._moments = (*_frozen(gram + sign * np.outer(x, x),
                                            xty + (sign * y) * x),
-                                  carried + 1)
+                                  yty + sign * y * y, carried + 1)
             else:
                 child._moments = None
                 child.moments()

@@ -48,7 +48,7 @@ __all__ = [
     "select_best",
 ]
 
-DIST_SNAPSHOT_FORMAT = "unlearn-dist-state/2"
+DIST_SNAPSHOT_FORMAT = "unlearn-dist-state/3"
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,9 @@ class PartitionedState:
     last_report: UpdateReport | None = None
 
     def snapshot(self) -> dict:
-        """Portable state; each subsample row is named by its first equal
-        row in ``data``, as the reservoir writes only rows of the data."""
+        """Portable state (see ``_encode_state``); each subsample row is
+        named by its first equal row in ``data``, as the reservoir writes
+        only rows of the data."""
         rows = np.vstack([np.column_stack([c.features, c.labels])
                           for c in (self.data, *self.copies)])
         _, first, inverse = np.unique(rows, axis=0, return_index=True,
@@ -258,7 +259,11 @@ class PartitionedState:
 
 
 def select_best(averages, data: Dataset, loss: LossModel) -> int:
-    """Index of the average with the lowest empirical loss; ties go low."""
+    """Index of the average with the lowest empirical loss; ties go low.
+
+    A ridge-family loss reads the moments ``data`` carries, O(d^2) per
+    average; any other loss reads the rows.
+    """
     values = [loss.empirical_loss(data, avg) for avg in averages]
     return int(np.argmin(values))
 
@@ -343,8 +348,10 @@ def reservoir_update(features: np.ndarray, labels: np.ndarray,
         features[pos] = point.x
         labels[pos] = point.y
     else:
-        hits = np.flatnonzero(
-            np.all(features == point.x, axis=1) & (labels == point.y))
+        # Rows equal to the point in the first coordinate, then in full.
+        hits = np.flatnonzero(features[:, 0] == point.x[0])
+        hits = hits[np.all(features[hits] == point.x, axis=1)
+                    & (labels[hits] == point.y)]
         if hits.size:
             draws = rng.integers(new_data.size, size=hits.size)
             fresh_f = new_data.features[draws]

@@ -30,13 +30,14 @@ because the added gradient a * theta is only bounded by a * r <= a * D
 on Theta and downstream noise calibration budgets for a D.
 
 Ridge, and ridge plus added quadratics, are quadratic in theta: with
-total coefficient lam_eff (``ridge_lam``) the empirical gradient is
-(X^T X theta - X^T y) / n + lam_eff theta. It, their ``quadratic``
-form and the closed-form oracle read only the data's moments (see
-``Dataset.moments``): built from the rows once for n d^2 and carried
-through every edit, so from then on these cost O(d^2) or O(d^3)
-whatever n is. Loss values, losses and gradients of single points, and
-every logistic quantity, come from the rows.
+total coefficient lam_eff (``ridge_lam``) the empirical loss is
+(theta^T X^T X theta - 2 theta^T X^T y + y^T y) / (2n)
++ lam_eff |theta|^2 / 2 and its gradient (X^T X theta - X^T y) / n
++ lam_eff theta. These, their ``quadratic`` form and the closed-form
+oracle read only the data's moments (see ``Dataset.moments``): built
+from the rows once for n d^2 and carried through every edit, so from
+then on they cost O(d^2) or O(d^3) whatever n is. Losses and gradients
+of single points, and every logistic quantity, come from the rows.
 """
 
 from __future__ import annotations
@@ -129,11 +130,19 @@ class LossModel:
         raise NotImplementedError
 
     def empirical_loss(self, data: Dataset, theta) -> float:
-        """Mean per-point loss over the multiset."""
+        """Mean per-point loss over the multiset.
+
+        Ridge-family losses take it from the data's moments.
+        """
         if data.size == 0:
             raise ValueError("empty dataset")
-        return self._batch_loss(data.features, data.labels,
-                                np.asarray(theta, dtype=float))
+        theta = np.asarray(theta, dtype=float)
+        if self.ridge_lam is None:
+            return self._batch_loss(data.features, data.labels, theta)
+        gram, xty, yty = data.moments()
+        square = float(theta @ gram @ theta - 2.0 * (xty @ theta) + yty)
+        return 0.5 * square / data.size \
+            + 0.5 * self.ridge_lam * float(theta @ theta)
 
     def empirical_gradient(self, data: Dataset, theta) -> np.ndarray:
         """Gradient of the mean loss; norm is at most L on Theta.
@@ -145,7 +154,7 @@ class LossModel:
         theta = np.asarray(theta, dtype=float)
         if self.ridge_lam is None:
             return self._batch_gradient(data.features, data.labels, theta)
-        gram, xty = data.moments()
+        gram, xty, _ = data.moments()
         return (gram @ theta - xty) / data.size + self.ridge_lam * theta
 
     def quadratic(self, data: Dataset):
@@ -201,9 +210,9 @@ class RidgeLoss(LossModel):
 
 def _normal_equations(data: Dataset, lam):
     # (X^T X / n + lam I, X^T y / n): the ridge gradient is H theta - g.
-    gram, xty = data.moments()
+    gram, xty, _ = data.moments()
     hessian = gram / data.size
-    hessian[np.diag_indices_from(hessian)] += lam
+    hessian.flat[::len(hessian) + 1] += lam
     return hessian, xty / data.size
 
 

@@ -19,12 +19,16 @@ start leaves the ball. It also needs the strongly convex regime and
 T >= d: H and every loop gradient come from the data's moments (see
 ``Dataset.moments``), so the loop costs T d^2 flops and the power
 d^3 log T, beside one n d^2 build of the moments that both share, and
-the map pays from about T = d on, up to the log factor. Any other case
-runs the iterative loop. Both report the nominal T * n point-gradients.
+the map pays from about T = d on, up to the log factor. Once
+rho^T |theta_0 - theta*| <= 2^-53 |theta*| the T-step iterate agrees
+with theta* to rounding, and the map returns theta* without taking the
+power. Any other case runs the iterative loop. Both report the nominal
+T * n point-gradients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,12 +135,23 @@ def _unprojected_map(loss: LossModel, data: Dataset, theta0,
         star = np.linalg.solve(hessian, rhs)
     except np.linalg.LinAlgError:
         return None
-    reach = np.linalg.norm(star) + rho * np.linalg.norm(theta0 - star)
-    if not reach <= loss.space.radius * (1.0 - 1e-9):
+    size, gap = np.linalg.norm(star), np.linalg.norm(theta0 - star)
+    if not size + rho * gap <= loss.space.radius * (1.0 - 1e-9):
         return None
+    if _converged(rho, config.iterations, gap, size):
+        return star
     step = np.eye(dim) - eta * hessian
     return star + np.linalg.matrix_power(step, config.iterations) \
         @ (theta0 - star)
+
+
+def _converged(rho: float, iterations: int, gap: float, size: float) -> bool:
+    """Whether rho^T gap <= 2^-53 size: the T-step iterate then agrees
+    with theta* to rounding. Compared in logs, as rho^T may underflow."""
+    if gap == 0.0 or rho == 0.0:
+        return True
+    return size > 0.0 and iterations * math.log(rho) + math.log(gap) \
+        <= math.log(size) - 53.0 * math.log(2.0)
 
 
 def contraction_factor(loss: LossModel) -> float:

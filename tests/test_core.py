@@ -605,7 +605,7 @@ def test_restore_checks_everything_it_is_handed():
     config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
     state, loss = deleting_chain(config)
     snap = state.snapshot()
-    assert snap["format"] == "unlearn-state/3"
+    assert snap["format"] == "unlearn-state/4"
     assert (snap["initial_size"], snap["size"]) == (20, 15)
     cases = [
         ({**snap, "theta_hat": [0.1] * 5}, state.data, loss, config,
@@ -653,19 +653,21 @@ def test_snapshot_carries_the_moments_and_restore_checks_them():
     config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
     state, loss = deleting_chain(config)
     snap = state.snapshot()
-    gram, xty = state.data.moments()
+    gram, xty, yty = state.data.moments()
     assert snap["moments"] == {"gram": gram.tolist(), "xty": xty.tolist(),
-                               "carried": 5}
+                               "yty": yty, "carried": 5}
     restored = UnlearnState.restore(snap, state.data, loss, config)
     assert restored.data.cached_moments[0].tobytes() == gram.tobytes()
     assert restored.data.cached_moments[1].tobytes() == xty.tobytes()
-    assert restored.data.cached_moments[2] == 5
+    assert restored.data.cached_moments[2:] == (yty, 5)
     # Against the rows' fresh moments: 15 rows carrying 5 updates have
     # summed at most 15 + 2 * 5 products.
     fresh = Dataset(state.data.features, state.data.labels).moments()[0]
-    tol, _ = moments_tolerance(15, 5, loss.feature_bound, loss.label_bound)
+    tol, _, _ = moments_tolerance(15, 5, loss.feature_bound,
+                                  loss.label_bound)
     unit = 2.0 ** -53  # 2 gamma_25 * 25 * R_x^2 with R_x = 1
-    assert tol == pytest.approx(2 * 25 * 25 * unit / (1 - 25 * unit))
+    assert tol == pytest.approx(2 * 25 * 25 * unit / (1 - 25 * unit),
+                                rel=1e-12, abs=0)
 
     def with_entry(value):
         tampered = [row[:] for row in snap["moments"]["gram"]]
@@ -690,6 +692,31 @@ def test_snapshot_carries_the_moments_and_restore_checks_them():
                              config)
 
 
+def test_restore_checks_the_carried_yty():
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state, loss = deleting_chain(config)
+    snap = state.snapshot()
+    fresh = Dataset(state.data.features, state.data.labels).moments()[2]
+    _, _, tol = moments_tolerance(15, 5, loss.feature_bound,
+                                  loss.label_bound)
+    unit = 2.0 ** -53  # 2 gamma_25 * 25 * R_y^2 with R_y = 0.5
+    assert tol == pytest.approx(2 * 25 * 25 * unit / (1 - 25 * unit) / 4,
+                                rel=1e-12, abs=0)
+
+    def with_yty(value):
+        return {**snap, "moments": {**snap["moments"], "yty": value}}
+
+    UnlearnState.restore(with_yty(fresh + 0.5 * tol), state.data, loss,
+                         config)
+    for value in (fresh + 1.5 * tol, fresh - 1.5 * tol, float("nan")):
+        with pytest.raises(ValueError, match="moments do not match the rows"):
+            UnlearnState.restore(with_yty(value), state.data, loss, config)
+    missing = {k: v for k, v in snap["moments"].items() if k != "yty"}
+    with pytest.raises(ValueError, match="moments lack a field"):
+        UnlearnState.restore({**snap, "moments": missing}, state.data, loss,
+                             config)
+
+
 def test_replay_recomputes_the_moments_at_the_same_edits():
     """A small chain recomputes its moments from the rows every few
     edits; a chain resumed from any round does so at the same edits and
@@ -702,7 +729,7 @@ def test_replay_recomputes_the_moments_at_the_same_edits():
     for update in updates:
         snapshots.append(state.snapshot())
         state = unlearn(state, update, loss, config)
-        carried.append(state.data.cached_moments[2])
+        carried.append(state.data.cached_moments[3])
         assert carried[-1] <= state.data.size
     assert carried.count(0) == 3
     for cut in (0, 7, 10, 23):

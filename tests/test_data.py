@@ -289,18 +289,20 @@ def model_apply(rows, op, x, y):
 
 
 def fresh_moments(data):
-    return data.features.T @ data.features, data.features.T @ data.labels
+    return (data.features.T @ data.features, data.features.T @ data.labels,
+            data.labels @ data.labels)
 
 
 def assert_moments_within_bound(data):
-    gram, xty, carried = data.cached_moments
+    gram, xty, yty, carried = data.cached_moments
     assert 0 <= carried <= data.size
-    fresh_gram, fresh_xty = fresh_moments(data)
-    tol_gram, tol_xty = moments_tolerance(data.size, carried,
-                                          data.feature_bound,
-                                          data.label_bound)
+    fresh_gram, fresh_xty, fresh_yty = fresh_moments(data)
+    tol_gram, tol_xty, tol_yty = moments_tolerance(data.size, carried,
+                                                   data.feature_bound,
+                                                   data.label_bound)
     assert np.all(np.abs(gram - fresh_gram) <= tol_gram)
     assert np.all(np.abs(xty - fresh_xty) <= tol_xty)
+    assert abs(yty - fresh_yty) <= tol_yty
 
 
 def assert_matches_model(data, rows, probes):
@@ -374,6 +376,31 @@ def test_store_matches_a_list_of_rows(start, edits, with_moments):
             assert data.cached_moments is None
 
 
+def test_yty_is_recomputed_at_the_same_edits_as_the_gram():
+    """Each edit carries y^T y by +-y^2 beside the rank-1 update of
+    X^T X, and the edit that recomputes X^T X from the rows takes y^T y
+    from them too, bytewise."""
+    data = gen_synthetic_dataset(8, 3, seed=41)
+    data.moments()
+    recomputed = 0
+    for update in gen_adversarial_sequence(data, 40, "random", seed=41):
+        before = data.cached_moments
+        data = data.apply(update)
+        gram, xty, yty, carried = data.cached_moments
+        fresh_gram, fresh_xty, fresh_yty = fresh_moments(data)
+        if carried == 0:
+            recomputed += 1
+            assert gram.tobytes() == fresh_gram.tobytes()
+            assert xty.tobytes() == fresh_xty.tobytes()
+            assert yty == fresh_yty
+        else:
+            y = update.point.y
+            sign = 1.0 if update.op == "add" else -1.0
+            assert carried == before[3] + 1
+            assert yty == before[2] + sign * y * y
+    assert recomputed >= 3
+
+
 def test_long_stream_keeps_moments_and_memory_steady():
     """2e4 random edits: the rows stay those of the naive model, the
     moments within the restore bound, which itself stays within that of
@@ -398,7 +425,7 @@ def test_long_stream_keeps_moments_and_memory_steady():
         if store is not None:
             assert store.count <= 2 * data.size
             assert store.base + store.tail_labels.shape[0] <= 4 * data.size
-        assert data.cached_moments[2] <= data.size
+        assert data.cached_moments[3] <= data.size
         if step % 5000 == 0:
             assert_matches_model(data, rows, rows[:3])
             assert_moments_within_bound(data)

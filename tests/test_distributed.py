@@ -244,6 +244,31 @@ def test_reservoir_delete_replaces_every_copy():
     assert out_f.shape == features.shape
 
 
+def test_reservoir_delete_compares_every_coordinate():
+    """Rows that share the deleted point's first coordinate, but differ
+    in another coordinate or in the label, stay where they are."""
+    rng = substream(16, "reservoir", 0)
+    base = gen_synthetic_dataset(30, 3, seed=16)
+    victim = DataPoint(np.array([0.7, 0.1, -0.2]), 0.25)
+    features = base.features[:12].copy()
+    labels = base.labels[:12].copy()
+    for pos in (2, 5, 9):
+        features[pos] = victim.x
+        labels[pos] = victim.y
+    near = {3: ([0.7, 0.1, 0.2], 0.25), 7: ([0.7, -0.1, -0.2], 0.25),
+            11: (victim.x, -0.25)}
+    for pos, (x, y) in near.items():
+        features[pos] = x
+        labels[pos] = y
+    out_f, out_l, changed = reservoir_update(features, labels,
+                                             Update("delete", victim),
+                                             base, rng)
+    assert list(changed) == [2, 5, 9]
+    keep = [p for p in range(12) if p not in (2, 5, 9)]
+    assert out_f[keep].tobytes() == features[keep].tobytes()
+    assert out_l[keep].tobytes() == labels[keep].tobytes()
+
+
 def test_reservoir_delete_of_an_absent_value_is_silent():
     rng = substream(14, "reservoir", 0)
     base = gen_synthetic_dataset(10, 2, seed=14)
@@ -364,6 +389,25 @@ def test_snapshot_restore_replays_identically():
         resumed = dist_unlearn(resumed, update, loss, cfg)
     assert np.array_equal(state.theta_pub, resumed.theta_pub)
     assert state.budget == resumed.budget
+
+
+def test_restored_chain_carries_the_moments_byte_equal():
+    """The chain builds its data's moments at learn, for ``select_best``,
+    and carries them through every edit; a restored chain reads the
+    same bytes."""
+    data, loss, cfg = small_problem(seed=26)
+    state = dist_learn(data, loss, cfg, seed=26)
+    assert state.data.cached_moments[3] == 0
+    for update in gen_adversarial_sequence(data, 5, "random", seed=26):
+        state = dist_unlearn(state, update, loss, cfg)
+    snap = state.snapshot()
+    assert snap["moments"]["carried"] == 5
+    restored = PartitionedState.restore(snap, state.data, loss, cfg)
+    gram, xty, yty, carried = state.data.cached_moments
+    again = restored.data.cached_moments
+    assert again[0].tobytes() == gram.tobytes()
+    assert again[1].tobytes() == xty.tobytes()
+    assert again[2:] == (yty, carried)
 
 
 def test_restore_rejects_unknown_formats():

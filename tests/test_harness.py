@@ -23,7 +23,7 @@ from unlearn.harness import (
     trial_seed,
     verify_unlearning_certificate,
 )
-from unlearn.losses import LossModel, closed_form_ridge_optimizer
+from unlearn.losses import LossModel, RidgeLoss, closed_form_ridge_optimizer
 
 QUICK = dict(n=120, update_length=6, iters=3)
 
@@ -297,6 +297,25 @@ def test_gap_chain_builds_the_gram_from_rows_only_at_learn(monkeypatch):
         assert builds == [400]
 
 
+def test_gap_chain_reads_no_rows_for_its_loss_values(monkeypatch):
+    """The oracles' values and the excess risk of a ridge-family chain
+    come from the moments it carries, not from the rows."""
+    rows = []
+    original = RidgeLoss._batch_loss
+
+    def counted(self, features, labels, theta):
+        rows.append(labels.size)
+        return original(self, features, labels, theta)
+
+    monkeypatch.setattr(RidgeLoss, "_batch_loss", counted)
+    records = run_chain(ExperimentConfig(n=400, dim=5,
+                                         mode="regularized_strong",
+                                         update_strategy="random", iters=3,
+                                         update_length=6), compute_gap=True)
+    assert len(records) == 7
+    assert rows == []
+
+
 def test_certificate_prepares_each_trial_once(monkeypatch):
     prepared = counting(monkeypatch, "prepare")
     report = verify_unlearning_certificate(
@@ -507,7 +526,7 @@ def test_cli_train_writes_a_snapshot(tmp_path):
                  "--update-length", "0", "--iters", "3"])
     assert code == 0
     snap = json.loads(out.read_text())
-    assert snap["format"] == "unlearn-state/3"
+    assert snap["format"] == "unlearn-state/4"
     assert snap["round"] == 0
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from unlearn.data import DataPoint, Dataset, Update
+from unlearn.data import DataPoint, Dataset, Update, moments_tolerance
 from unlearn.losses import (
     LogisticLoss,
     ParamSpace,
@@ -324,6 +324,61 @@ def test_ridge_gradient_from_moments_matches_the_rows():
     for loss in losses:
         for theta in ball_points(rng, 5, 4):
             assert_matches_rows(loss, data, theta)
+
+
+def test_ridge_values_from_carried_moments_match_the_rows():
+    """After 2e4 edits, ridge-family values read from the carried
+    moments match the rows' values. The bound is what the moments'
+    error, as ``moments_tolerance`` bounds it, can move the value by,
+    doubled to leave room for the rounding of both formulas."""
+    rng = np.random.default_rng(29)
+    ridge = RidgeLoss(ParamSpace(4, 1.0), lam=0.3)
+    losses = (ridge, RegularizedLoss(ridge, 0.2))
+    data = make_dataset(rng, 300, 4)
+    data.moments()
+    n0 = data.size
+    for _ in range(20_000):
+        if data.size - 1 < n0 / 2 or rng.random() < 0.5:
+            point = DataPoint(ball_points(rng, 1, 4)[0], rng.uniform(-1, 1))
+            data = data.apply(Update("add", point))
+        else:
+            data = data.apply(
+                Update("delete", data.point(int(rng.integers(data.size)))))
+    tol_gram, tol_xty, tol_yty = moments_tolerance(
+        data.size, data.cached_moments[3], 1.0, 1.0)
+    for loss in losses:
+        for theta in ball_points(rng, 5, 4, radius=3.0):
+            l1 = np.abs(theta).sum()
+            bound = 0.5 * (l1 * l1 * tol_gram + 2 * l1 * tol_xty
+                           + tol_yty) / data.size
+            rows = loss._batch_loss(data.features, data.labels, theta)
+            assert abs(loss.empirical_loss(data, theta) - rows) <= bound
+
+
+def test_only_logistic_values_read_the_rows(monkeypatch):
+    rng = np.random.default_rng(31)
+    data = make_dataset(rng, 50, 3)
+    theta = ball_points(rng, 1, 3)[0]
+    calls = []
+    for cls in (RidgeLoss, LogisticLoss):
+        original = cls._batch_loss
+
+        def counted(self, features, labels, theta, original=original):
+            calls.append((type(self).__name__, labels.size))
+            return original(self, features, labels, theta)
+
+        monkeypatch.setattr(cls, "_batch_loss", counted)
+    signs = np.where(data.features[:, 0] >= 0, 1.0, -1.0)
+    logistic_data = Dataset(data.features, signs)
+    LogisticLoss(ParamSpace(3, 1.0), lam=0.1).empirical_loss(logistic_data,
+                                                             theta)
+    assert calls == [("LogisticLoss", 50)]
+    assert logistic_data.cached_moments is None
+    ridge = RidgeLoss(ParamSpace(3, 1.0), lam=0.1)
+    for loss in (ridge, RegularizedLoss(ridge, 0.2)):
+        loss.empirical_loss(data, theta)
+    assert calls == [("LogisticLoss", 50)]
+    assert data.cached_moments is not None
 
 
 def test_closed_form_solves_the_ridge_quadratic_exactly():

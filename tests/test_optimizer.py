@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +308,47 @@ def test_loop_on_fresh_ridge_data_reads_the_moments_only(monkeypatch):
     pgd(loss, data, theta0, cfg)
     assert builds == [data.size]
     assert row_gradients == []
+
+
+def test_converged_map_skips_the_matrix_power(monkeypatch):
+    """From the first T with rho^T |theta0 - theta*| <= 2^-53 |theta*|
+    on, the map returns theta*: within rounding of the matrix-power
+    iterate, and bytewise that iterate once the power underflows.
+    Below that T the power is taken, as before."""
+    data, loss, _ = ridge_problem(seed=14)
+    theta0 = np.array([0.3, -0.2, 0.1])
+    hessian, rhs = loss.quadratic(data)
+    star = np.linalg.solve(hessian, rhs)
+    eta, m = GDConfig.for_loss(loss, 1).step_size, loss.strong_convexity
+    rho = max(abs(1 - eta * m), abs(1 - eta * (np.trace(hessian) - 2 * m)))
+    first = math.ceil(math.log(2.0 ** -53 * np.linalg.norm(star)
+                               / np.linalg.norm(theta0 - star))
+                      / math.log(rho))
+    assert first == 36
+    powers = []
+    original = np.linalg.matrix_power
+
+    def counted(matrix, exponent):
+        powers.append(exponent)
+        return original(matrix, exponent)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    for iterations in (first - 1, first, 2400):
+        cfg = GDConfig.for_loss(loss, iterations=iterations)
+        expected = star + original(np.eye(3) - eta * hessian, iterations) \
+            @ (theta0 - star)
+        powers.clear()
+        theta = pgd(loss, data, theta0, cfg).theta
+        if iterations < first:
+            assert powers == [iterations]
+            assert theta.tobytes() == expected.tobytes()
+        else:
+            assert powers == []
+            assert np.linalg.norm(theta - expected) \
+                <= 2.0 ** -52 * np.linalg.norm(star)
+    # By T = 2400 the power has underflowed to zero: bytewise theta*.
+    assert not original(np.eye(3) - eta * hessian, 2400).any()
+    assert theta.tobytes() == expected.tobytes() == star.tobytes()
 
 
 def test_binding_ball_case_really_binds():
