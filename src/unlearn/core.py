@@ -431,12 +431,12 @@ class UnlearnState:
                 config: UnlearnConfig) -> "UnlearnState":
         """Resume a chain on its rows; the schedule is rebuilt from n_0."""
         shared = _decode_state(SNAPSHOT_FORMAT, snapshot, data, loss)
-        if snapshot["mode"] != config.mode:
-            raise ValueError(f"snapshot mode {snapshot['mode']!r} does not "
-                             "match the config")
+        mode, theta_hat = _fields(snapshot, "mode", "theta_hat")
+        if mode != config.mode:
+            raise ValueError(f"snapshot mode {mode!r} does not match the "
+                             "config")
         sched = config.resolve(loss, shared["data"].initial_size, data.dim)
         _check_sigma(snapshot, sched.sigma)
-        theta_hat = snapshot["theta_hat"]
         if theta_hat is None and config.mode != "strong_perfect":
             raise ValueError("snapshot lacks the secret parameter")
         return cls(schedule=sched, theta_hat=None if theta_hat is None
@@ -455,7 +455,7 @@ def _restore_moments(snapshot: dict, data: Dataset,
     ``moments_tolerance`` of the rows' fresh moments. A ridge-family
     chain carries them from learn on and any other chain never does.
     """
-    moments = snapshot["moments"]
+    moments = _fields(snapshot, "moments")[0]
     if (moments is None) != (loss.ridge_lam is None):
         raise ValueError("snapshot moments do not match the loss")
     if moments is None:
@@ -483,17 +483,43 @@ def _restore_moments(snapshot: dict, data: Dataset,
     return data._with_moments(gram, xty, yty, carried)
 
 
+def _fields(record: dict, *names) -> list:
+    """The named fields of a snapshot record, which must hold them all."""
+    try:
+        return [record[name] for name in names]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"snapshot lacks a field: {exc}") from exc
+
+
+def _count(value) -> int:
+    """A snapshot's round, budget or n_0: an int (not a bool), >= 0."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"snapshot count {value!r} is not a nonnegative "
+                         "integer")
+    return value
+
+
 def _generator(state: dict) -> np.random.Generator:
     rng = np.random.default_rng()
-    rng.bit_generator.state = state
+    try:
+        rng.bit_generator.state = state
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError("snapshot holds a malformed RNG state") from exc
     return rng
+
+
+def _finite(theta: np.ndarray) -> np.ndarray:
+    # A NaN or infinite parameter would be published, or descended from.
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("snapshot parameters are not finite")
+    return theta
 
 
 def _vector(values, dim: int) -> np.ndarray:
     theta = np.asarray(values, dtype=float)
     if theta.shape != (dim,):
         raise ValueError("snapshot dimension does not match the dataset")
-    return theta
+    return _finite(theta)
 
 
 def _rows_digest(data: Dataset) -> str:
@@ -521,15 +547,16 @@ def _decode_state(fmt: str, snapshot: dict, data: Dataset,
     """Constructor fields of ``_encode_state``; ``data`` must hold its rows."""
     if snapshot.get("format") != fmt:
         raise ValueError("unrecognized state format")
-    theta_pub = _vector(snapshot["theta_pub"], data.dim)
-    if data.size != snapshot["size"] or \
-            _rows_digest(data) != snapshot["rows_sha256"]:
+    theta_pub, size, digest, n0, round_index, budget, rng = _fields(
+        snapshot, "theta_pub", "size", "rows_sha256", "initial_size",
+        "round", "budget", "noise_rng")
+    theta_pub = _vector(theta_pub, data.dim)
+    if data.size != size or _rows_digest(data) != digest:
         raise ValueError("dataset rows do not match the snapshot")
-    data = _chain_data(data, loss, snapshot["initial_size"])
-    return dict(round_index=int(snapshot["round"]), theta_pub=theta_pub,
+    data = _chain_data(data, loss, _count(n0))
+    return dict(round_index=_count(round_index), theta_pub=theta_pub,
                 data=_restore_moments(snapshot, data, loss),
-                budget=int(snapshot["budget"]),
-                noise_rng=_generator(snapshot["noise_rng"]))
+                budget=_count(budget), noise_rng=_generator(rng))
 
 
 def _chain_data(data: Dataset, loss: LossModel, n0: int) -> Dataset:
@@ -540,7 +567,7 @@ def _chain_data(data: Dataset, loss: LossModel, n0: int) -> Dataset:
 
 
 def _check_sigma(snapshot: dict, sigma: float):
-    if sigma != snapshot["sigma"]:
+    if sigma != _fields(snapshot, "sigma")[0]:
         raise ValueError("loss or config does not match the snapshot's sigma")
 
 
@@ -589,8 +616,6 @@ def unlearn(state: UnlearnState, update: Update, loss: LossModel,
     deletion from a real one.
     """
     sched = state.schedule
-    if config.mode != sched.config.mode:
-        raise ValueError("config mode does not match state")
     _check_chain(sched.loss, sched.config, loss, config)
     if update.op == "add":
         loss.check_point(update.point)

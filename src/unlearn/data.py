@@ -159,15 +159,15 @@ def moments_tolerance(size: int, carried: int, feature_bound: float,
 class Dataset:
     """Multiset of labeled points with a size floor.
 
-    A dataset built from arrays holds them as they are. Its edits share
-    one append-only row buffer (lent those arrays, so a delete copies
-    no rows): each version keeps only the increasing vector of its live
-    slots, in the row order an array snapshot would have, so an add
-    writes one row and a delete drops one index. ``features`` and
-    ``labels`` gather a version's rows on first read and cache them.
-    The buffer is compacted into a fresh dataset once it holds more
-    than twice the live rows, so (beyond a 16-row minimum tail) it
-    holds at most four times the live rows however long the stream.
+    Each version is the increasing vector of its live slots in an
+    append-only row buffer. A dataset built from arrays lends them to a
+    buffer of its own and starts with them as its ``features`` and
+    ``labels``; its edits share that buffer, so an add writes one row
+    and a delete drops one index, and a version gathers its rows on
+    first read and caches them. An edit that leaves the buffer holding
+    more than twice the live rows compacts them into a buffer of the
+    child's own, so (beyond a 16-row minimum tail) a buffer holds at
+    most four times the live rows however long the stream.
 
     The moments (X^T X, X^T y, y^T y) are computed from the rows when
     first asked for and from then on carried through every edit by
@@ -196,15 +196,19 @@ class Dataset:
         labels = np.asarray(labels, dtype=float).ravel()
         if features.shape[0] != labels.shape[0]:
             raise ValueError("features and labels disagree on length")
-        # Array-backed: no buffer until the first edit, which lends these
-        # arrays to one that only its descendants hold.
-        self._rows = self._live = self._moments = None
-        self._features = features
-        self._labels = labels
+        self._hold(features, labels)
+        self._moments = None
         self.feature_bound = float(feature_bound)
         self.label_bound = float(label_bound)
         self.initial_size = int(initial_size if initial_size is not None
                                 else features.shape[0])
+
+    def _hold(self, features, labels):
+        # A new buffer lent these arrays, all its slots live, and the
+        # arrays kept as the gathered rows.
+        self._rows, self._live = _Rows(features, labels), \
+            np.arange(labels.shape[0])
+        self._features, self._labels = features, labels
 
     @property
     def features(self) -> np.ndarray:
@@ -220,20 +224,14 @@ class Dataset:
 
     @property
     def size(self) -> int:
-        return (self._labels if self._live is None else self._live).shape[0]
+        return self._live.shape[0]
 
     @property
     def dim(self) -> int:
-        return (self._features if self._rows is None
-                else self._rows.base_features).shape[1]
-
-    def _row(self, i):
-        if self._live is None:
-            return self._features[i], self._labels[i]
-        return self._rows.row(self._live[i])
+        return self._rows.base_features.shape[1]
 
     def point(self, i: int) -> DataPoint:
-        x, y = self._row(i)
+        x, y = self._rows.row(self._live[i])
         return DataPoint(x.copy(), float(y))
 
     def find(self, point: DataPoint) -> np.ndarray:
@@ -242,8 +240,7 @@ class Dataset:
         Only the feature rows whose label matches are compared.
         """
         hits = np.flatnonzero(self.labels == point.y)
-        rows = (self._features[hits] if self._features is not None
-                else self._rows.features_at(self._live[hits]))
+        rows = self._rows.features_at(self._live[hits])
         return hits[np.all(rows == point.x, axis=1)]
 
     def moments(self) -> tuple:
@@ -313,22 +310,16 @@ class Dataset:
         child = self._clone()
         if size == self.size:  # deleting an absent point
             return child
-        if self._rows is None:
-            rows, live = _Rows(self._features, self._labels), \
-                np.arange(self.size)
-        else:
-            rows, live = self._rows, self._live
+        rows, live = self._rows, self._live
         if update.op == "add":
             x, y, sign = point.x, point.y, 1.0
             live = np.concatenate((live, [rows.append(x, y)]))
         else:
-            (x, y), sign = self._row(hits[0]), -1.0
+            (x, y), sign = rows.row(live[hits[0]]), -1.0
             live = np.concatenate((live[:hits[0]], live[hits[0] + 1:]))
         if rows.count > 2 * live.size:
-            # Compact: the child keeps only its own rows, as arrays.
-            child._rows = child._live = None
-            child._features = rows.features_at(live)
-            child._labels = rows.labels_at(live)
+            # Compact: the child's own rows in a buffer of their own.
+            child._hold(rows.features_at(live), rows.labels_at(live))
         else:
             child._rows, child._live = rows, live
             child._features = child._labels = None

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_chain_data, _check_chain, _check_privacy, _check_sigma,
-                   _decode_state, _encode_state, _generator, _sqrt_gap,
-                   publish)
+                   _decode_state, _encode_state, _fields, _finite, _generator,
+                   _sqrt_gap, publish)
 from .data import Dataset, Update
 from .losses import LossModel
 from .optimizer import GDConfig, contraction_factor, pgd
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 DIST_SNAPSHOT_FORMAT = "unlearn-dist-state/3"
+MAX_SAMPLE_SIZE = 1_000_000  # points per copy's subsample
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,7 @@ class DistConfig:
 
 def dist_params(n: int, dim: int, loss: LossModel, sample_exponent: float,
                 iters: int, epsilon: float, delta: float, beta: float = 0.05,
-                copies: int | None = None,
-                max_sample_size: int = 1_000_000) -> DistConfig:
+                copies: int | None = None) -> DistConfig:
     """Derive the distributed chain shape from the problem size.
 
     ``copies`` overrides the count otherwise derived from the accuracy
@@ -136,9 +136,9 @@ def dist_params(n: int, dim: int, loss: LossModel, sample_exponent: float,
     raw = math.ceil(n ** sample_exponent)
     k = max(1, math.isqrt(raw))
     b = k * math.ceil(raw / k)
-    if b > max_sample_size:
+    if b > MAX_SAMPLE_SIZE:
         raise ValueError("sample budget exceeded: subsample of "
-                         f"{b} points is over the {max_sample_size} cap")
+                         f"{b} points is over the {MAX_SAMPLE_SIZE} cap")
     if delta > 1.0 / b:
         raise ValueError("delta too large: must be at most 1/B "
                          f"= {1.0 / b:.3g}")
@@ -244,16 +244,22 @@ class PartitionedState:
         """Resume a chain on the rows it had, with its loss and config."""
         shared = _decode_state(DIST_SNAPSHOT_FORMAT, snapshot, data, loss)
         _check_sigma(snapshot, config.sigma)
-        entries, data = snapshot["copies"], shared["data"]
-        idx = np.asarray([e["indices"] for e in entries], dtype=int)
-        thetas = np.asarray([e["thetas"] for e in entries], dtype=float)
+        data = shared["data"]
+        if data.initial_size != config.n:
+            raise ValueError("snapshot's n_0 does not match the config")
+        entries = [_fields(e, "indices", "thetas", "rng")
+                   for e in _fields(snapshot, "copies")[0]]
+        if not all(type(j) is int for e in entries for j in e[0]):
+            raise ValueError("snapshot copy indices are not integers")
+        idx = np.asarray([e[0] for e in entries], dtype=int)
+        thetas = _finite(np.asarray([e[1] for e in entries], dtype=float))
         if idx.shape != (config.copies, config.sample_size) or \
                 thetas.shape != (config.copies, config.num_partitions,
                                  data.dim) or \
                 not np.all((idx >= 0) & (idx < data.size)):
             raise ValueError("snapshot copies do not have the config's shape")
         copies = tuple(CopyState(data.features[j], data.labels[j], t,
-                                 _generator(e["rng"]))
+                                 _generator(e[2]))
                        for j, t, e in zip(idx, thetas, entries))
         return cls(copies=copies, loss=loss, config=config, **shared)
 
@@ -353,9 +359,10 @@ def reservoir_update(features: np.ndarray, labels: np.ndarray,
         hits = hits[np.all(features[hits] == point.x, axis=1)
                     & (labels[hits] == point.y)]
         if hits.size:
-            draws = rng.integers(new_data.size, size=hits.size)
-            fresh_f = new_data.features[draws]
-            fresh_l = new_data.labels[draws]
+            draws = [new_data.point(j)
+                     for j in rng.integers(new_data.size, size=hits.size)]
+            fresh_f = np.array([p.x for p in draws])
+            fresh_l = np.array([p.y for p in draws])
             same = np.all(features[hits] == fresh_f, axis=1) & \
                 (labels[hits] == fresh_l)
             changed = hits[~same]

@@ -352,7 +352,7 @@ def test_unlearn_rejects_mode_mismatch():
     secret = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
     state = learn(data, loss, secret, seed=7)
     perfect = UnlearnConfig("strong_perfect", 1.0, DELTA1, 3)
-    with pytest.raises(ValueError, match="mode does not match"):
+    with pytest.raises(ValueError, match="not the chain's own"):
         unlearn(state, Update("add", DataPoint(np.zeros(3), 0.0)), loss,
                 perfect)
 
@@ -622,6 +622,26 @@ def test_restore_checks_everything_it_is_handed():
         (snap, state.data, RidgeLoss(ParamSpace(3, 1.0), feature_bound=0.1,
                                      label_bound=0.5, lam=1.0), config,
          "exceeds declared bound"),
+    ]
+
+    def altered(message, **fields):
+        return ({**snap, **fields}, state.data, loss, config, message)
+
+    def without(field):
+        return ({k: v for k, v in snap.items() if k != field}, state.data,
+                loss, config, "lacks a field")
+
+    not_count, bad_rng = "not a nonnegative integer", "malformed RNG state"
+    cases += [
+        altered("not finite", theta_hat=[float("nan")] * 3),
+        altered("not finite", theta_pub=[0.0, float("inf"), 0.0]),
+        *(altered(not_count, round=value) for value in (2.7, "3", True)),
+        altered(not_count, budget=-1),
+        altered(not_count, initial_size=20.5),
+        *(altered(bad_rng, noise_rng=value) for value in (
+            {"bit_generator": "PCG64"}, "seed",
+            {**snap["noise_rng"], "state": {"state": -1, "inc": 3}})),
+        *(without(field) for field in ("budget", "mode", "sigma")),
     ]
     for snapshot, data, other_loss, other_config, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -422,9 +422,8 @@ def test_long_stream_keeps_moments_and_memory_steady():
         rows = model_apply(rows, update.op, tuple(point.x), point.y)
         data = data.apply(update)
         store = data._rows
-        if store is not None:
-            assert store.count <= 2 * data.size
-            assert store.base + store.tail_labels.shape[0] <= 4 * data.size
+        assert store.count <= 2 * data.size
+        assert store.base + store.tail_labels.shape[0] <= 4 * data.size
         assert data.cached_moments[3] <= data.size
         if step % 5000 == 0:
             assert_matches_model(data, rows, rows[:3])

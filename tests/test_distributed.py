@@ -67,7 +67,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match="delta too large"):
         dist_params(60, 2, loss, 1.0, 1, 1.0, 0.02)
     with pytest.raises(ValueError, match="sample budget exceeded"):
-        dist_params(400, 2, loss, 1.0, 1, 1.0, 1e-3, max_sample_size=100)
+        dist_params(2_000_000, 2, loss, 1.0, 1, 1.0, 1e-7)
     with pytest.raises(ValueError, match="beta"):
         dist_params(60, 2, loss, 1.0, 1, 1.0, 0.01, beta=1.5)
     with pytest.raises(ValueError, match="copy count"):
@@ -267,6 +267,22 @@ def test_reservoir_delete_compares_every_coordinate():
     keep = [p for p in range(12) if p not in (2, 5, 9)]
     assert out_f[keep].tobytes() == features[keep].tobytes()
     assert out_l[keep].tobytes() == labels[keep].tobytes()
+
+
+def test_reservoir_delete_reads_only_the_rows_it_draws():
+    """Redrawing a deleted point's positions gathers none of the edited
+    dataset's rows, only the ones drawn."""
+    base = gen_synthetic_dataset(30, 2, seed=15)
+    victim = base.point(20)
+    new_data = base.apply(Update("delete", victim))
+    features = base.features[:12].copy()
+    labels = base.labels[:12].copy()
+    features[3], labels[3] = victim.x, victim.y
+    _, _, changed = reservoir_update(features, labels,
+                                     Update("delete", victim), new_data,
+                                     substream(15, "reservoir", 0))
+    assert list(changed) == [3]
+    assert new_data._features is None and new_data._labels is None
 
 
 def test_reservoir_delete_of_an_absent_value_is_silent():
@@ -495,6 +511,19 @@ def test_restore_checks_everything_it_is_handed():
         ({**snap, "copies": [{**c, "thetas": [[0.0] * 5]}
                              for c in snap["copies"]]}, shape),
         ({**snap, "format": "unlearn-dist-state/1"}, "state format"),
+        (with_copy0(thetas=[[float("nan")] * 3] + copy0["thetas"][1:]),
+         "not finite"),
+        ({**snap, "theta_pub": [float("nan")] * 3}, "not finite"),
+        (with_copy0(indices=[1.5] + copy0["indices"][1:]), "not integers"),
+        (with_copy0(indices=[True] + copy0["indices"][1:]), "not integers"),
+        ({**snap, "round": 1.5}, "not a nonnegative integer"),
+        ({**snap, "budget": -1}, "not a nonnegative integer"),
+        ({**snap, "initial_size": 118}, "n_0 does not match"),
+        (with_copy0(rng={"bit_generator": "PCG64"}), "malformed RNG state"),
+        ({**snap, "noise_rng": None}, "malformed RNG state"),
+        ({k: v for k, v in snap.items() if k != "copies"}, "lacks a field"),
+        ({**snap, "copies": [{k: v for k, v in copy0.items() if k != "rng"}]
+          + snap["copies"][1:]}, "lacks a field"),
     ]
     for snapshot, message in cases:
         with pytest.raises(ValueError, match=message):
