@@ -572,7 +572,8 @@ def _check_sigma(snapshot: dict, sigma: float):
 
 
 def _check_chain(state_loss, state_config, loss, config):
-    if loss is not state_loss or config != state_config:
+    if loss is not state_loss or (config is not state_config
+                                  and config != state_config):
         raise ValueError("loss or config is not the chain's own")
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "DataPoint",
     "Dataset",
     "Update",
+    "check_bounds",
     "gen_adversarial_sequence",
     "gen_synthetic_dataset",
     "load_updates",
@@ -103,6 +104,22 @@ class _Rows:
         return self.tail_features[slot - self.base], \
             self.tail_labels[slot - self.base]
 
+    def at(self, slots) -> tuple:
+        """Feature and label rows of ``slots``, any integer array of slots
+        (any order, repeats allowed), shaped like ``slots``."""
+        if not self.base:
+            return self.tail_features[slots], self.tail_labels[slots]
+        # "clip" keeps the tail's slots in range; their rows are replaced.
+        features = self.base_features.take(slots, axis=0, mode="clip")
+        labels = self.base_labels.take(slots, mode="clip")
+        back = np.flatnonzero(slots >= self.base)
+        if back.size:
+            tail = slots.flat[back] - self.base
+            features.reshape(-1, features.shape[-1])[back] = \
+                self.tail_features[tail]
+            labels.flat[back] = self.tail_labels[tail]
+        return features, labels
+
     def features_at(self, slots) -> np.ndarray:
         """Feature rows of ``slots``, an increasing slot vector."""
         return self._gather(self.base_features, self.tail_features, slots)
@@ -118,6 +135,15 @@ class _Rows:
         tail.take(slots[split:] - self.base, axis=0, out=out[split:],
                   mode="clip")
         return out
+
+
+def check_bounds(norm, label, feature_bound, label_bound):
+    """Reject a feature norm or label magnitude over its declared bound."""
+    # Written as "not <=" so that NaN fails the test too.
+    if not norm <= feature_bound * (1 + 1e-12):
+        raise ValueError("feature norm exceeds declared bound")
+    if not label <= label_bound * (1 + 1e-12):
+        raise ValueError("label magnitude exceeds declared bound")
 
 
 def _row_moments(features, labels):
@@ -234,6 +260,13 @@ class Dataset:
         x, y = self._rows.row(self._live[i])
         return DataPoint(x.copy(), float(y))
 
+    def rows(self, indices) -> tuple:
+        """``(features, labels)`` of the rows at ``indices``, an integer
+        array of indices into this version (any shape, any order, repeats
+        allowed), shaped like ``indices``. Only those rows are gathered,
+        and the result is a fresh array whatever this version caches."""
+        return self._rows.at(self._live[np.asarray(indices)])
+
     def find(self, point: DataPoint) -> np.ndarray:
         """Indices of all copies equal to ``point`` (exact equality).
 
@@ -272,17 +305,11 @@ class Dataset:
         twin.__dict__.update(self.__dict__)
         return twin
 
-    def _check_bounds(self, norm, label):
-        # Written as "not <=" so that NaN fails the test too.
-        if not norm <= self.feature_bound * (1 + 1e-12):
-            raise ValueError("feature norm exceeds declared bound")
-        if not label <= self.label_bound * (1 + 1e-12):
-            raise ValueError("label magnitude exceeds declared bound")
-
     def validate_bounds(self):
         if self.size:
-            self._check_bounds(np.linalg.norm(self.features, axis=1).max(),
-                               np.abs(self.labels).max())
+            check_bounds(np.linalg.norm(self.features, axis=1).max(),
+                         np.abs(self.labels).max(), self.feature_bound,
+                         self.label_bound)
 
     def apply(self, update: Update) -> "Dataset":
         """Return the dataset after one edit.
@@ -292,12 +319,19 @@ class Dataset:
         present and is a no-op on the contents otherwise. Raises if the
         edit would push the size below initial_size / 2. Neither this
         dataset nor any other version of it changes.
+
+        Indices move predictably, which index-valued subsamples rely on:
+        an add appears at index ``size - 1`` of the child, after every
+        row of this version in its order; a delete removes index
+        ``find(point)[0]`` and keeps the order of the rest, so a row
+        above it moves down by one and a row below it stays.
         """
         point = update.point
         if update.op == "add":
             if point.x.shape != (self.dim,):
                 raise ValueError("added point has wrong dimension")
-            self._check_bounds(np.linalg.norm(point.x), abs(point.y))
+            check_bounds(np.linalg.norm(point.x), abs(point.y),
+                         self.feature_bound, self.label_bound)
             size = self.size + 1
         else:
             hits = self.find(point)

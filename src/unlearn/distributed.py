@@ -10,17 +10,27 @@ Partition j of a copy is its positions [j B/K, (j+1) B/K): positions
 are i.i.d., so this fixed split has the law of a random one, with no
 map to draw, store or scan.
 
+The copies are held stacked and by index: a (C, B) array of each
+position's row index in the current dataset, the (C, K, d) partition
+estimates and the C reservoir generators. No copy holds rows; an edit
+reads only the rows it draws or compares and the rows of the partitions
+it touched.
+
 Edits reach the subsamples through reservoir maintenance that preserves
 the i.i.d.-from-current-data law of every position: an add overwrites
-Binomial(B, 1/n_i) random positions with the new point; a delete
-redraws every position holding the deleted point from the edited
-dataset. A position never changes partition, so an edit touches only
-the partitions whose contents actually changed, and only those rerun
-descent.
+Binomial(B, 1/n_i) random positions with the new point's index; a
+delete redraws every position holding a row equal to the deleted point
+from the edited dataset, and moves every index above the removed row
+down by one, as ``Dataset.apply`` moves the rows. A position never
+changes partition, so an edit touches only the partitions whose
+contents actually changed, and only those rerun descent: their rows are
+gathered at once, every descent ``pgd`` would take in closed form is
+taken in one batch (``map_many``), and ``pgd`` runs the rest.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +41,7 @@ from .core import (_chain_data, _check_chain, _check_privacy, _check_sigma,
                    _sqrt_gap, publish)
 from .data import Dataset, Update
 from .losses import LossModel
-from .optimizer import GDConfig, contraction_factor, pgd
+from .optimizer import GDConfig, contraction_factor, map_many, pgd
 from .rng import substream
 
 __all__ = [
@@ -50,6 +60,11 @@ __all__ = [
 
 DIST_SNAPSHOT_FORMAT = "unlearn-dist-state/3"
 MAX_SAMPLE_SIZE = 1_000_000  # points per copy's subsample
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -174,7 +189,9 @@ def dist_params(n: int, dim: int, loss: LossModel, sample_exponent: float,
 
 @dataclass(frozen=True)
 class CopyState:
-    """One subsampled run: its points and per-partition optimizers."""
+    """One subsampled run, as ``PartitionedState.copies`` shows it: its
+    points, gathered from the data when read, and per-partition
+    optimizers."""
 
     features: np.ndarray   # (B, d) subsample rows, partition by position
     labels: np.ndarray     # (B,)
@@ -205,11 +222,19 @@ class UpdateReport:
 @dataclass(frozen=True)
 class PartitionedState:
     """Distributed chain position after round ``round_index``, with the
-    loss and config the chain was learned with."""
+    loss and config the chain was learned with.
+
+    The C copies are stacked: ``indices[c, p]`` is the index in ``data``
+    of the row at position p of copy c, ``thetas[c, j]`` is copy c's
+    estimate on partition j, and ``rngs[c]`` is copy c's reservoir
+    generator. Both arrays are read-only.
+    """
 
     round_index: int
     data: Dataset
-    copies: tuple
+    indices: np.ndarray   # (C, B) row indices into ``data``
+    thetas: np.ndarray    # (C, K, d)
+    rngs: tuple
     theta_pub: np.ndarray
     budget: int
     noise_rng: np.random.Generator
@@ -217,24 +242,31 @@ class PartitionedState:
     config: DistConfig
     last_report: UpdateReport | None = None
 
+    @functools.cached_property
+    def copies(self) -> tuple:
+        """The copies as ``CopyState`` views, their rows gathered from
+        ``data`` on first read."""
+        features, labels = self.data.rows(self.indices)
+        return tuple(map(CopyState, features, labels, self.thetas,
+                         self.rngs))
+
     def snapshot(self) -> dict:
-        """Portable state (see ``_encode_state``); each subsample row is
-        named by its first equal row in ``data``, as the reservoir writes
-        only rows of the data."""
-        rows = np.vstack([np.column_stack([c.features, c.labels])
-                          for c in (self.data, *self.copies)])
+        """Portable state (see ``_encode_state``); each position's row is
+        named by its first equal row in ``data``, as the reservoir tells
+        rows apart only by value."""
+        rows = np.column_stack([self.data.features, self.data.labels])
         _, first, inverse = np.unique(rows, axis=0, return_index=True,
                                       return_inverse=True)
-        indices = first[inverse[self.data.size:]].reshape(len(self.copies), -1)
+        indices = first[inverse.ravel()][self.indices]
         return {
             **_encode_state(DIST_SNAPSHOT_FORMAT, self, self.config.sigma),
             "copies": [
                 {
                     "indices": [int(j) for j in idx],
-                    "thetas": [[float(v) for v in row] for row in c.thetas],
-                    "rng": c.rng.bit_generator.state,
+                    "thetas": [[float(v) for v in row] for row in thetas],
+                    "rng": rng.bit_generator.state,
                 }
-                for idx, c in zip(indices, self.copies)
+                for idx, thetas, rng in zip(indices, self.thetas, self.rngs)
             ],
         }
 
@@ -258,10 +290,9 @@ class PartitionedState:
                                  data.dim) or \
                 not np.all((idx >= 0) & (idx < data.size)):
             raise ValueError("snapshot copies do not have the config's shape")
-        copies = tuple(CopyState(data.features[j], data.labels[j], t,
-                                 _generator(e[2]))
-                       for j, t, e in zip(idx, thetas, entries))
-        return cls(copies=copies, loss=loss, config=config, **shared)
+        rngs = tuple(_generator(e[2]) for e in entries)
+        return cls(indices=_read_only(idx), thetas=_read_only(thetas),
+                   rngs=rngs, loss=loss, config=config, **shared)
 
 
 def select_best(averages, data: Dataset, loss: LossModel) -> int:
@@ -280,23 +311,38 @@ def dist_publish(thetas: np.ndarray, sigma: float,
     return publish(np.asarray(thetas, dtype=float).mean(axis=0), sigma, rng)
 
 
-def _descend(loss: LossModel, features, labels, thetas, touched,
-             iterations: int):
-    """Descend from ``thetas[j]`` on rows [j B/K, (j+1) B/K), j touched.
+def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
+             iterations):
+    """Descend from ``thetas[c, j]``, for each partition j in
+    ``touched[c]``, by ``iterations[c]`` steps on the rows of ``data`` at
+    ``indices[c, j B/K : (j+1) B/K]``.
 
-    Returns the new (K, d) estimates and the point-gradients spent.
+    The touched partitions of all copies are gathered at once, and
+    ``map_many`` takes every descent ``pgd`` would take in closed form in
+    one batch; ``pgd`` runs the rest. Returns the new (C, K, d)
+    estimates, read-only, and each copy's point-gradients.
     """
-    chunk = labels.size // thetas.shape[0]
-    gd = GDConfig.for_loss(loss, iterations)
+    count, k, dim = thetas.shape
+    chunk = indices.shape[1] // k
+    grads = [steps * part.size * chunk
+             for part, steps in zip(touched, iterations)]
+    # Problem p is partition flat[p] % K of copy flat[p] // K.
+    jobs = [(c * k + j, steps)
+            for c, (part, steps) in enumerate(zip(touched, iterations))
+            for j in part.tolist()]
+    if not jobs:
+        return thetas, grads
+    flat, steps = (list(column) for column in zip(*jobs))
+    features, labels = data.rows(indices.reshape(count * k, chunk)[flat])
+    start = thetas.reshape(count * k, dim)[flat]
+    eta = GDConfig.for_loss(loss, 0).step_size
+    new, mapped = map_many(loss, features, labels, start, eta, steps)
+    for p in np.flatnonzero(~mapped):
+        new[p] = pgd(loss, Dataset(features[p], labels[p]), start[p],
+                     GDConfig.for_loss(loss, steps[p])).theta
     thetas = thetas.copy()
-    grads = 0
-    for j in touched:
-        rows = slice(j * chunk, (j + 1) * chunk)
-        trace = pgd(loss, Dataset(features[rows], labels[rows]), thetas[j],
-                    gd)
-        thetas[j] = trace.theta
-        grads += trace.gradient_evaluations
-    return thetas, grads
+    thetas.reshape(count * k, dim)[flat] = new
+    return _read_only(thetas), grads
 
 
 def dist_learn(data: Dataset, loss: LossModel, config: DistConfig,
@@ -305,72 +351,81 @@ def dist_learn(data: Dataset, loss: LossModel, config: DistConfig,
     if data.size != config.n:
         raise ValueError("dataset size does not match the configuration")
     data = _chain_data(data, loss, data.size)
-    k = config.num_partitions
-    copies = []
-    budget = 0
-    for c in range(config.copies):
-        idx = substream(seed, "bootstrap", c).integers(
-            data.size, size=config.sample_size)
-        features, labels = data.features[idx], data.labels[idx]
-        thetas, grads = _descend(loss, features, labels,
-                                 np.zeros((k, config.dim)), range(k),
-                                 config.train_iters)
-        copies.append(CopyState(features, labels, thetas,
-                                substream(seed, "reservoir", c)))
-        budget += grads
-    best = select_best([c.average() for c in copies], data, loss)
+    copies, k = config.copies, config.num_partitions
+    indices = np.array([
+        substream(seed, "bootstrap", c).integers(data.size,
+                                                 size=config.sample_size)
+        for c in range(copies)])
+    thetas, grads = _descend(loss, data, indices,
+                             np.zeros((copies, k, config.dim)),
+                             [np.arange(k)] * copies,
+                             [config.train_iters] * copies)
+    best = select_best(thetas.mean(axis=1), data, loss)
     noise_rng = substream(seed, "noise")
-    theta_pub = dist_publish(copies[best].thetas, config.sigma, noise_rng)
+    theta_pub = dist_publish(thetas[best], config.sigma, noise_rng)
     return PartitionedState(
-        round_index=0, data=data, copies=tuple(copies), theta_pub=theta_pub,
-        budget=budget, noise_rng=noise_rng, loss=loss, config=config,
+        round_index=0, data=data, indices=_read_only(indices),
+        thetas=thetas,
+        rngs=tuple(substream(seed, "reservoir", c) for c in range(copies)),
+        theta_pub=theta_pub, budget=sum(grads), noise_rng=noise_rng,
+        loss=loss, config=config,
     )
 
 
-def reservoir_update(features: np.ndarray, labels: np.ndarray,
-                     update: Update, new_data: Dataset,
-                     rng: np.random.Generator):
-    """Refresh one subsample after an edit; returns the changed positions.
+def reservoir_update(indices: np.ndarray, update: Update, data: Dataset,
+                     new_data: Dataset, rngs):
+    """Refresh every copy's subsample after ``update`` took ``data`` to
+    ``new_data``; returns the new indices and each copy's changed
+    positions.
 
-    The subsample stays the same size. For an add, N ~ Binomial(B, 1/n_i)
-    distinct positions are overwritten with the new point; for a delete,
-    every position holding the deleted point is redrawn uniformly from
-    the edited dataset. Positions whose value is overwritten with an
-    identical value do not count as changed.
+    ``indices`` is (C, B), copy c's positions as indices into ``data``,
+    and ``rngs[c]`` is copy c's generator. The result is (C, B) indices
+    into ``new_data``, read-only, and C sorted arrays of positions. For
+    an add, in each copy N ~ Binomial(B, 1/n_i) distinct positions take
+    the new point, index n_i - 1; for a delete, each position holding a
+    row equal to the deleted point is redrawn uniformly from
+    ``new_data``, and every other index above the removed one moves down
+    by one (see ``Dataset.apply``). Points are told apart by value: a
+    position that takes a row equal to its old one is not counted as
+    changed. Only the rows it draws or compares are read.
     """
     if new_data.size < 1:
         raise ValueError("empty dataset")
-    b = labels.size
-    features = features.copy()
-    labels = labels.copy()
+    b = indices.shape[1]
     point = update.point
     if update.op == "add":
-        count = int(rng.binomial(b, 1.0 / new_data.size))
-        pos = rng.choice(b, size=count, replace=False) if count else \
-            np.empty(0, dtype=int)
-        same = np.all(features[pos] == point.x, axis=1) & \
-            (labels[pos] == point.y)
-        changed = pos[~same]
-        features[pos] = point.x
-        labels[pos] = point.y
+        draws = []
+        for rng in rngs:
+            count = int(rng.binomial(b, 1.0 / new_data.size))
+            draws.append(rng.choice(b, size=count, replace=False) if count
+                         else np.empty(0, dtype=int))
+        owner = np.repeat(np.arange(len(draws)), [d.size for d in draws])
+        pos = np.concatenate(draws)
+        features, labels = data.rows(indices[owner, pos])
+        fresh = new_data.size - 1
+        indices = indices.copy()
     else:
-        # Rows equal to the point in the first coordinate, then in full.
-        hits = np.flatnonzero(features[:, 0] == point.x[0])
-        hits = hits[np.all(features[hits] == point.x, axis=1)
-                    & (labels[hits] == point.y)]
-        if hits.size:
-            draws = [new_data.point(j)
-                     for j in rng.integers(new_data.size, size=hits.size)]
-            fresh_f = np.array([p.x for p in draws])
-            fresh_l = np.array([p.y for p in draws])
-            same = np.all(features[hits] == fresh_f, axis=1) & \
-                (labels[hits] == fresh_l)
-            changed = hits[~same]
-            features[hits] = fresh_f
-            labels[hits] = fresh_l
-        else:
-            changed = np.empty(0, dtype=int)
-    return features, labels, np.sort(changed)
+        found = data.find(point)
+        if not found.size:
+            return indices, [np.empty(0, dtype=int)] * len(rngs)
+        hit = indices == found[0]
+        for j in found[1:]:
+            hit |= indices == j
+        owner, pos = np.nonzero(hit)
+        fresh = np.concatenate(
+            [rng.integers(new_data.size, size=count)
+             for rng, count in zip(rngs, hit.sum(axis=1)) if count]
+            + [np.empty(0, dtype=int)])
+        features, labels = new_data.rows(fresh)
+        indices = indices - (indices > found[0])
+    same = (features == point.x).all(axis=1) & (labels == point.y)
+    indices[owner, pos] = fresh
+    changed = [[] for _ in rngs]
+    for c, p, kept in zip(owner.tolist(), pos.tolist(), same.tolist()):
+        if not kept:
+            changed[c].append(p)
+    return _read_only(indices), [np.array(sorted(c), dtype=int)
+                                 for c in changed]
 
 
 def dist_unlearn(state: PartitionedState, update: Update, loss: LossModel,
@@ -389,34 +444,26 @@ def dist_unlearn(state: PartitionedState, update: Update, loss: LossModel,
     new_data = state.data.apply(update)
     i = state.round_index + 1
     chunk = config.sample_size // config.num_partitions
-    new_copies = []
-    reports = []
-    budget = 0
-    for copy in state.copies:
-        features, labels, changed = reservoir_update(
-            copy.features, copy.labels, update, new_data, copy.rng)
-        per_part = np.bincount(changed // chunk,
-                               minlength=config.num_partitions)
-        touched = np.flatnonzero(per_part)
-        iterations = config.partition_iters(i, touched.size) \
-            if touched.size else 0
-        thetas, grads = _descend(loss, features, labels, copy.thetas,
-                                 touched, iterations)
-        budget += grads
-        new_copies.append(CopyState(features, labels, thetas, copy.rng))
-        reports.append(CopyReport(
-            modified_per_partition=per_part,
-            touched=tuple(int(j) for j in touched),
-            iterations=iterations,
-            gradient_evaluations=grads,
-        ))
-    best = select_best([c.average() for c in new_copies], new_data, loss)
-    theta_pub = dist_publish(new_copies[best].thetas, config.sigma,
-                             state.noise_rng)
+    indices, changed = reservoir_update(state.indices, update, state.data,
+                                        new_data, state.rngs)
+    per_part = [np.bincount(c // chunk, minlength=config.num_partitions)
+                for c in changed]
+    touched = [np.flatnonzero(p) for p in per_part]
+    iterations = [config.partition_iters(i, t.size) if t.size else 0
+                  for t in touched]
+    thetas, grads = _descend(loss, new_data, indices, state.thetas, touched,
+                             iterations)
+    best = select_best(thetas.mean(axis=1), new_data, loss)
+    theta_pub = dist_publish(thetas[best], config.sigma, state.noise_rng)
+    reports = tuple(
+        CopyReport(modified_per_partition=p,
+                   touched=tuple(t.tolist()),
+                   iterations=steps, gradient_evaluations=g)
+        for p, t, steps, g in zip(per_part, touched, iterations, grads))
     return PartitionedState(
-        round_index=i, data=new_data, copies=tuple(new_copies),
-        theta_pub=theta_pub, budget=state.budget + budget,
-        noise_rng=state.noise_rng, loss=loss, config=config,
-        last_report=UpdateReport(i, config.total_update_iters(i),
-                                 tuple(reports)),
+        round_index=i, data=new_data, indices=indices, thetas=thetas,
+        rngs=state.rngs, theta_pub=theta_pub,
+        budget=state.budget + sum(grads), noise_rng=state.noise_rng,
+        loss=loss, config=config,
+        last_report=UpdateReport(i, config.total_update_iters(i), reports),
     )

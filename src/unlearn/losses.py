@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_bounds
 
 __all__ = [
     "ParamSpace",
@@ -176,8 +176,9 @@ class LossModel:
                 min(self.label_bound, data.label_bound)).validate_bounds()
 
     def check_point(self, point):
-        """Reject the single point (x, y): a one-row dataset."""
-        self.check_dataset(Dataset(point.x, [point.y], np.inf, np.inf))
+        """Reject the single point (x, y) outside the loss's bounds."""
+        check_bounds(np.linalg.norm(point.x), abs(point.y),
+                     self.feature_bound, self.label_bound)
 
 
 class RidgeLoss(LossModel):
@@ -253,6 +254,11 @@ class LogisticLoss(LossModel):
         if not np.all(np.isin(data.labels, (-1.0, 1.0))):
             raise ValueError("logistic labels must be -1 or +1")
 
+    def check_point(self, point):
+        super().check_point(point)
+        if point.y not in (-1.0, 1.0):
+            raise ValueError("logistic labels must be -1 or +1")
+
 
 class RegularizedLoss(LossModel):
     """A base loss plus (extra/2)|theta|^2 with certified constants.
@@ -291,6 +297,9 @@ class RegularizedLoss(LossModel):
 
     def check_dataset(self, data: Dataset):
         self.base.check_dataset(data)
+
+    def check_point(self, point):
+        self.base.check_point(point)
 
 
 def closed_form_ridge_optimizer(data: Dataset, lam: float,

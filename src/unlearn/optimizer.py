@@ -24,6 +24,11 @@ rho^T |theta_0 - theta*| <= 2^-53 |theta*| the T-step iterate agrees
 with theta* to rounding, and the map returns theta* without taking the
 power. Any other case runs the iterative loop. Both report the nominal
 T * n point-gradients.
+
+``map_many`` takes the same map on a stack of equal-sized problems at
+once, by the same certificate and to the same bytes, and leaves the
+problems it cannot certify to ``pgd``; the distributed chain sends all
+its touched partitions through it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 from .data import Dataset
 from .losses import LossModel
 
-__all__ = ["GDConfig", "GDTrace", "pgd", "contraction_factor"]
+__all__ = ["GDConfig", "GDTrace", "pgd", "map_many", "contraction_factor"]
 
 REGIMES = ("strongly_convex_smooth", "convex_smooth")
 
@@ -126,23 +131,81 @@ def _unprojected_map(loss: LossModel, data: Dataset, theta0,
     if quad is None:
         return None
     hessian, rhs = quad
-    eta, m, dim = config.step_size, loss.strong_convexity, data.dim
-    rho = max(abs(1.0 - eta * m),
-              abs(1.0 - eta * (np.trace(hessian) - (dim - 1) * m)))
-    if not rho < 1.0:
-        return None
+    rho = _contraction(loss, config.step_size, np.trace(hessian), data.dim)
     try:
         star = np.linalg.solve(hessian, rhs)
     except np.linalg.LinAlgError:
         return None
     size, gap = np.linalg.norm(star), np.linalg.norm(theta0 - star)
-    if not size + rho * gap <= loss.space.radius * (1.0 - 1e-9):
+    if not _certified(rho, size, gap, loss.space.radius):
         return None
     if _converged(rho, config.iterations, gap, size):
         return star
-    step = np.eye(dim) - eta * hessian
+    step = np.eye(data.dim) - config.step_size * hessian
     return star + np.linalg.matrix_power(step, config.iterations) \
         @ (theta0 - star)
+
+
+def map_many(loss: LossModel, features, labels, theta0, step_size: float,
+             iterations):
+    """``pgd``'s closed-form map on P equal-sized problems at once.
+
+    Problem p descends from ``theta0[p]`` for ``iterations[p]`` (an int)
+    steps of ``step_size``, the strongly convex regime's, on the rows
+    ``features[p]``, ``labels[p]``. Returns the (P, d) iterates and a
+    (P,) mask of the problems mapped. A problem is mapped exactly when
+    ``pgd`` would map it, by the same certificate, and then to the same
+    bytes; the caller runs ``pgd`` on the rest. Nothing is mapped unless
+    the loss is ridge-family.
+    """
+    count, size, dim = features.shape
+    out = np.empty((count, dim))
+    mapped = np.zeros(count, dtype=bool)
+    if loss.ridge_lam is None or count == 0:
+        return out, mapped
+    # Each problem's normal equations, as ``loss.quadratic`` builds them.
+    rows_t = features.transpose(0, 2, 1)
+    hessian = rows_t @ features / size
+    hessian.reshape(count, -1)[:, ::dim + 1] += loss.ridge_lam
+    rhs = (rows_t @ labels[:, :, None])[:, :, 0] / size
+    try:
+        star = np.linalg.solve(hessian, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return out, mapped
+    diff = theta0 - star
+    norm, gap = (np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0]).tolist()
+                 for v in (star, diff))
+    traces = hessian.trace(axis1=1, axis2=2).tolist()
+    powered = {}
+    for p, steps in enumerate(iterations):
+        rho = _contraction(loss, step_size, traces[p], dim)
+        if steps >= dim and _certified(rho, norm[p], gap[p],
+                                       loss.space.radius):
+            mapped[p] = True
+            if not _converged(rho, steps, gap[p], norm[p]):
+                powered.setdefault(steps, []).append(p)
+    out[mapped] = star[mapped]
+    for steps, group in powered.items():
+        step = np.eye(dim) - step_size * hessian[group]
+        out[group] += (np.linalg.matrix_power(step, steps)
+                       @ diff[group][:, :, None])[:, :, 0]
+    return out, mapped
+
+
+def _contraction(loss: LossModel, step_size: float, trace: float,
+                 dim: int) -> float:
+    """rho, the most one unprojected step of ``step_size`` can stretch
+    theta - theta*, from m and the trace of H (see the module
+    docstring)."""
+    m = loss.strong_convexity
+    return max(abs(1.0 - step_size * m),
+               abs(1.0 - step_size * (trace - (dim - 1) * m)))
+
+
+def _certified(rho: float, size: float, gap: float, radius: float) -> bool:
+    """Whether no unprojected step can leave the ball: rho < 1 and
+    |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9)."""
+    return rho < 1.0 and size + rho * gap <= radius * (1.0 - 1e-9)
 
 
 def _converged(rho: float, iterations: int, gap: float, size: float) -> bool:

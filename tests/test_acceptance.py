@@ -201,12 +201,11 @@ def test_criterion_06_reservoir_marginals():
     replays = 100_000
     for t in range(replays):
         rng = np.random.default_rng([607, t])
-        idx = rng.integers(50, size=100)
-        feats, labels = base.features[idx], base.labels[idx]
+        indices, data = rng.integers(50, size=(1, 100)), base
         for upd, edited in steps:
-            feats, labels, _ = reservoir_update(feats, labels, upd, edited,
-                                                rng)
-        seen = np.rint(labels[positions] * 64).astype(int)
+            indices, _ = reservoir_update(indices, upd, data, edited, [rng])
+            data = edited
+        seen = np.rint(current.labels[indices[0, positions]] * 64).astype(int)
         counts[np.arange(20), seen] += 1
     expected = replays * multiplicity[valid] / current.size
     failures = []
@@ -232,8 +231,7 @@ def test_criterion_07_modified_count_bound():
     trials = 10_000
     for t in range(trials):
         rng = np.random.default_rng([707, t])
-        idx = rng.integers(100, size=100)
-        feats, labels = base.features[idx], base.labels[idx]
+        indices = rng.integers(100, size=(1, 100))
         if t % 2 == 0:
             upd = Update("add", DataPoint([101 / 128], 101 / 128))
             edited = added
@@ -243,7 +241,7 @@ def test_criterion_07_modified_count_bound():
             if t % 100 not in deletions:
                 deletions[t % 100] = base.apply(upd)
             edited = deletions[t % 100]
-        _, _, changed = reservoir_update(feats, labels, upd, edited, rng)
+        _, (changed,) = reservoir_update(indices, upd, base, edited, [rng])
         within += changed.size <= limit
     frequency = within / trials
     failures = [] if frequency >= 1.0 - math.exp(-2.0) else [frequency]

@@ -316,6 +316,16 @@ def assert_matches_model(data, rows, probes):
         point = data.point(i)
         assert point.x.tobytes() == np.array(x).tobytes() and point.y == y
     feats = np.array([x for x, _ in rows]).reshape(len(rows), data.dim)
+    # Any live indices, in any order and with repeats, gather just those
+    # rows: the whole version stays ungathered if it was.
+    ungathered = data._features is None
+    picks = np.array([[len(rows) - 1, 0, len(rows) // 2],
+                      [0, len(rows) - 1, len(rows) - 1]])
+    got_f, got_l = data.rows(picks)
+    assert got_f.shape == (2, 3, data.dim) and got_l.shape == (2, 3)
+    assert got_f.tobytes() == feats[picks].tobytes()
+    assert got_l.tobytes() == np.array([y for _, y in rows])[picks].tobytes()
+    assert (data._features is None) == ungathered
     assert data.features.tobytes() == feats.tobytes()
     assert data.labels.tobytes() == np.array([y for _, y in rows]).tobytes()
 
@@ -374,6 +384,25 @@ def test_store_matches_a_list_of_rows(start, edits, with_moments):
             assert_moments_within_bound(data)
         else:
             assert data.cached_moments is None
+
+
+def test_edits_move_indices_as_index_valued_subsamples_expect():
+    """An add lands at index ``size - 1``; a delete removes index
+    ``find(point)[0]``, the first equal row, and keeps the order of the
+    rest, so indices above it move down by one."""
+    data = Dataset(np.array([[0.1, 0.0], [0.2, 0.0], [0.1, 0.0],
+                             [0.3, 0.0]]), np.array([0.5, 0.5, 0.5, 0.5]))
+    point = DataPoint(np.array([0.4, 0.0]), -0.5)
+    added = data.apply(Update("add", point))
+    assert added.size == 5 and added.find(point).tolist() == [4]
+    assert added.rows([0, 1, 2, 3])[0].tobytes() == data.features.tobytes()
+    twin = data.point(0)
+    assert data.find(twin).tolist() == [0, 2]
+    dropped = added.apply(Update("delete", twin))
+    kept = [1, 2, 3, 4]
+    before, after = added.rows(kept), dropped.rows(np.arange(4))
+    assert after[0].tobytes() == before[0].tobytes()
+    assert after[1].tobytes() == before[1].tobytes()
 
 
 def test_yty_is_recomputed_at_the_same_edits_as_the_gram():

@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 from hypothesis import given, settings, strategies as st
 
 from unlearn import distributed
@@ -195,13 +196,13 @@ def test_reservoir_add_overwrite_rate():
     new_point = DataPoint(np.array([0.9, 0.0]), 0.5)
     base = gen_synthetic_dataset(n_new - 1, 2, seed=11)
     new_data = base.apply(Update("add", new_point))
+    indices = np.tile(np.arange(n_new - 1), 3)[None, :b]
     means = []
     for _ in range(2000):
-        features = np.tile(base.features, (3, 1))[:b]
-        labels = np.tile(base.labels, 3)[:b]
-        _, _, changed = reservoir_update(features, labels,
-                                         Update("add", new_point),
-                                         new_data, rng)
+        out, (changed,) = reservoir_update(indices, Update("add", new_point),
+                                           base, new_data, [rng])
+        assert np.all((out == indices) | (out == n_new - 1))
+        assert np.array_equal(np.flatnonzero(out != indices), changed)
         means.append(changed.size)
     counts = np.array(means)
     stderr = counts.std(ddof=1) / math.sqrt(counts.size)
@@ -211,62 +212,67 @@ def test_reservoir_add_overwrite_rate():
 def test_reservoir_add_of_an_existing_value_counts_no_changes():
     rng = substream(12, "reservoir", 0)
     point = DataPoint(np.array([0.1, 0.2]), -0.5)
-    features = np.tile(point.x, (20, 1))
-    labels = np.full(20, point.y)
-    new_data = Dataset(features, labels)
-    out_f, out_l, changed = reservoir_update(features, labels,
-                                             Update("add", point),
-                                             new_data, rng)
+    data = Dataset(np.tile(point.x, (20, 1)), np.full(20, point.y))
+    new_data = data.apply(Update("add", point))
+    indices = np.arange(20)[None]
+    out, (changed,) = reservoir_update(indices, Update("add", point), data,
+                                       new_data, [rng])
     assert changed.size == 0
-    assert np.array_equal(out_f, features)
-    assert np.array_equal(out_l, labels)
+    assert np.any(out == 20)  # positions took the new copy, all the same
+    features, labels = new_data.rows(out[0])
+    assert np.array_equal(features, data.features)
+    assert np.array_equal(labels, data.labels)
+
+
+def _with_rows(base, *points):
+    """``base`` with ``points`` added, in order, at indices base.size on."""
+    for point in points:
+        base = base.apply(Update("add", point))
+    return base
 
 
 def test_reservoir_delete_replaces_every_copy():
     rng = substream(13, "reservoir", 0)
     base = gen_synthetic_dataset(30, 2, seed=13)
     victim = DataPoint(np.array([0.7, 0.1]), 0.25)
-    features = base.features[:12].copy()
-    labels = base.labels[:12].copy()
-    for pos in (2, 5, 9):
-        features[pos] = victim.x
-        labels[pos] = victim.y
-    new_data = base  # the edited dataset no longer holds the victim
-    out_f, out_l, changed = reservoir_update(features, labels,
-                                             Update("delete", victim),
-                                             new_data, rng)
+    data = _with_rows(base, victim)
+    indices = np.arange(12)[None].copy()
+    indices[0, [2, 5, 9]] = 30
+    new_data = data.apply(Update("delete", victim))
+    out, (changed,) = reservoir_update(indices, Update("delete", victim),
+                                       data, new_data, [rng])
     assert list(changed) == [2, 5, 9]
-    assert not np.any(np.all(out_f == victim.x, axis=1) & (out_l == victim.y))
-    for pos in (2, 5, 9):
-        hit = np.all(base.features == out_f[pos], axis=1) & \
-            (base.labels == out_l[pos])
-        assert hit.any()  # replacements drawn from the edited dataset
-    assert out_f.shape == features.shape
+    assert np.all((out >= 0) & (out < new_data.size))
+    features, labels = new_data.rows(out[0])
+    assert not np.any(np.all(features == victim.x, axis=1)
+                      & (labels == victim.y))
+    keep = [p for p in range(12) if p not in (2, 5, 9)]
+    assert np.array_equal(out[0, keep], indices[0, keep])  # all below 30
+    assert out.shape == indices.shape
 
 
 def test_reservoir_delete_compares_every_coordinate():
     """Rows that share the deleted point's first coordinate, but differ
-    in another coordinate or in the label, stay where they are."""
+    in another coordinate or in the label, stay where they are, and
+    their indices move down past the removed row."""
     rng = substream(16, "reservoir", 0)
     base = gen_synthetic_dataset(30, 3, seed=16)
     victim = DataPoint(np.array([0.7, 0.1, -0.2]), 0.25)
-    features = base.features[:12].copy()
-    labels = base.labels[:12].copy()
-    for pos in (2, 5, 9):
-        features[pos] = victim.x
-        labels[pos] = victim.y
-    near = {3: ([0.7, 0.1, 0.2], 0.25), 7: ([0.7, -0.1, -0.2], 0.25),
-            11: (victim.x, -0.25)}
-    for pos, (x, y) in near.items():
-        features[pos] = x
-        labels[pos] = y
-    out_f, out_l, changed = reservoir_update(features, labels,
-                                             Update("delete", victim),
-                                             base, rng)
+    near = [DataPoint([0.7, 0.1, 0.2], 0.25),
+            DataPoint([0.7, -0.1, -0.2], 0.25), DataPoint(victim.x, -0.25)]
+    data = _with_rows(base, victim, *near)
+    indices = np.arange(12)[None].copy()
+    indices[0, [2, 5, 9]] = 30
+    indices[0, [3, 7, 11]] = [31, 32, 33]
+    new_data = data.apply(Update("delete", victim))
+    out, (changed,) = reservoir_update(indices, Update("delete", victim),
+                                       data, new_data, [rng])
     assert list(changed) == [2, 5, 9]
     keep = [p for p in range(12) if p not in (2, 5, 9)]
-    assert out_f[keep].tobytes() == features[keep].tobytes()
-    assert out_l[keep].tobytes() == labels[keep].tobytes()
+    assert list(out[0, [3, 7, 11]]) == [30, 31, 32]
+    before, after = data.rows(indices[0, keep]), new_data.rows(out[0, keep])
+    assert after[0].tobytes() == before[0].tobytes()
+    assert after[1].tobytes() == before[1].tobytes()
 
 
 def test_reservoir_delete_reads_only_the_rows_it_draws():
@@ -275,12 +281,10 @@ def test_reservoir_delete_reads_only_the_rows_it_draws():
     base = gen_synthetic_dataset(30, 2, seed=15)
     victim = base.point(20)
     new_data = base.apply(Update("delete", victim))
-    features = base.features[:12].copy()
-    labels = base.labels[:12].copy()
-    features[3], labels[3] = victim.x, victim.y
-    _, _, changed = reservoir_update(features, labels,
-                                     Update("delete", victim), new_data,
-                                     substream(15, "reservoir", 0))
+    indices = np.arange(12)[None].copy()
+    indices[0, 3] = 20
+    _, (changed,) = reservoir_update(indices, Update("delete", victim), base,
+                                     new_data, [substream(15, "reservoir", 0)])
     assert list(changed) == [3]
     assert new_data._features is None and new_data._labels is None
 
@@ -289,12 +293,11 @@ def test_reservoir_delete_of_an_absent_value_is_silent():
     rng = substream(14, "reservoir", 0)
     base = gen_synthetic_dataset(10, 2, seed=14)
     ghost = DataPoint(np.array([0.0, 0.99]), -0.75)
-    out_f, out_l, changed = reservoir_update(base.features, base.labels,
-                                             Update("delete", ghost),
-                                             base, rng)
+    indices = np.arange(10)[None]
+    out, (changed,) = reservoir_update(indices, Update("delete", ghost), base,
+                                       base, [rng])
     assert changed.size == 0
-    assert np.array_equal(out_f, base.features)
-    assert np.array_equal(out_l, base.labels)
+    assert np.array_equal(out, indices)
 
 
 def test_select_best_prefers_low_loss_and_low_index():
@@ -556,3 +559,166 @@ def test_snapshot_restore_replay_is_byte_equal(cut, strategy, seed):
         resumed = dist_unlearn(resumed, update, loss, cfg)
         assert state.theta_pub.tobytes() == resumed.theta_pub.tobytes()
     assert state.snapshot() == resumed.snapshot()
+
+
+# The row-valued, per-copy edit the stacked chain replaced: each copy
+# held its (B, d) rows and its generator, refreshed them by value and
+# ran ``pgd`` on every touched partition in turn.
+
+def _reference_reservoir(features, labels, update, new_data, rng):
+    b = labels.size
+    features, labels = features.copy(), labels.copy()
+    point = update.point
+    if update.op == "add":
+        count = int(rng.binomial(b, 1.0 / new_data.size))
+        pos = rng.choice(b, size=count, replace=False) if count else \
+            np.empty(0, dtype=int)
+        same = np.all(features[pos] == point.x, axis=1) & \
+            (labels[pos] == point.y)
+        changed = pos[~same]
+        features[pos], labels[pos] = point.x, point.y
+    else:
+        hits = np.flatnonzero(np.all(features == point.x, axis=1)
+                              & (labels == point.y))
+        changed = np.empty(0, dtype=int)
+        if hits.size:
+            draws = [new_data.point(j)
+                     for j in rng.integers(new_data.size, size=hits.size)]
+            fresh_f = np.array([p.x for p in draws])
+            fresh_l = np.array([p.y for p in draws])
+            same = np.all(features[hits] == fresh_f, axis=1) & \
+                (labels[hits] == fresh_l)
+            changed = hits[~same]
+            features[hits], labels[hits] = fresh_f, fresh_l
+    return features, labels, np.sort(changed)
+
+
+def _reference_descend(loss, features, labels, thetas, touched, iterations):
+    chunk = labels.size // thetas.shape[0]
+    gd = distributed.GDConfig.for_loss(loss, iterations)
+    thetas = thetas.copy()
+    grads = 0
+    for j in touched:
+        rows = slice(j * chunk, (j + 1) * chunk)
+        trace = distributed.pgd(loss, Dataset(features[rows], labels[rows]),
+                                thetas[j], gd)
+        thetas[j] = trace.theta
+        grads += trace.gradient_evaluations
+    return thetas, grads
+
+
+def _clone(rng):
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def _reference_chain(data, loss, config, seed, updates):
+    """Yield (theta_pub, budget, copies, reports) after learn and after
+    each edit, copies as (features, labels, thetas) per copy."""
+    data = Dataset(data.features.copy(), data.labels.copy())
+    k = config.num_partitions
+    copies, budget = [], 0
+    for c in range(config.copies):
+        idx = substream(seed, "bootstrap", c).integers(
+            data.size, size=config.sample_size)
+        thetas, grads = _reference_descend(
+            loss, data.features[idx], data.labels[idx],
+            np.zeros((k, config.dim)), range(k), config.train_iters)
+        copies.append([data.features[idx], data.labels[idx], thetas,
+                       substream(seed, "reservoir", c)])
+        budget += grads
+    noise = substream(seed, "noise")
+    best = select_best([c[2].mean(axis=0) for c in copies], data, loss)
+    yield dist_publish(copies[best][2], config.sigma, noise), budget, \
+        copies, None
+    chunk = config.sample_size // k
+    for i, update in enumerate(updates, start=1):
+        data = data.apply(update)
+        reports = []
+        for copy in copies:
+            copy[0], copy[1], changed = _reference_reservoir(
+                copy[0], copy[1], update, data, copy[3])
+            per_part = np.bincount(changed // chunk, minlength=k)
+            touched = np.flatnonzero(per_part)
+            iterations = config.partition_iters(i, touched.size) \
+                if touched.size else 0
+            copy[2], grads = _reference_descend(loss, copy[0], copy[1],
+                                                copy[2], touched, iterations)
+            budget += grads
+            reports.append((per_part, tuple(touched), iterations, grads))
+        best = select_best([c[2].mean(axis=0) for c in copies], data, loss)
+        yield dist_publish(copies[best][2], config.sigma, noise), budget, \
+            copies, reports
+
+
+EQUIVALENCE_CASES = {
+    # every partition descent mapped in closed form
+    "ridge": (lambda d: RidgeLoss(ParamSpace(d, 1.0), lam=1.0), "linear",
+              0),
+    # the ball binds, so every certificate fails and pgd's loop runs
+    "ridge_small_ball": (lambda d: RidgeLoss(ParamSpace(d, 0.02), lam=1.0),
+                         "linear", None),
+    "logistic": (lambda d: LogisticLoss(ParamSpace(d, 1.0), lam=1.0),
+                 "logistic", None),
+}
+
+
+@pytest.mark.parametrize("strategy", ["churn", "random"])
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_stacked_edit_matches_the_per_copy_reference(case, strategy,
+                                                     monkeypatch):
+    make_loss, model, loops = EQUIVALENCE_CASES[case]
+    data = gen_synthetic_dataset(40, 3, model=model, noise=0.05, seed=41)
+    loss = make_loss(3)
+    cfg = dist_params(40, 3, loss, 1.0, 1, 1.0, 0.01, copies=2)
+    updates = gen_adversarial_sequence(data, 10, strategy, seed=42)
+    calls = []
+    original = distributed.pgd
+    monkeypatch.setattr(distributed, "pgd",
+                        lambda *a: calls.append(1) or original(*a))
+    state = dist_learn(data, loss, cfg, seed=43)
+    reference = _reference_chain(data, loss, cfg, 43, updates)
+    stepped = 0
+    for rnd in range(len(updates) + 1):
+        if rnd:
+            state = dist_unlearn(state, updates[rnd - 1], loss, cfg)
+        before = len(calls)
+        theta_pub, budget, copies, reports = next(reference)
+        stepped += len(calls) - before
+        assert state.theta_pub.tobytes() == theta_pub.tobytes(), rnd
+        assert state.budget == budget
+        for view, (features, labels, thetas, _) in zip(state.copies,
+                                                       copies):
+            assert view.features.tobytes() == features.tobytes()
+            assert view.labels.tobytes() == labels.tobytes()
+            assert view.thetas.tobytes() == thetas.tobytes()
+        if reports is not None:
+            got = [(tuple(r.modified_per_partition), r.touched, r.iterations,
+                    r.gradient_evaluations)
+                   for r in state.last_report.copies]
+            assert got == [(tuple(p), t, i, g) for p, t, i, g in reports]
+    # The reference always loops; the stacked chain loops only where the
+    # certificate fails, which is everywhere or nowhere in these cases.
+    assert stepped > 0
+    assert len(calls) - stepped == (stepped if loops is None else loops)
+
+
+def test_chain_reservoir_occupancy_is_uniform():
+    """After a long churn stream every data row fills about B/n of each
+    copy's positions; the counts are pinned, as the reservoir's draws
+    are those of the row-valued reservoir it replaced."""
+    n, dim = 30, 2
+    data = gen_synthetic_dataset(n, dim, noise=0.05, seed=31)
+    loss = ridge_loss(dim)
+    cfg = dist_params(n, dim, loss, 1.0, 1, 1.0, 0.01, copies=100)
+    state = dist_learn(data, loss, cfg, seed=31)
+    for update in gen_adversarial_sequence(data, 400, "churn", seed=31):
+        state = dist_unlearn(state, update, loss, cfg)
+    assert state.data.features.tobytes() == data.features.tobytes()
+    counts = np.bincount(state.indices.ravel(), minlength=n)
+    assert counts.sum() == cfg.copies * cfg.sample_size
+    assert stats.chisquare(counts).pvalue > 1e-3
+    assert counts.tolist() == [
+        91, 104, 101, 112, 96, 101, 96, 87, 103, 107, 93, 113, 97, 103, 103,
+        92, 105, 100, 104, 102, 76, 86, 100, 100, 104, 110, 97, 108, 104, 105]

@@ -388,3 +388,37 @@ def test_closed_form_solves_the_ridge_quadratic_exactly():
     hessian, rhs = RidgeLoss(space, lam=0.7).quadratic(data)
     assert np.array_equal(closed_form_ridge_optimizer(data, 0.7, space),
                           np.linalg.solve(hessian, rhs))
+
+
+def test_check_point_agrees_with_a_one_row_check_and_builds_no_dataset(
+        monkeypatch):
+    space = ParamSpace(2, 1.0)
+    ridge = RidgeLoss(space, feature_bound=0.5, label_bound=2.0)
+    logistic = LogisticLoss(space, feature_bound=0.5)
+    points = [DataPoint([0.3, 0.0], 1.0), DataPoint([0.6, 0.0], 1.0),
+              DataPoint([0.3, 0.0], 1.5), DataPoint([0.3, 0.0], -3.0),
+              DataPoint([np.nan, 0.0], 1.0), DataPoint([0.3, 0.0], np.inf),
+              DataPoint([0.3, 0.0], -1.0), DataPoint([0.3, 0.0], 0.5)]
+    losses = [ridge, logistic, RegularizedLoss(logistic, 0.5)]
+
+    def outcome(check, arg):
+        try:
+            check(arg)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    expected = [[outcome(loss.check_dataset,
+                         Dataset(p.x, [p.y], np.inf, np.inf))
+                 for p in points] for loss in losses]
+    assert expected[0][:4] == [None, "feature norm exceeds declared bound",
+                               None, "label magnitude exceeds declared bound"]
+    assert expected[1][-2:] == [None, "logistic labels must be -1 or +1"]
+    assert expected[2] == expected[1]
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("check_point built a Dataset")
+
+    monkeypatch.setattr(Dataset, "__init__", no_dataset)
+    assert [[outcome(loss.check_point, p) for p in points]
+            for loss in losses] == expected

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from unlearn import data as data_module
+from unlearn import optimizer
 from unlearn.data import Dataset
 from unlearn.losses import (
     LogisticLoss,
@@ -15,7 +16,7 @@ from unlearn.losses import (
     RidgeLoss,
     closed_form_ridge_optimizer,
 )
-from unlearn.optimizer import GDConfig, pgd, contraction_factor
+from unlearn.optimizer import GDConfig, pgd, contraction_factor, map_many
 
 from helpers import ball_points
 
@@ -219,6 +220,59 @@ def test_closed_form_agrees_with_the_loop(seed, n, dim, extra_iters, radius,
     scale = max(np.linalg.norm(slow), np.linalg.norm(theta0))
     assert np.linalg.norm(fast.theta - slow) <= 1e-12 * scale
     assert fast.gradient_evaluations == cfg.iterations * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 30),
+       dim=st.integers(1, 6), radius=st.floats(0.05, 5.0),
+       lam=st.floats(0.01, 2.0), added=st.one_of(st.none(),
+                                                  st.floats(0.01, 1.0)),
+       problems=st.lists(st.tuples(st.integers(-3, 60),
+                                   st.floats(0.0, 3.0)),
+                         min_size=1, max_size=6))
+def test_map_many_maps_what_pgd_maps_to_the_same_bytes(
+        seed, size, dim, radius, lam, added, problems):
+    """Each stacked problem is mapped exactly when ``pgd`` maps it alone,
+    and then to the same bytes; few steps, binding balls and far starts
+    leave some unmapped, and short descents take the matrix power."""
+    rng = np.random.default_rng(seed)
+    loss = RidgeLoss(ParamSpace(dim, radius), lam=lam)
+    if added is not None:
+        loss = RegularizedLoss(loss, added)
+    count = len(problems)
+    features = ball_points(rng, count * size, dim).reshape(count, size, dim)
+    labels = rng.uniform(-1, 1, size=(count, size))
+    starts = np.array([ball_points(rng, 1, dim, radius=scale * radius)[0]
+                       for _, scale in problems])
+    steps = [max(dim + extra, 0) for extra, _ in problems]
+    eta = GDConfig.for_loss(loss, 0).step_size
+    out, mapped = map_many(loss, features, labels, starts, eta, steps)
+    for p in range(count):
+        taken = []
+        original = optimizer._unprojected_map
+
+        def recorded(*args):
+            taken.append(original(*args))
+            return taken[-1]
+
+        optimizer._unprojected_map = recorded
+        try:
+            alone = pgd(loss, Dataset(features[p], labels[p]), starts[p],
+                        GDConfig.for_loss(loss, steps[p]))
+        finally:
+            optimizer._unprojected_map = original
+        assert mapped[p] == (bool(taken) and taken[0] is not None)
+        if mapped[p]:
+            assert out[p].tobytes() == alone.theta.tobytes()
+
+
+def test_map_many_leaves_other_losses_to_pgd():
+    logistic = LogisticLoss(ParamSpace(3, 5.0), lam=0.5)
+    rng = np.random.default_rng(14)
+    features = ball_points(rng, 20, 3).reshape(2, 10, 3)
+    _, mapped = map_many(logistic, features, np.ones((2, 10)),
+                         np.zeros((2, 3)), 0.5, [40, 40])
+    assert not mapped.any()
 
 
 @pytest.mark.parametrize("regularized", [False, True])

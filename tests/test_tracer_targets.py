@@ -44,3 +44,9 @@ def test_tracer_wraps_every_target_and_restores_it():
     for step in ("core.learn", "core.unlearn", "distributed.dist_learn",
                  "distributed.dist_unlearn", "harness.prepare"):
         assert step in under_chain, step
+    # The distributed edit reaches its per-layer spans by name too.
+    under_edit = {names[i] for i, p in enumerate(tracer.parent)
+                  if p >= 0 and names[p] == "distributed.dist_unlearn"}
+    for layer in ("distributed.reservoir_update", "distributed.select_best",
+                  "distributed.dist_publish"):
+        assert layer in under_edit, layer
