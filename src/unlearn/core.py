@@ -561,6 +561,9 @@ def _decode_state(fmt: str, snapshot: dict, data: Dataset,
 
 def _chain_data(data: Dataset, loss: LossModel, n0: int) -> Dataset:
     """A chain's own copy of ``data``, checked against ``loss``, floor n0/2."""
+    if loss.space.dim != data.dim:
+        raise ValueError(f"loss dimension {loss.space.dim} does not match "
+                         f"the dataset's {data.dim}")
     loss.check_dataset(data)
     return Dataset(data.features.copy(), data.labels.copy(),
                    data.feature_bound, data.label_bound, initial_size=n0)

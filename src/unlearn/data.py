@@ -270,8 +270,12 @@ class Dataset:
     def find(self, point: DataPoint) -> np.ndarray:
         """Indices of all copies equal to ``point`` (exact equality).
 
-        Only the feature rows whose label matches are compared.
+        Only the feature rows whose label matches are compared. Raises
+        if the point is not of this dataset's dimension, which the
+        comparison would otherwise broadcast.
         """
+        if point.x.shape != (self.dim,):
+            raise ValueError("point has wrong dimension")
         hits = np.flatnonzero(self.labels == point.y)
         rows = self._rows.features_at(self._live[hits])
         return hits[np.all(rows == point.x, axis=1)]
@@ -314,8 +318,9 @@ class Dataset:
     def apply(self, update: Update) -> "Dataset":
         """Return the dataset after one edit.
 
-        Adding appends a copy, and raises if the point breaks the
-        declared bounds or is not finite. Deleting removes one copy if
+        Either edit raises if the point is not of this dataset's
+        dimension. Adding appends a copy, and raises if the point breaks
+        the declared bounds or is not finite. Deleting removes one copy if
         present and is a no-op on the contents otherwise. Raises if the
         edit would push the size below initial_size / 2. Neither this
         dataset nor any other version of it changes.

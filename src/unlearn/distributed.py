@@ -24,8 +24,9 @@ from the edited dataset, and moves every index above the removed row
 down by one, as ``Dataset.apply`` moves the rows. A position never
 changes partition, so an edit touches only the partitions whose
 contents actually changed, and only those rerun descent: their rows are
-gathered at once, every descent ``pgd`` would take in closed form is
-taken in one batch (``map_many``), and ``pgd`` runs the rest.
+gathered at once, a ridge-family loss's descents go as one stack of
+normal equations to ``map_many``, the closed-form map ``pgd`` itself
+uses, and ``pgd`` runs the rest.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .core import (_chain_data, _check_chain, _check_privacy, _check_sigma,
                    _decode_state, _encode_state, _fields, _finite, _generator,
                    _sqrt_gap, publish)
 from .data import Dataset, Update
-from .losses import LossModel
+from .losses import LossModel, normal_equations
 from .optimizer import GDConfig, contraction_factor, map_many, pgd
 from .rng import substream
 
@@ -279,6 +280,8 @@ class PartitionedState:
         data = shared["data"]
         if data.initial_size != config.n:
             raise ValueError("snapshot's n_0 does not match the config")
+        if data.dim != config.dim:
+            raise ValueError("dataset dimension does not match the config")
         entries = [_fields(e, "indices", "thetas", "rng")
                    for e in _fields(snapshot, "copies")[0]]
         if not all(type(j) is int for e in entries for j in e[0]):
@@ -317,10 +320,11 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
     ``touched[c]``, by ``iterations[c]`` steps on the rows of ``data`` at
     ``indices[c, j B/K : (j+1) B/K]``.
 
-    The touched partitions of all copies are gathered at once, and
-    ``map_many`` takes every descent ``pgd`` would take in closed form in
-    one batch; ``pgd`` runs the rest. Returns the new (C, K, d)
-    estimates, read-only, and each copy's point-gradients.
+    The touched partitions of all copies are gathered at once. For a
+    ridge-family loss their stacked moments give the normal equations
+    (``losses.normal_equations``), and ``map_many`` maps in one batch
+    every descent ``pgd`` would map; ``pgd`` runs the rest. Returns the
+    new (C, K, d) estimates, read-only, and each copy's point-gradients.
     """
     count, k, dim = thetas.shape
     chunk = indices.shape[1] // k
@@ -335,8 +339,14 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
     flat, steps = (list(column) for column in zip(*jobs))
     features, labels = data.rows(indices.reshape(count * k, chunk)[flat])
     start = thetas.reshape(count * k, dim)[flat]
-    eta = GDConfig.for_loss(loss, 0).step_size
-    new, mapped = map_many(loss, features, labels, start, eta, steps)
+    new, mapped = np.empty_like(start), np.zeros(len(flat), dtype=bool)
+    if loss.ridge_lam is not None:
+        rows_t = features.transpose(0, 2, 1)
+        hessian, rhs = normal_equations(
+            rows_t @ features, (rows_t @ labels[:, :, None])[:, :, 0], chunk,
+            loss.ridge_lam)
+        new, mapped = map_many(loss, hessian, rhs, start,
+                               GDConfig.for_loss(loss, 0).step_size, steps)
     for p in np.flatnonzero(~mapped):
         new[p] = pgd(loss, Dataset(features[p], labels[p]), start[p],
                      GDConfig.for_loss(loss, steps[p])).theta
@@ -350,6 +360,9 @@ def dist_learn(data: Dataset, loss: LossModel, config: DistConfig,
     """Draw the subsampled copies, optimize every partition, publish."""
     if data.size != config.n:
         raise ValueError("dataset size does not match the configuration")
+    if data.dim != config.dim:
+        raise ValueError("dataset dimension does not match the "
+                         "configuration")
     data = _chain_data(data, loss, data.size)
     copies, k = config.copies, config.num_partitions
     indices = np.array([

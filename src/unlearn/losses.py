@@ -36,7 +36,10 @@ total coefficient lam_eff (``ridge_lam``) the empirical loss is
 + lam_eff theta. These, their ``quadratic`` form and the closed-form
 oracle read only the data's moments (see ``Dataset.moments``): built
 from the rows once for n d^2 and carried through every edit, so from
-then on they cost O(d^2) or O(d^3) whatever n is. Losses and gradients
+then on they cost O(d^2) or O(d^3) whatever n is. One builder,
+``normal_equations``, turns moments into the system (H, g) of the
+gradient H theta - g, for ``quadratic``, the oracle and the stacked
+partition systems of the distributed chain alike. Losses and gradients
 of single points, and every logistic quantity, come from the rows.
 """
 
@@ -167,7 +170,8 @@ class LossModel:
         """
         if self.ridge_lam is None:
             return None
-        return _normal_equations(data, self.ridge_lam)
+        return normal_equations(*data.moments()[:2], data.size,
+                                self.ridge_lam)
 
     def check_dataset(self, data: Dataset):
         """Reject rows outside the loss's bounds or the dataset's own."""
@@ -209,12 +213,14 @@ class RidgeLoss(LossModel):
         return features.T @ resid / resid.size + self.lam * theta
 
 
-def _normal_equations(data: Dataset, lam):
-    # (X^T X / n + lam I, X^T y / n): the ridge gradient is H theta - g.
-    gram, xty, _ = data.moments()
-    hessian = gram / data.size
-    hessian.flat[::len(hessian) + 1] += lam
-    return hessian, xty / data.size
+def normal_equations(gram, xty, size, lam):
+    """``(X^T X / n + lam I, X^T y / n)``, the ridge gradient's H and g,
+    from the moments X^T X (d, d) and X^T y (d,) of n rows, or from a
+    stack of them, (P, d, d) and (P, d), with n rows each. H is fresh."""
+    hessian = gram / size
+    dim = hessian.shape[-1]
+    hessian.reshape(-1, dim * dim)[:, ::dim + 1] += lam
+    return hessian, xty / size
 
 
 def _expit(t):
@@ -316,14 +322,14 @@ def closed_form_ridge_optimizer(data: Dataset, lam: float,
         raise ValueError("empty dataset")
     if lam < 0:
         raise ValueError("ridge coefficient must be nonnegative")
-    gram, rhs = _normal_equations(data, lam)
+    hessian, rhs = normal_equations(*data.moments()[:2], data.size, lam)
     try:
-        theta = np.linalg.solve(gram, rhs)
+        theta = np.linalg.solve(hessian, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular normal equations; need lam > 0 or "
                          "full-rank features") from exc
-    if not np.all(np.isfinite(theta)) or \
-            np.linalg.norm(gram @ theta - rhs) > 1e-8 * (np.linalg.norm(rhs) + 1):
+    if not np.all(np.isfinite(theta)) or np.linalg.norm(
+            hessian @ theta - rhs) > 1e-8 * (np.linalg.norm(rhs) + 1):
         raise ValueError("singular normal equations; need lam > 0 or "
                          "full-rank features")
     if np.linalg.norm(theta) > space.radius * (1 + 1e-9):

@@ -9,26 +9,28 @@ bound on the objective gap.
 Quadratic losses (ridge, and ridge plus added quadratics) have gradient
 H theta - g, so an unprojected step is the affine map
 theta -> theta* + (I - eta H)(theta - theta*) with theta* = H^-1 g, and
-T steps are theta_T = theta* + (I - eta H)^T (theta_0 - theta*). ``pgd``
-uses that map, with the matrix power taken by repeated squaring, when
-the projection provably never binds: the eigenvalues of H lie in
-[m, tr H - (d-1) m], so every step contracts theta - theta* by at most
-rho = max(|1 - eta m|, |1 - eta (tr H - (d-1) m)|), and if rho < 1 and
-|theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9) no iterate after the
-start leaves the ball. It also needs the strongly convex regime and
-T >= d: H and every loop gradient come from the data's moments (see
-``Dataset.moments``), so the loop costs T d^2 flops and the power
-d^3 log T, beside one n d^2 build of the moments that both share, and
-the map pays from about T = d on, up to the log factor. Once
+T steps are theta_T = theta* + (I - eta H)^T (theta_0 - theta*).
+``map_many`` is the one implementation of that map. It takes a stack of
+normal-equation systems (H, g), as ``losses.normal_equations`` builds
+them, and maps a problem, with the matrix power taken by repeated
+squaring, when the projection provably never binds: the eigenvalues of
+H lie in [m, tr H - (d-1) m], so every step contracts theta - theta* by
+at most rho = max(|1 - eta m|, |1 - eta (tr H - (d-1) m)|), and if
+rho < 1 and |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9) no
+iterate after the start leaves the ball. It also needs T >= d: the loop
+costs T d^2 flops, as H and every loop gradient come from the data's
+moments (see ``Dataset.moments``), and the power d^3 log T, so the map
+pays from about T = d on, up to the log factor. Once
 rho^T |theta_0 - theta*| <= 2^-53 |theta*| the T-step iterate agrees
 with theta* to rounding, and the map returns theta* without taking the
-power. Any other case runs the iterative loop. Both report the nominal
-T * n point-gradients.
+power.
 
-``map_many`` takes the same map on a stack of equal-sized problems at
-once, by the same certificate and to the same bytes, and leaves the
-problems it cannot certify to ``pgd``; the distributed chain sends all
-its touched partitions through it.
+``pgd`` sends its own descent, in the strongly convex regime with
+T >= d, to ``map_many`` as a stack of one, built by ``loss.quadratic``;
+the distributed chain sends the systems of all its touched ridge-family
+partitions at once. So both take the same map, by the same certificate,
+to the same bytes. Any descent not mapped runs ``pgd``'s iterative
+loop. Both report the nominal T * n point-gradients.
 """
 
 from __future__ import annotations
@@ -96,15 +98,15 @@ def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig) -> GDTrace:
     feasible, and the contraction guarantee is unaffected because the
     shipped losses satisfy their regularity bounds on all of R^d.
 
-    When the regime is strongly convex, ``loss.quadratic`` gives (H, g),
-    T >= d and the ball certificate |theta*| + rho |theta_0 - theta*|
-    <= r (1 - 1e-9) holds with rho < 1 (see the module docstring), the
-    T steps are taken at once as theta* + (I - eta H)^T (theta_0 -
-    theta*); this agrees with the loop to rounding, since the loop's
-    projections would all be identities. T >= d because only from
-    about there on does the loop's T d^2 reach the map's d^3 log T.
-    Otherwise the loop runs. Either way the trace counts T * n
-    point-gradients.
+    When the regime is strongly convex, T >= d and ``loss.quadratic``
+    gives (H, g), the problem goes to ``map_many`` as a stack of one,
+    which takes the T steps at once as theta* + (I - eta H)^T (theta_0
+    - theta*) if the ball certificate holds (see the module docstring);
+    this agrees with the loop to rounding, since the loop's projections
+    would all be identities. T >= d is checked first because only from
+    about there on does the loop's T d^2 reach the map's d^3 log T, and
+    below it neither H nor theta* is built. Otherwise the loop runs.
+    Either way the trace counts T * n point-gradients.
     """
     if data.size == 0:
         raise ValueError("empty dataset")
@@ -114,9 +116,13 @@ def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig) -> GDTrace:
     evaluations = config.iterations * data.size
     if config.regime == "strongly_convex_smooth" and \
             config.iterations >= data.dim:
-        mapped = _unprojected_map(loss, data, theta, config)
-        if mapped is not None:
-            return GDTrace(theta=mapped, gradient_evaluations=evaluations)
+        quad = loss.quadratic(data)
+        if quad is not None:
+            out, mapped = map_many(loss, quad[0][None], quad[1][None],
+                                   theta[None], config.step_size,
+                                   (config.iterations,))
+            if mapped[0]:
+                return GDTrace(theta=out[0], gradient_evaluations=evaluations)
     space = loss.space
     for _ in range(config.iterations):
         grad = loss.empirical_gradient(data, theta)
@@ -124,97 +130,56 @@ def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig) -> GDTrace:
     return GDTrace(theta=theta, gradient_evaluations=evaluations)
 
 
-def _unprojected_map(loss: LossModel, data: Dataset, theta0,
-                     config: GDConfig):
-    """T quadratic steps in closed form; None unless the ball cannot bind."""
-    quad = loss.quadratic(data)
-    if quad is None:
-        return None
-    hessian, rhs = quad
-    rho = _contraction(loss, config.step_size, np.trace(hessian), data.dim)
-    try:
-        star = np.linalg.solve(hessian, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    size, gap = np.linalg.norm(star), np.linalg.norm(theta0 - star)
-    if not _certified(rho, size, gap, loss.space.radius):
-        return None
-    if _converged(rho, config.iterations, gap, size):
-        return star
-    step = np.eye(data.dim) - config.step_size * hessian
-    return star + np.linalg.matrix_power(step, config.iterations) \
-        @ (theta0 - star)
-
-
-def map_many(loss: LossModel, features, labels, theta0, step_size: float,
+def map_many(loss: LossModel, hessian, rhs, theta0, step_size: float,
              iterations):
-    """``pgd``'s closed-form map on P equal-sized problems at once.
+    """The closed-form map of T quadratic steps, on P problems at once.
 
-    Problem p descends from ``theta0[p]`` for ``iterations[p]`` (an int)
-    steps of ``step_size``, the strongly convex regime's, on the rows
-    ``features[p]``, ``labels[p]``. Returns the (P, d) iterates and a
-    (P,) mask of the problems mapped. A problem is mapped exactly when
-    ``pgd`` would map it, by the same certificate, and then to the same
-    bytes; the caller runs ``pgd`` on the rest. Nothing is mapped unless
-    the loss is ridge-family.
+    Problem p has gradient ``hessian[p] theta - rhs[p]`` (a (P, d, d)
+    and a (P, d) stack, as ``losses.normal_equations`` builds them) and
+    descends from ``theta0[p]`` for ``iterations[p]`` (an int) steps of
+    ``step_size``, the strongly convex regime's. Returns a (P, d) array
+    and a (P,) mask of the problems mapped, those with T >= d whose
+    ball certificate holds; a row of the array is the problem's T-step
+    iterate where the mask is set, and the caller runs ``pgd``'s loop
+    on the rest. ``pgd`` maps its own descents here as a stack of one,
+    so a stacked problem is mapped exactly when ``pgd`` maps it alone,
+    and then to the same bytes.
     """
-    count, size, dim = features.shape
-    out = np.empty((count, dim))
+    count, dim = rhs.shape
     mapped = np.zeros(count, dtype=bool)
-    if loss.ridge_lam is None or count == 0:
-        return out, mapped
-    # Each problem's normal equations, as ``loss.quadratic`` builds them.
-    rows_t = features.transpose(0, 2, 1)
-    hessian = rows_t @ features / size
-    hessian.reshape(count, -1)[:, ::dim + 1] += loss.ridge_lam
-    rhs = (rows_t @ labels[:, :, None])[:, :, 0] / size
     try:
         star = np.linalg.solve(hessian, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        return out, mapped
+        return np.empty((count, dim)), mapped
     diff = theta0 - star
-    norm, gap = (np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0]).tolist()
-                 for v in (star, diff))
+    pair = np.array((star, diff))
+    norms, gaps = np.sqrt((pair[..., None, :] @ pair[..., None])[..., 0, 0]
+                          ).tolist()
     traces = hessian.trace(axis1=1, axis2=2).tolist()
+    m, limit = loss.strong_convexity, loss.space.radius * (1.0 - 1e-9)
     powered = {}
     for p, steps in enumerate(iterations):
-        rho = _contraction(loss, step_size, traces[p], dim)
-        if steps >= dim and _certified(rho, norm[p], gap[p],
-                                       loss.space.radius):
-            mapped[p] = True
-            if not _converged(rho, steps, gap[p], norm[p]):
-                powered.setdefault(steps, []).append(p)
-    out[mapped] = star[mapped]
+        # rho: the most one step can stretch theta - theta*, as the
+        # eigenvalues of H lie in [m, tr H - (d-1) m].
+        rho = max(abs(1.0 - step_size * m),
+                  abs(1.0 - step_size * (traces[p] - (dim - 1) * m)))
+        size, gap = norms[p], gaps[p]
+        if steps < dim or not (rho < 1.0 and size + rho * gap <= limit):
+            continue
+        mapped[p] = True
+        # Converged once rho^T gap <= 2^-53 |theta*|: the T-step iterate
+        # is theta* to rounding. Compared in logs, as rho^T may underflow.
+        if gap != 0.0 and rho != 0.0 and not (
+                size > 0.0 and steps * math.log(rho) + math.log(gap)
+                <= math.log(size) - 53.0 * math.log(2.0)):
+            powered.setdefault(steps, []).append(p)
     for steps, group in powered.items():
+        # A group of the whole stack is indexed by views, not copies.
+        group = group if len(group) < count else slice(None)
         step = np.eye(dim) - step_size * hessian[group]
-        out[group] += (np.linalg.matrix_power(step, steps)
-                       @ diff[group][:, :, None])[:, :, 0]
-    return out, mapped
-
-
-def _contraction(loss: LossModel, step_size: float, trace: float,
-                 dim: int) -> float:
-    """rho, the most one unprojected step of ``step_size`` can stretch
-    theta - theta*, from m and the trace of H (see the module
-    docstring)."""
-    m = loss.strong_convexity
-    return max(abs(1.0 - step_size * m),
-               abs(1.0 - step_size * (trace - (dim - 1) * m)))
-
-
-def _certified(rho: float, size: float, gap: float, radius: float) -> bool:
-    """Whether no unprojected step can leave the ball: rho < 1 and
-    |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9)."""
-    return rho < 1.0 and size + rho * gap <= radius * (1.0 - 1e-9)
-
-
-def _converged(rho: float, iterations: int, gap: float, size: float) -> bool:
-    """Whether rho^T gap <= 2^-53 size: the T-step iterate then agrees
-    with theta* to rounding. Compared in logs, as rho^T may underflow."""
-    if gap == 0.0 or rho == 0.0:
-        return True
-    return size > 0.0 and iterations * math.log(rho) + math.log(gap) \
-        <= math.log(size) - 53.0 * math.log(2.0)
+        star[group] += (np.linalg.matrix_power(step, steps)
+                        @ diff[group][:, :, None])[:, :, 0]
+    return star, mapped
 
 
 def contraction_factor(loss: LossModel) -> float:

@@ -460,6 +460,25 @@ def test_restore_checks_the_dataset_and_the_mode():
     assert restored.snapshot() == snap
 
 
+def test_learn_rejects_a_loss_of_another_dimension():
+    data, _ = ridge_chain_problem()
+    wider = RidgeLoss(ParamSpace(4, 1.0), label_bound=0.5, lam=1.0)
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    with pytest.raises(ValueError, match="loss dimension 4 does not match "
+                                         "the dataset's 3"):
+        learn(data, wider, config, seed=13)
+
+
+def test_restore_rejects_a_loss_of_another_dimension():
+    data, loss = ridge_chain_problem()
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    snap = learn(data, loss, config, seed=13).snapshot()
+    wider = RidgeLoss(ParamSpace(4, 1.0), label_bound=0.5, lam=1.0)
+    with pytest.raises(ValueError, match="loss dimension 4 does not match"):
+        UnlearnState.restore(snap, data, wider, config)
+    assert UnlearnState.restore(snap, data, loss, config).snapshot() == snap
+
+
 def test_perfect_mode_restarts_from_the_public_parameter():
     data, loss = ridge_chain_problem()
     config = UnlearnConfig("strong_perfect", 1.0, DELTA1, 4)

@@ -88,6 +88,19 @@ def test_add_of_wrong_dimension_rejected():
         data.apply(Update("add", DataPoint(np.zeros(3), 0.0)))
 
 
+def test_delete_of_wrong_dimension_rejected():
+    """A shorter point would broadcast against every row: deleting [0.5]
+    must not remove the row [0.5, 0.5] of the same label."""
+    data = Dataset(np.array([[0.5, 0.5], [0.1, 0.2]]), np.array([0.2, 0.3]))
+    for x in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            data.apply(Update("delete", DataPoint(np.array(x), 0.2)))
+        with pytest.raises(ValueError, match="wrong dimension"):
+            data.find(DataPoint(np.array(x), 0.2))
+    assert data.apply(Update("delete", DataPoint(np.array([0.5, 0.5]),
+                                                 0.2))).size == 1
+
+
 @given(st.integers(0, 2), st.floats(-1, 1), st.floats(-1, 1))
 def test_add_then_delete_restores_the_multiset(idx, a, b):
     data = small_dataset()

@@ -448,6 +448,33 @@ def test_restore_rejects_a_dataset_of_another_dimension():
                                     cfg).snapshot() == snap
 
 
+def test_dist_learn_rejects_a_loss_of_another_dimension():
+    data, _, cfg = small_problem(seed=26)
+    with pytest.raises(ValueError, match="loss dimension 4 does not match "
+                                         "the dataset's 3"):
+        dist_learn(data, ridge_loss(4), cfg, seed=26)
+
+
+def test_dist_learn_rejects_a_config_of_another_dimension():
+    data, loss, cfg = small_problem(seed=26)
+    with pytest.raises(ValueError, match="dimension does not match the "
+                                         "configuration"):
+        dist_learn(data, loss, dataclasses.replace(cfg, dim=4), seed=26)
+
+
+def test_restore_rejects_a_config_of_another_dimension():
+    data, loss, cfg = small_problem(seed=26)
+    snap = dist_learn(data, loss, cfg, seed=26).snapshot()
+    with pytest.raises(ValueError, match="dimension does not match the "
+                                         "config"):
+        PartitionedState.restore(snap, data, loss,
+                                 dataclasses.replace(cfg, dim=4))
+    with pytest.raises(ValueError, match="loss dimension 4 does not match"):
+        PartitionedState.restore(snap, data, ridge_loss(4), cfg)
+    assert PartitionedState.restore(snap, data, loss,
+                                    cfg).snapshot() == snap
+
+
 def test_partitions_are_positional_and_drawn_from_no_stream(monkeypatch):
     assert [f.name for f in dataclasses.fields(CopyState)] == \
         ["features", "labels", "thetas", "rng"]
@@ -702,6 +729,36 @@ def test_stacked_edit_matches_the_per_copy_reference(case, strategy,
     # certificate fails, which is everywhere or nowhere in these cases.
     assert stepped > 0
     assert len(calls) - stepped == (stepped if loops is None else loops)
+
+
+def test_logistic_partitions_all_run_the_pgd_loop(monkeypatch):
+    """Only ridge-family stacks go to ``map_many``: at learn and on every
+    edit, each touched partition of a logistic chain runs ``pgd``'s loop,
+    one gradient per iteration."""
+    data = gen_synthetic_dataset(40, 3, model="logistic", noise=0.05,
+                                 seed=44)
+    loss = LogisticLoss(ParamSpace(3, 1.0), lam=1.0)
+    cfg = dist_params(40, 3, loss, 1.0, 1, 1.0, 0.01, copies=2)
+    monkeypatch.setattr(distributed, "map_many",
+                        lambda *a: pytest.fail("map_many called"))
+    steps, grads = [], []
+    original, gradient = distributed.pgd, LogisticLoss.empirical_gradient
+    monkeypatch.setattr(distributed, "pgd", lambda *a: steps.append(
+        a[3].iterations) or original(*a))
+    monkeypatch.setattr(LogisticLoss, "empirical_gradient",
+                        lambda *a: grads.append(1) or gradient(*a))
+    state = dist_learn(data, loss, cfg, seed=44)
+    assert steps == [cfg.train_iters] * (cfg.copies * cfg.num_partitions)
+    assert len(grads) == sum(steps)
+    edited = 0
+    for update in gen_adversarial_sequence(data, 6, "churn", seed=45):
+        steps.clear(), grads.clear()
+        state = dist_unlearn(state, update, loss, cfg)
+        assert steps == [r.iterations for r in state.last_report.copies
+                         for _ in r.touched]
+        assert len(grads) == sum(steps)
+        edited += len(steps)
+    assert edited > 0
 
 
 def test_chain_reservoir_occupancy_is_uniform():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from unlearn import data as data_module
-from unlearn import optimizer
 from unlearn.data import Dataset
 from unlearn.losses import (
     LogisticLoss,
@@ -232,47 +231,47 @@ def test_closed_form_agrees_with_the_loop(seed, n, dim, extra_iters, radius,
                          min_size=1, max_size=6))
 def test_map_many_maps_what_pgd_maps_to_the_same_bytes(
         seed, size, dim, radius, lam, added, problems):
-    """Each stacked problem is mapped exactly when ``pgd`` maps it alone,
-    and then to the same bytes; few steps, binding balls and far starts
-    leave some unmapped, and short descents take the matrix power."""
+    """Each stacked problem is mapped exactly when ``pgd`` on it alone
+    takes no gradient step, and then to ``pgd``'s bytes; few steps,
+    binding balls and far starts leave some unmapped, and short descents
+    take the matrix power."""
     rng = np.random.default_rng(seed)
     loss = RidgeLoss(ParamSpace(dim, radius), lam=lam)
     if added is not None:
         loss = RegularizedLoss(loss, added)
-    count = len(problems)
-    features = ball_points(rng, count * size, dim).reshape(count, size, dim)
-    labels = rng.uniform(-1, 1, size=(count, size))
+    datasets = [Dataset(ball_points(rng, size, dim),
+                        rng.uniform(-1, 1, size=size)) for _ in problems]
     starts = np.array([ball_points(rng, 1, dim, radius=scale * radius)[0]
                        for _, scale in problems])
-    steps = [max(dim + extra, 0) for extra, _ in problems]
+    steps = [max(dim + extra, 1) for extra, _ in problems]
+    hessian, rhs = map(np.array, zip(*map(loss.quadratic, datasets)))
     eta = GDConfig.for_loss(loss, 0).step_size
-    out, mapped = map_many(loss, features, labels, starts, eta, steps)
-    for p in range(count):
-        taken = []
-        original = optimizer._unprojected_map
-
-        def recorded(*args):
-            taken.append(original(*args))
-            return taken[-1]
-
-        optimizer._unprojected_map = recorded
-        try:
-            alone = pgd(loss, Dataset(features[p], labels[p]), starts[p],
+    out, mapped = map_many(loss, hessian, rhs, starts, eta, steps)
+    for p, data in enumerate(datasets):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_gradients(patch)
+            alone = pgd(loss, data, starts[p],
                         GDConfig.for_loss(loss, steps[p]))
-        finally:
-            optimizer._unprojected_map = original
-        assert mapped[p] == (bool(taken) and taken[0] is not None)
+        assert mapped[p] == (calls == [])
         if mapped[p]:
             assert out[p].tobytes() == alone.theta.tobytes()
 
 
-def test_map_many_leaves_other_losses_to_pgd():
-    logistic = LogisticLoss(ParamSpace(3, 5.0), lam=0.5)
-    rng = np.random.default_rng(14)
-    features = ball_points(rng, 20, 3).reshape(2, 10, 3)
-    _, mapped = map_many(logistic, features, np.ones((2, 10)),
-                         np.zeros((2, 3)), 0.5, [40, 40])
-    assert not mapped.any()
+def test_iterations_below_the_dimension_build_no_system(monkeypatch):
+    """With T < d the loop is cheaper than the map, so ``pgd`` neither
+    builds the normal equations nor solves them."""
+    data, loss, _ = ridge_problem(seed=15, dim=5)
+    built, solved = [], []
+    quadratic, solve = LossModel.quadratic, np.linalg.solve
+    monkeypatch.setattr(LossModel, "quadratic",
+                        lambda *a: built.append(1) or quadratic(*a))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *a: solved.append(1) or solve(*a))
+    calls = count_gradients(monkeypatch)
+    pgd(loss, data, np.zeros(5), GDConfig.for_loss(loss, iterations=4))
+    assert (built, solved, len(calls)) == ([], [], 4)
+    pgd(loss, data, np.zeros(5), GDConfig.for_loss(loss, iterations=5))
+    assert (built, solved, len(calls)) == ([1], [1], 4)
 
 
 @pytest.mark.parametrize("regularized", [False, True])
