@@ -10,11 +10,14 @@ on.
 An edit costs O(n) index work and O(d^2) arithmetic; it copies no rows,
 bar a compaction after on the order of n edits. The versions of one
 dataset share an append-only row buffer and each holds only the slots
-of its rows, and the moments X^T X, X^T y and y^T y, once computed, are
-carried from version to version by rank-1 updates and recomputed from
-the rows once n updates have been carried, so they cost O(d^2) per edit
-amortised and their rounding error does not grow with the stream (see
-``Dataset``).
+of its rows. A delete reads what it compares and no more: one compare
+of the point's label with the buffer's labels, the features of the
+live rows whose label matches, and one copy of the live index; no
+version's rows are gathered. The moments X^T X, X^T y and y^T y, once
+computed, are carried from version to version by rank-1 updates and
+recomputed from the rows once n updates have been carried, so they
+cost O(d^2) per edit amortised and their rounding error does not grow
+with the stream (see ``Dataset``).
 """
 
 from __future__ import annotations
@@ -98,6 +101,23 @@ class _Rows:
         self.count += 1
         return self.count - 1
 
+    def find(self, live, x, y) -> np.ndarray:
+        """Indices into ``live``, an increasing slot vector, of its slots
+        holding the row (x, y), in order. The label of every slot is
+        compared, live or not, and the features only of live slots
+        whose label matches; no row is gathered."""
+        slots = np.flatnonzero(self.base_labels == y)
+        tail = np.flatnonzero(self.tail_labels[:self.count - self.base] == y)
+        if tail.size:
+            slots = np.concatenate((slots, tail + self.base))
+        if not live.size:
+            return slots[:0]
+        # The buffer also holds dead slots and those of sibling versions.
+        at = live.searchsorted(slots)
+        hit = live.take(at, mode="clip") == slots
+        at, slots = at[hit], slots[hit]
+        return at[(self.features_at(slots) == x).all(axis=1)]
+
     def row(self, slot):
         if slot < self.base:
             return self.base_features[slot], self.base_labels[slot]
@@ -135,6 +155,13 @@ class _Rows:
         tail.take(slots[split:] - self.base, axis=0, out=out[split:],
                   mode="clip")
         return out
+
+
+def _norm(x) -> float:
+    # np.linalg.norm(x) of a float array, to the byte, without its
+    # generic dispatch: it too takes sqrt(v . v) of v = x.ravel("K").
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def check_bounds(norm, label, feature_bound, label_bound):
@@ -190,10 +217,12 @@ class Dataset:
     buffer of its own and starts with them as its ``features`` and
     ``labels``; its edits share that buffer, so an add writes one row
     and a delete drops one index, and a version gathers its rows on
-    first read and caches them. An edit that leaves the buffer holding
-    more than twice the live rows compacts them into a buffer of the
-    child's own, so (beyond a 16-row minimum tail) a buffer holds at
-    most four times the live rows however long the stream.
+    first read of ``features`` or ``labels`` and caches them. ``find``,
+    and so a delete, reads the buffer in place and gathers nothing. An
+    edit that leaves the buffer holding more than twice the live rows
+    compacts them into a buffer of the child's own, so (beyond a 16-row
+    minimum tail) a buffer holds at most four times the live rows
+    however long the stream.
 
     The moments (X^T X, X^T y, y^T y) are computed from the rows when
     first asked for and from then on carried through every edit by
@@ -235,6 +264,7 @@ class Dataset:
         self._rows, self._live = _Rows(features, labels), \
             np.arange(labels.shape[0])
         self._features, self._labels = features, labels
+        self._found = None
 
     @property
     def features(self) -> np.ndarray:
@@ -268,17 +298,26 @@ class Dataset:
         return self._rows.at(self._live[np.asarray(indices)])
 
     def find(self, point: DataPoint) -> np.ndarray:
-        """Indices of all copies equal to ``point`` (exact equality).
+        """Indices of all copies equal to ``point`` (exact equality), in
+        order, read-only.
 
-        Only the feature rows whose label matches are compared. Raises
-        if the point is not of this dataset's dimension, which the
-        comparison would otherwise broadcast.
+        One pass compares ``point.y`` with the labels of the shared row
+        buffer, at most about twice the live rows, and only the live
+        rows whose label matches have their features compared; this
+        version's rows are not gathered. A version remembers its last
+        result, keyed by the point's bytes, so finding the point a
+        delete just removed, as the distributed reservoir does, costs
+        no second pass. Raises if the point is not of this dataset's
+        dimension, which the comparison would otherwise broadcast.
         """
         if point.x.shape != (self.dim,):
             raise ValueError("point has wrong dimension")
-        hits = np.flatnonzero(self.labels == point.y)
-        rows = self._rows.features_at(self._live[hits])
-        return hits[np.all(rows == point.x, axis=1)]
+        key = point.x.tobytes(), point.y
+        if self._found is None or self._found[0] != key:
+            hits = self._rows.find(self._live, point.x, point.y)
+            hits.flags.writeable = False
+            self._found = key, hits
+        return self._found[1]
 
     def moments(self) -> tuple:
         """(X^T X, X^T y, y^T y), the arrays read-only; built from the rows
@@ -335,7 +374,7 @@ class Dataset:
         if update.op == "add":
             if point.x.shape != (self.dim,):
                 raise ValueError("added point has wrong dimension")
-            check_bounds(np.linalg.norm(point.x), abs(point.y),
+            check_bounds(_norm(point.x), abs(point.y),
                          self.feature_bound, self.label_bound)
             size = self.size + 1
         else:
@@ -361,11 +400,11 @@ class Dataset:
             child._hold(rows.features_at(live), rows.labels_at(live))
         else:
             child._rows, child._live = rows, live
-            child._features = child._labels = None
+            child._features = child._labels = child._found = None
         if self._moments is not None:
             gram, xty, yty, carried = self._moments
             if carried < size:
-                child._moments = (*_frozen(gram + sign * np.outer(x, x),
+                child._moments = (*_frozen(gram + np.outer(sign * x, x),
                                            xty + (sign * y) * x),
                                   yty + sign * y * y, carried + 1)
             else:
@@ -516,6 +555,10 @@ def save_updates(seq, path):
 
 
 def load_updates(path) -> tuple:
+    """Read the edits ``save_updates`` writes. A line that is not a JSON
+    object with a known ``op``, a list of numbers ``x`` and a number
+    ``y`` is rejected as malformed, and one with a NaN or infinite
+    value as non-finite, each naming its line."""
     updates = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -524,12 +567,14 @@ def load_updates(path) -> tuple:
                 continue
             try:
                 obj = json.loads(line)
-                op = obj["op"]
-                point = DataPoint(np.asarray(obj["x"], dtype=float),
-                                  float(obj["y"]))
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
+                update = Update(obj["op"], DataPoint(
+                    np.asarray(obj["x"], dtype=float), float(obj["y"])))
+                if update.point.x.ndim != 1:
+                    raise ValueError("x is not a vector")
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed update at line {line_no}") from exc
+            point = update.point
             if not np.all(np.isfinite(point.x)) or not math.isfinite(point.y):
                 raise ValueError(f"non-finite update at line {line_no}")
-            updates.append(Update(op, point))
+            updates.append(update)
     return tuple(updates)

@@ -21,7 +21,9 @@ the i.i.d.-from-current-data law of every position: an add overwrites
 Binomial(B, 1/n_i) random positions with the new point's index; a
 delete redraws every position holding a row equal to the deleted point
 from the edited dataset, and moves every index above the removed row
-down by one, as ``Dataset.apply`` moves the rows. A position never
+down by one, as ``Dataset.apply`` moves the rows. A delete finds the
+point once: the reservoir's ``Dataset.find`` is answered from the
+search the dataset's own delete just made. A position never
 changes partition, so an edit touches only the partitions whose
 contents actually changed, and only those rerun descent: their rows are
 gathered at once, a ridge-family loss's descents go as one stack of
@@ -400,7 +402,8 @@ def reservoir_update(indices: np.ndarray, update: Update, data: Dataset,
     ``new_data``, and every other index above the removed one moves down
     by one (see ``Dataset.apply``). Points are told apart by value: a
     position that takes a row equal to its old one is not counted as
-    changed. Only the rows it draws or compares are read.
+    changed. Only the rows it draws or compares are read, and a delete's
+    ``data.find`` costs no search when ``data.apply`` made the edit.
     """
     if new_data.size < 1:
         raise ValueError("empty dataset")

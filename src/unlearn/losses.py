@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_bounds
+from .data import Dataset, _norm, check_bounds
 
 __all__ = [
     "ParamSpace",
@@ -89,7 +89,7 @@ class ParamSpace:
 
     def project(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        norm = float(np.linalg.norm(theta))
+        norm = _norm(theta)
         if norm <= self.radius:
             return theta
         return theta * (self.radius / norm)
@@ -181,7 +181,7 @@ class LossModel:
 
     def check_point(self, point):
         """Reject the single point (x, y) outside the loss's bounds."""
-        check_bounds(np.linalg.norm(point.x), abs(point.y),
+        check_bounds(_norm(point.x), abs(point.y),
                      self.feature_bound, self.label_bound)
 
 

@@ -255,6 +255,15 @@ def test_jsonl_loader_flags_malformed_and_nonfinite_lines(tmp_path):
     path.write_text('{"op":"add","y":0.0}\n')
     with pytest.raises(ValueError, match="malformed update at line 1"):
         load_updates(path)
+    # A matrix or a scalar x, a string x, an unknown op and a non-object
+    # line are malformed too, and each names its line.
+    for line in ('{"op":"add","x":[[0.1,0.2]],"y":0.0}',
+                 '{"op":"add","x":0.5,"y":0.0}',
+                 '{"op":"add","x":"abc","y":0.0}',
+                 '{"op":"bogus","x":[0.1,0.2],"y":0.0}', '[0.1,0.2]'):
+        path.write_text('{"op":"add","x":[0.1,0.2],"y":0.0}\n' + line)
+        with pytest.raises(ValueError, match="^malformed update at line 2$"):
+            load_updates(path)
 
 
 def test_dataset_round_trips_through_csv_bit_exactly(tmp_path):
@@ -319,11 +328,21 @@ def assert_moments_within_bound(data):
 
 
 def assert_matches_model(data, rows, probes):
-    # ``find`` and ``point`` first, while the rows may still be ungathered.
+    # ``find``, a delete and ``point`` first, while the rows may still be
+    # ungathered: they read the row buffer and gather or cache nothing.
+    held = data._features, data._labels
     for x, y in probes:
         expected = [i for i, (rx, ry) in enumerate(rows)
                     if ry == y and all(a == b for a, b in zip(rx, x))]
-        assert data.find(DataPoint(np.array(x), y)).tolist() == expected
+        point = DataPoint(np.array(x), y)
+        found = data.find(point)
+        assert found.tolist() == expected and found.dtype == np.intp
+        if len(rows) - bool(expected) >= data.initial_size / 2:
+            # The child finds afresh, not by its parent's last result.
+            child = data.apply(Update("delete", point))
+            assert child.find(point).tolist() == [i - 1
+                                                  for i in expected[1:]]
+    assert data._features is held[0] and data._labels is held[1]
     assert data.size == len(rows)
     for i, (x, y) in enumerate(rows):
         point = data.point(i)
@@ -397,6 +416,33 @@ def test_store_matches_a_list_of_rows(start, edits, with_moments):
             assert_moments_within_bound(data)
         else:
             assert data.cached_moments is None
+
+
+def test_find_skips_dead_slots_and_rows_of_sibling_versions():
+    """The row buffer holds rows no version of it may hold live: a
+    sibling's appended copy of the point, and a deleted copy. ``find``
+    counts only live slots, and gathers no version's rows."""
+    base = Dataset(np.array([[0.1, 0.0], [0.0, 0.2], [0.3, 0.3]]),
+                   np.array([0.5, 0.5, -1.0]), initial_size=0)
+    point = DataPoint(np.array([0.4, 0.0]), 0.5)
+    sibling = base.apply(Update("add", point))
+    other = base.apply(Update("add", DataPoint(np.array([0.0, 0.4]), 0.5)))
+    assert other._rows is sibling._rows and other._rows.count == 5
+    assert other.find(point).tolist() == [] and base.find(point).size == 0
+    assert sibling.find(point).tolist() == [3]
+    gone = sibling.apply(Update("delete", point))
+    assert gone.find(point).tolist() == []
+    again = gone.apply(Update("add", point))
+    assert again.find(point).tolist() == [3]
+    for version in (other, sibling, gone, again):
+        assert version._features is None and version._labels is None
+    # An empty version whose buffer a child has since written to.
+    empty = Dataset(np.empty((0, 2)), np.empty(0), initial_size=0)
+    empty.apply(Update("add", point))
+    assert empty._rows.count == 1
+    found = empty.find(point)
+    assert found.size == 0 and found.dtype == np.intp
+    assert not found.flags.writeable
 
 
 def test_edits_move_indices_as_index_valued_subsamples_expect():

@@ -8,7 +8,7 @@ from scipy import stats
 from hypothesis import given, settings, strategies as st
 
 from unlearn import distributed
-from unlearn.data import (DataPoint, Dataset, Update,
+from unlearn.data import (DataPoint, Dataset, Update, _Rows,
                           gen_adversarial_sequence, gen_synthetic_dataset)
 from unlearn.distributed import (
     DIST_SNAPSHOT_FORMAT,
@@ -287,6 +287,22 @@ def test_reservoir_delete_reads_only_the_rows_it_draws():
                                      new_data, [substream(15, "reservoir", 0)])
     assert list(changed) == [3]
     assert new_data._features is None and new_data._labels is None
+
+
+def test_a_distributed_delete_searches_the_rows_once(monkeypatch):
+    """``Dataset.apply`` finds the deleted point, and the reservoir's
+    ``find`` on the same version is answered from that result: 30
+    deletes search the row buffer 30 times, not 60."""
+    data, loss, config = small_problem(n=60, copies=3, seed=17)
+    state = dist_learn(data, loss, config, seed=17)
+    updates = gen_adversarial_sequence(data, 60, "churn", seed=17)
+    searches, search = [], _Rows.find
+    monkeypatch.setattr(_Rows, "find", lambda *a: searches.append(1)
+                        or search(*a))
+    for update in updates:
+        state = dist_unlearn(state, update, loss, config)
+    assert sum(u.op == "delete" for u in updates) == 30
+    assert len(searches) == 30
 
 
 def test_reservoir_delete_of_an_absent_value_is_silent():

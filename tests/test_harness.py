@@ -606,7 +606,7 @@ def test_cli_certify_failure_exits_two(tmp_path, monkeypatch):
     assert main(["certify", "--config", config]) == 2
 
 
-def test_cli_invalid_inputs_exit_three(tmp_path):
+def test_cli_invalid_inputs_exit_three(tmp_path, capsys):
     assert main(["run", "--records-out", str(tmp_path / "r.jsonl"),
                  "--mode", "bogus"]) == 3
     assert main(["run"]) == 3  # missing required flag
@@ -619,6 +619,12 @@ def test_cli_invalid_inputs_exit_three(tmp_path):
                  str(tmp_path / "r.jsonl")]) == 3
     assert main(["gen-data", "--out", str(tmp_path / "d.csv"),
                  "--model", "cubic"]) == 3
+    updates = tmp_path / "u.jsonl"
+    updates.write_text('{"op":"add","x":[[0.1,0.0,0.0]],"y":0.0}\n')
+    capsys.readouterr()
+    assert main(["run", "--records-out", str(tmp_path / "r.jsonl"), "--n",
+                 "60", "--dim", "3", "--updates-path", str(updates)]) == 3
+    assert "malformed update at line 1" in capsys.readouterr().err
 
 
 def test_cli_rejects_a_logistic_add_with_a_bad_label(tmp_path):

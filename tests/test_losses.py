@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from unlearn.data import DataPoint, Dataset, Update, moments_tolerance
+from unlearn.data import (DataPoint, Dataset, Update, check_bounds,
+                          moments_tolerance)
 from unlearn.losses import (
     LogisticLoss,
     ParamSpace,
@@ -60,6 +61,96 @@ def test_project_idempotent(values):
     once = space.project(theta)
     assert np.linalg.norm(once) <= 1.0 + 1e-9
     assert_allclose(space.project(once), once, atol=1e-15)
+
+
+def reference_project(space, theta):
+    # ParamSpace.project as written with np.linalg.norm.
+    theta = np.asarray(theta, dtype=float)
+    norm = float(np.linalg.norm(theta))
+    if norm <= space.radius:
+        return theta
+    return theta * (space.radius / norm)
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def reference_check(point, feature_bound, label_bound):
+    # The bound check as called with np.linalg.norm: its message or None.
+    return outcome(check_bounds, float(np.linalg.norm(point.x)),
+                   abs(point.y), feature_bound, label_bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+       scale=st.floats(0.25, 4.0),
+       layout=st.sampled_from(("contiguous", "strided", "reversed")))
+def test_norms_take_numpys_bytes_in_project_and_the_bound_checks(
+        values, scale, layout):
+    """``project``, ``check_point`` and an add's check take the norm as
+    sqrt(x . x), without np.linalg.norm's dispatch: on any vector, laid
+    out in memory any way, each returns what the np.linalg.norm version
+    returns, to the byte, and ``project`` its input itself exactly when
+    that does. A radius or bound equal to the norm is the sharp case."""
+    wide = np.zeros((len(values), 3))
+    wide[:, 1] = values
+    theta = {"contiguous": wide[:, 1].copy(), "strided": wide[:, 1],
+             "reversed": wide[::-1, 1]}[layout]
+    norm = float(np.linalg.norm(theta))
+    for radius in (norm, norm * scale, np.nextafter(norm, 0.0)):
+        if not radius > 0:
+            continue
+        space = ParamSpace(theta.size, radius)
+        got, want = space.project(theta), reference_project(space, theta)
+        assert (got is theta) == (want is theta)
+        assert got.tobytes() == want.tobytes()
+    point = DataPoint(theta, 0.5)
+    assert point.x is theta  # the layout reaches the checks
+    for bound in (norm, norm * scale, norm / (1 + 2e-12)):
+        if not bound > 0:
+            continue
+        loss = RidgeLoss(ParamSpace(theta.size, 1.0), feature_bound=bound)
+        data = Dataset(np.zeros((2, theta.size)), np.zeros(2), bound, 1.0)
+        want = reference_check(point, bound, 1.0)
+        assert outcome(loss.check_point, point) == want
+        assert outcome(data.apply, Update("add", point)) == want
+
+
+def test_bound_checks_keep_their_messages_and_raise_no_type_error():
+    """NaN, infinite and oversized points are rejected with the messages
+    of the np.linalg.norm check, and a point whose ``x`` is not a vector
+    is still a ``ValueError`` (or passes ``check_point`` by its
+    Frobenius norm, as before), never a ``TypeError``."""
+    space = ParamSpace(2, 1.0)
+    losses = [RidgeLoss(space, feature_bound=0.5, label_bound=2.0),
+              LogisticLoss(space, feature_bound=0.5)]
+    losses.append(RegularizedLoss(losses[1], 0.5))
+    points = [DataPoint([np.nan, 0.0], 1.0), DataPoint([np.inf, 0.0], 1.0),
+              DataPoint([0.0, -np.inf], 1.0), DataPoint([0.3, 0.4], 1.0),
+              DataPoint([0.3, 0.4 + 1e-9], 1.0), DataPoint([0.3, 0.0], np.nan),
+              DataPoint([0.3, 0.0], -np.inf), DataPoint([0.3, 0.0], 2.5),
+              DataPoint([0.3, 0.0], 1.0)]
+    messages = [reference_check(p, 0.5, 2.0) for p in points]
+    assert messages == ["feature norm exceeds declared bound"] * 3 + [
+        None, "feature norm exceeds declared bound"] + [
+        "label magnitude exceeds declared bound"] * 3 + [None]
+    for loss in losses:
+        label_bound = loss.label_bound
+        assert [outcome(loss.check_point, p) for p in points] == [
+            reference_check(p, 0.5, label_bound) for p in points]
+    data = Dataset(np.zeros((2, 2)), np.zeros(2), 0.5, 2.0)
+    assert [outcome(data.apply, Update("add", p)) for p in points] == messages
+    for x in ([[0.1, 0.2]], [[0.1, 0.2], [0.3, 0.0]], [[0.6, 0.0]], 0.1):
+        point = DataPoint(x, 1.0)
+        assert outcome(losses[0].check_point, point) == \
+            reference_check(point, 0.5, 2.0)
+        assert outcome(data.apply, Update("add", point)) == \
+            "added point has wrong dimension"
 
 
 def test_ridge_zero_label_zero_parameter_gives_zero_loss():
