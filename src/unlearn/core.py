@@ -68,6 +68,8 @@ MODES = ("strong_secret", "strong_perfect", "regularized_strong",
 
 SNAPSHOT_FORMAT = "unlearn-state/4"
 
+_DIGEST_ROWS = 1024  # rows hashed per block by ``_rows_digest``
+
 
 def _check_privacy(epsilon: float, delta: float):
     if not 0 < delta < 1:
@@ -523,8 +525,14 @@ def _vector(values, dim: int) -> np.ndarray:
 
 
 def _rows_digest(data: Dataset) -> str:
-    rows = np.column_stack([data.features, data.labels])
-    return hashlib.sha256(rows.tobytes()).hexdigest()
+    """SHA-256 of the (n, d + 1) rows [features | labels] in C order, fed
+    a fixed block of rows at a time so the rows are not stacked whole."""
+    digest = hashlib.sha256()
+    for start in range(0, data.size, _DIGEST_ROWS):
+        block = slice(start, start + _DIGEST_ROWS)
+        digest.update(np.column_stack((data.features[block],
+                                       data.labels[block])))
+    return digest.hexdigest()
 
 
 def _encode_state(fmt: str, state, sigma: float) -> dict:
@@ -560,13 +568,21 @@ def _decode_state(fmt: str, snapshot: dict, data: Dataset,
 
 
 def _chain_data(data: Dataset, loss: LossModel, n0: int) -> Dataset:
-    """A chain's own copy of ``data``, checked against ``loss``, floor n0/2."""
+    """A chain's own dataset over ``data``'s rows, checked against
+    ``loss``, floor n0/2.
+
+    ``data`` owns its rows in read-only arrays (see ``Dataset``), so the
+    chain's dataset shares them without a copy, and no write by a caller
+    reaches either. It starts a fresh row buffer of its own: were it a
+    version of ``data``'s buffer, that buffer's tail would grow with
+    every chain learned from the same data.
+    """
     if loss.space.dim != data.dim:
         raise ValueError(f"loss dimension {loss.space.dim} does not match "
                          f"the dataset's {data.dim}")
     loss.check_dataset(data)
-    return Dataset(data.features.copy(), data.labels.copy(),
-                   data.feature_bound, data.label_bound, initial_size=n0)
+    return Dataset(data.features, data.labels, data.feature_bound,
+                   data.label_bound, initial_size=n0)
 
 
 def _check_sigma(snapshot: dict, sigma: float):

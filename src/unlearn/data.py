@@ -7,12 +7,15 @@ remembers the size of the original training set so that edits can
 enforce the size floor n_i >= n_0 / 2 that the deletion guarantees rely
 on.
 
-An edit costs O(n) index work and O(d^2) arithmetic; it copies no rows,
-bar a compaction after on the order of n edits. The versions of one
-dataset share an append-only row buffer and each holds only the slots
-of its rows. A delete reads what it compares and no more: one compare
-of the point's label with the buffer's labels, the features of the
-live rows whose label matches, and one copy of the live index; no
+A dataset owns its rows: it keeps them in read-only arrays, copying a
+writeable input once, so no later write by a caller reaches it, and a
+dataset built over those arrays (a chain's own) shares them without a
+copy. An edit costs O(n) index work and O(d^2) arithmetic; it copies no
+rows, bar a compaction after on the order of n edits. The versions of
+one dataset share an append-only row buffer and each holds only the
+slots of its rows. A delete reads what it compares and no more: one
+compare of the point's label with the buffer's labels, the features of
+the live rows whose label matches, and one copy of the live index; no
 version's rows are gathered. The moments X^T X, X^T y and y^T y, once
 computed, are carried from version to version by rank-1 updates and
 recomputed from the rows once n updates have been carried, so they
@@ -76,9 +79,9 @@ class _Rows:
     A slot is written once and never changes, so a version is just the
     increasing vector of its live slots, and an edit to any version,
     old or new, leaves every other version as it was. Slots below
-    ``base`` are the rows of the arrays the buffer was lent, used in
+    ``base`` are the rows of the dataset's read-only arrays, used in
     place; appends go to a tail that grows by doubling, so no edit
-    copies the lent rows.
+    copies those rows.
     """
 
     def __init__(self, features, labels):
@@ -165,12 +168,17 @@ def _norm(x) -> float:
 
 
 def check_bounds(norm, label, feature_bound, label_bound):
-    """Reject a feature norm or label magnitude over its declared bound."""
-    # Written as "not <=" so that NaN fails the test too.
-    if not norm <= feature_bound * (1 + 1e-12):
-        raise ValueError("feature norm exceeds declared bound")
-    if not label <= label_bound * (1 + 1e-12):
-        raise ValueError("label magnitude exceeds declared bound")
+    """Reject a feature norm or label magnitude over its declared bound,
+    and a NaN or infinite one (a NaN or infinite value, or a norm past
+    the float range) as non-finite."""
+    # A NaN fails both comparisons, so it reaches the checks below.
+    feature_ok = norm <= feature_bound * (1 + 1e-12)
+    if feature_ok and label <= label_bound * (1 + 1e-12):
+        return
+    if not (math.isfinite(norm) and math.isfinite(label)):
+        raise ValueError("non-finite feature or label")
+    raise ValueError("label magnitude exceeds declared bound" if feature_ok
+                     else "feature norm exceeds declared bound")
 
 
 def _row_moments(features, labels):
@@ -212,9 +220,19 @@ def moments_tolerance(size: int, carried: int, feature_bound: float,
 class Dataset:
     """Multiset of labeled points with a size floor.
 
+    A dataset owns its rows. Built from arrays, it copies a writeable
+    one once and keeps read-only arrays; an array that is already
+    read-only is taken as it is, trusted as immutable (a read-only view
+    of memory the caller can still write through another handle is the
+    caller's responsibility). The library's own producers,
+    ``gen_synthetic_dataset``, ``from_csv``, compaction and the rows an
+    edited version gathers, hand over fresh read-only arrays, which are
+    never copied; so a dataset built over another's ``features`` and
+    ``labels``, as a chain's is, shares them.
+
     Each version is the increasing vector of its live slots in an
-    append-only row buffer. A dataset built from arrays lends them to a
-    buffer of its own and starts with them as its ``features`` and
+    append-only row buffer. A dataset built from arrays starts a buffer
+    of its own over them and keeps them as its ``features`` and
     ``labels``; its edits share that buffer, so an add writes one row
     and a delete drops one index, and a version gathers its rows on
     first read of ``features`` or ``labels`` and caches them. ``find``,
@@ -236,12 +254,12 @@ class Dataset:
     moments nobody asked for (a logistic chain's) never pays for them.
 
     Attributes:
-        features: (n, d) array, one row per copy.
-        labels: (n,) array.
+        features: (n, d) read-only array, one row per copy.
+        labels: (n,) read-only array.
         initial_size: size n_0 of the original training set; edits must
             keep the current size at or above n_0 / 2.
         feature_bound: declared bound on ||x||_2, validated on load and
-            on every add.
+            on every add; must be positive.
         label_bound: declared bound on |y|, validated likewise.
     """
 
@@ -251,31 +269,36 @@ class Dataset:
         labels = np.asarray(labels, dtype=float).ravel()
         if features.shape[0] != labels.shape[0]:
             raise ValueError("features and labels disagree on length")
-        self._hold(features, labels)
-        self._moments = None
         self.feature_bound = float(feature_bound)
         self.label_bound = float(label_bound)
+        # Written so that NaN fails the test too.
+        if not (self.feature_bound > 0 and self.label_bound > 0):
+            raise ValueError("bounds must be positive")
+        self._hold(*(a.copy() if a.flags.writeable else a
+                     for a in (features, labels)))
+        self._moments = None
         self.initial_size = int(initial_size if initial_size is not None
                                 else features.shape[0])
 
     def _hold(self, features, labels):
-        # A new buffer lent these arrays, all its slots live, and the
-        # arrays kept as the gathered rows.
+        # A new buffer over these arrays, which no one else writes and
+        # which are frozen here, all its slots live, and the arrays kept
+        # as the gathered rows.
+        self._features, self._labels = _frozen(features, labels)
         self._rows, self._live = _Rows(features, labels), \
             np.arange(labels.shape[0])
-        self._features, self._labels = features, labels
         self._found = None
 
     @property
     def features(self) -> np.ndarray:
         if self._features is None:
-            self._features = self._rows.features_at(self._live)
+            self._features, = _frozen(self._rows.features_at(self._live))
         return self._features
 
     @property
     def labels(self) -> np.ndarray:
         if self._labels is None:
-            self._labels = self._rows.labels_at(self._live)
+            self._labels, = _frozen(self._rows.labels_at(self._live))
         return self._labels
 
     @property
@@ -349,10 +372,15 @@ class Dataset:
         return twin
 
     def validate_bounds(self):
+        """``check_bounds`` on the largest row norm and label magnitude.
+        The norm is taken from the rows' squared norms, with no (n, d)
+        temporary."""
         if self.size:
-            check_bounds(np.linalg.norm(self.features, axis=1).max(),
-                         np.abs(self.labels).max(), self.feature_bound,
-                         self.label_bound)
+            features = self.features
+            check_bounds(
+                math.sqrt(np.einsum("ij,ij->i", features, features).max()),
+                np.abs(self.labels).max(), self.feature_bound,
+                self.label_bound)
 
     def apply(self, update: Update) -> "Dataset":
         """Return the dataset after one edit.
@@ -434,11 +462,15 @@ class Dataset:
             for line, row in enumerate(reader, start=2):
                 if len(row) != dim + 1:
                     raise ValueError(f"malformed CSV row at line {line}")
-                feats.append([float(v) for v in row[:-1]])
-                labs.append(float(row[-1]))
+                values = [float(v) for v in row]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"non-finite value at line {line}")
+                feats.append(values[:-1])
+                labs.append(values[-1])
         if not feats:
             raise ValueError("empty dataset")
-        data = cls(np.array(feats), np.array(labs), feature_bound, label_bound)
+        data = cls(*_frozen(np.array(feats), np.array(labs)), feature_bound,
+                   label_bound)
         data.validate_bounds()
         return data
 
@@ -477,7 +509,7 @@ def gen_synthetic_dataset(n, dim, model="linear", noise=0.1, feature_bound=1.0,
         temp = max(noise, 1e-12)
         probs = 0.5 * (1.0 + np.tanh(margin / (2.0 * temp)))
         labs = np.where(rng.random(n) < probs, 1.0, -1.0)
-    return Dataset(feats, labs, feature_bound, label_bound)
+    return Dataset(*_frozen(feats, labs), feature_bound, label_bound)
 
 
 def _extreme_point(rng, data: Dataset) -> DataPoint:

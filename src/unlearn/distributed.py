@@ -339,7 +339,10 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
     if not jobs:
         return thetas, grads
     flat, steps = (list(column) for column in zip(*jobs))
-    features, labels = data.rows(indices.reshape(count * k, chunk)[flat])
+    # Read-only, so a refused partition's Dataset takes its rows as they
+    # are (see ``Dataset``).
+    features, labels = map(_read_only, data.rows(
+        indices.reshape(count * k, chunk)[flat]))
     start = thetas.reshape(count * k, dim)[flat]
     new, mapped = np.empty_like(start), np.zeros(len(flat), dtype=bool)
     if loss.ridge_lam is not None:

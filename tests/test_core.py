@@ -1,11 +1,14 @@
+import hashlib
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from unlearn import core
 from unlearn.core import (
     MODES,
     SNAPSHOT_FORMAT,
@@ -362,7 +365,9 @@ def test_unlearn_rejects_adds_outside_the_bounds(x, y):
     data, loss = ridge_chain_problem()
     config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
     state = learn(data, loss, config, seed=8)
-    with pytest.raises(ValueError, match="exceeds declared bound"):
+    message = "exceeds declared bound" if np.isfinite(x).all() \
+        and np.isfinite(y) else "non-finite"
+    with pytest.raises(ValueError, match=message):
         unlearn(state, Update("add", DataPoint(x, y)), loss, config)
 
 
@@ -558,6 +563,72 @@ def wide_bound_dataset(n=60, dim=3, seed=17):
                                  feature_bound=0.9, seed=seed)
     return Dataset(base.features, base.labels, feature_bound=10.0,
                    label_bound=0.5)
+
+
+def test_a_chain_shares_its_inputs_rows_and_no_write_reaches_it():
+    base, loss = ridge_chain_problem(n=40, seed=3)
+    features, labels = base.features.copy(), base.labels.copy()
+    data = Dataset(features, labels, label_bound=0.5)
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state = learn(data, loss, config, seed=3)
+    other = learn(data, loss, config, seed=4)
+    restored = UnlearnState.restore(state.snapshot(), data, loss, config)
+    features[:], labels[:] = 0.0, 0.0
+    for chain in (state, other, restored):
+        assert np.shares_memory(chain.data.features, data.features)
+        assert np.shares_memory(chain.data.labels, data.labels)
+        assert np.array_equal(chain.data.features, base.features)
+        assert np.array_equal(chain.data.labels, base.labels)
+        assert chain.data._rows is not data._rows
+    assert state.data._rows is not other.data._rows
+    point = DataPoint(np.array([0.1, 0.2, 0.0]), 0.25)
+    unlearn(state, Update("add", point), loss, config)
+    assert data._rows.count == other.data._rows.count == data.size
+
+
+def test_learn_and_restore_reject_non_finite_rows():
+    data, loss = ridge_chain_problem(n=40, seed=4)
+    config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+    state = learn(data, loss, config, seed=4)
+    for value in (np.nan, np.inf):
+        features = data.features.copy()
+        features[7, 1] = value
+        bad = Dataset(features, data.labels, label_bound=0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            learn(bad, loss, config, seed=4)
+        snap = {**state.snapshot(), "rows_sha256": core._rows_digest(bad)}
+        with pytest.raises(ValueError, match="non-finite"):
+            UnlearnState.restore(snap, bad, loss, config)
+
+
+def test_learn_allocates_nothing_the_size_of_the_rows():
+    data = gen_synthetic_dataset(20_000, 50, seed=5)
+    loss = RidgeLoss(ParamSpace(50, 1.0), lam=1.0)
+    config = UnlearnConfig("strong_secret", 1.0, 0.05, 5)
+    tracemalloc.start()
+    try:
+        learn(data, loss, config, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.features.nbytes / 8
+
+
+def test_rows_digest_hashes_the_stacked_rows_block_by_block(monkeypatch):
+    data = gen_synthetic_dataset(2500, 3, seed=6)
+    edited = data.apply(Update("add", DataPoint(np.full(3, 0.1), 0.5)))
+    edited = edited.apply(Update("delete", data.point(1500)))
+    compacted = Dataset(data.features[:10], data.labels[:10], initial_size=2)
+    for _ in range(6):
+        compacted = compacted.apply(Update("delete", compacted.point(3)))
+    assert compacted._rows.base == compacted.size == 4
+    empty = Dataset(np.zeros((0, 3)), np.zeros(0))
+    for block in (core._DIGEST_ROWS, 3):
+        monkeypatch.setattr(core, "_DIGEST_ROWS", block)
+        for version in (data, edited, compacted, empty):
+            rows = np.column_stack([version.features, version.labels])
+            assert core._rows_digest(version) == \
+                hashlib.sha256(rows.tobytes()).hexdigest()
 
 
 def test_learn_checks_rows_against_the_loss_bounds():

@@ -11,6 +11,7 @@ from unlearn.data import (
     Update,
     gen_adversarial_sequence,
     gen_synthetic_dataset,
+    check_bounds,
     load_updates,
     moments_tolerance,
     save_updates,
@@ -118,18 +119,90 @@ def test_validate_bounds_flags_oversized_rows():
     with pytest.raises(ValueError, match="label magnitude exceeds"):
         data.validate_bounds()
     data = Dataset(np.array([[0.1, 0.0], [np.nan, 0.0]]), np.array([0.0, 0.0]))
-    with pytest.raises(ValueError, match="feature norm exceeds"):
+    with pytest.raises(ValueError, match="non-finite"):
         data.validate_bounds()
     data = Dataset(np.array([[0.1, 0.0]]), np.array([np.nan]))
-    with pytest.raises(ValueError, match="label magnitude exceeds"):
+    with pytest.raises(ValueError, match="non-finite"):
         data.validate_bounds()
+
+
+def reference_validate(data):
+    # validate_bounds as it was, with np.linalg.norm's (n, d) temporary.
+    if data.size:
+        check_bounds(np.linalg.norm(data.features, axis=1).max(),
+                     np.abs(data.labels).max(), data.feature_bound,
+                     data.label_bound)
+
+
+def outcome(check, data):
+    try:
+        check(data)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# Multiples of a bound: inside, at it, within and just past the 1e-12
+# slack, and far past it; none lies within rounding of the slack's edge.
+SCALES = (0.0, 0.5, 1.0, 1.0 + 5e-13, 1.0 + 2e-12, 1.0 + 1e-9, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(directions=st.lists(st.lists(st.floats(-1, 1), min_size=3,
+                                    max_size=3), min_size=1, max_size=5),
+       feature_scales=st.lists(st.sampled_from(SCALES), min_size=5,
+                               max_size=5),
+       label_scales=st.lists(st.sampled_from(SCALES), min_size=5,
+                             max_size=5),
+       bounds=st.tuples(st.sampled_from((0.25, 1.0, 3.0)),
+                        st.sampled_from((0.5, 1.0, 2.0))),
+       spoil=st.one_of(st.none(), st.tuples(
+           st.integers(0, 4), st.integers(0, 3),
+           st.sampled_from((np.nan, np.inf, -np.inf)))))
+def test_validate_bounds_rejects_what_the_row_norm_check_did(
+        directions, feature_scales, label_scales, bounds, spoil):
+    """The squared-norm check accepts and rejects exactly the rows the
+    np.linalg.norm check did: rows at a bound, rows just past its slack,
+    NaN and infinity; it names NaN and infinity non-finite."""
+    feature_bound, label_bound = bounds
+    n = len(directions)
+    features = np.array(directions)
+    norms = np.linalg.norm(features, axis=1)
+    norms[norms == 0] = 1.0
+    features *= (feature_bound * np.array(feature_scales[:n]) / norms)[:, None]
+    # A row on an axis sits at its bound exactly.
+    features[0] = 0.0
+    features[0, 0] = feature_bound * feature_scales[0]
+    labels = label_bound * np.array(label_scales[:n]) * (-1.0) ** np.arange(n)
+    if spoil is not None:
+        row, col, value = spoil
+        target = labels if col == 3 else features[:, col]
+        target[row % n] = value
+    data = Dataset(features, labels, feature_bound, label_bound)
+    want, got = outcome(reference_validate, data), \
+        outcome(Dataset.validate_bounds, data)
+    assert (got is None) == (want is None)
+    if spoil is not None:
+        assert got == "non-finite feature or label"
+    elif got is not None:
+        assert got == want
+
+
+def test_dataset_rejects_bounds_that_are_not_positive():
+    features, labels = np.zeros((2, 2)), np.zeros(2)
+    for bad in (0.0, -1.0, float("nan"), -np.inf):
+        with pytest.raises(ValueError, match="bounds must be positive"):
+            Dataset(features, labels, feature_bound=bad)
+        with pytest.raises(ValueError, match="bounds must be positive"):
+            Dataset(features, labels, label_bound=bad)
+    assert Dataset(features, labels, np.inf, 1e-9).size == 2
 
 
 OUT_OF_BOUNDS = [
     (np.array([50.0, 0.0]), 0.0, "feature norm exceeds"),
     (np.array([0.1, 0.0]), 7.0, "label magnitude exceeds"),
-    (np.array([np.nan, 0.0]), 0.0, "feature norm exceeds"),
-    (np.array([0.1, 0.0]), np.nan, "label magnitude exceeds"),
+    (np.array([np.nan, 0.0]), 0.0, "non-finite"),
+    (np.array([0.1, 0.0]), np.nan, "non-finite"),
 ]
 
 
@@ -292,8 +365,56 @@ def test_csv_loader_rejects_bad_files(tmp_path):
     with pytest.raises(ValueError, match="feature norm exceeds"):
         Dataset.from_csv(path)
     path.write_text("x_1,y\n0.1,0.0\nnan,0.0\n")
-    with pytest.raises(ValueError, match="feature norm exceeds"):
+    with pytest.raises(ValueError, match="non-finite value at line 3"):
         Dataset.from_csv(path)
+    path.write_text("x_1,x_2,y\nnan,0.1,0.2\n")
+    with pytest.raises(ValueError, match="non-finite value at line 2"):
+        Dataset.from_csv(path)
+    path.write_text("x_1,y\n0.1,0.0\n0.2,-inf\n")
+    with pytest.raises(ValueError, match="non-finite value at line 3"):
+        Dataset.from_csv(path)
+
+
+def versions():
+    """A fresh dataset, an edited version of it and a compacted one."""
+    data = Dataset(np.arange(12.0).reshape(6, 2) / 20, np.linspace(-1, 1, 6),
+                   initial_size=2)
+    edited = data.apply(Update("add", DataPoint(np.array([0.1, 0.1]), 0.5)))
+    compacted = data
+    for _ in range(4):
+        compacted = compacted.apply(Update("delete", compacted.point(0)))
+    assert edited._rows is data._rows
+    assert compacted._rows is not data._rows
+    return data, edited, compacted
+
+
+def test_a_dataset_owns_its_rows_and_no_write_reaches_them():
+    features, labels = np.array([[0.1, 0.2], [0.3, 0.0]]), np.array([0.5, 1.0])
+    data = Dataset(features, labels)
+    features[0, 0], labels[1] = 0.9, -1.0
+    assert data.features.tolist() == [[0.1, 0.2], [0.3, 0.0]]
+    assert data.labels.tolist() == [0.5, 1.0]
+    assert data.find(DataPoint(np.array([0.1, 0.2]), 0.5)).tolist() == [0]
+    for version in versions():
+        for rows in (version.features, version.labels):
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 0.0
+
+
+def test_read_only_rows_are_taken_as_they_are(tmp_path):
+    """The library's producers hand over read-only rows, so a dataset
+    built over another's rows shares them; a writeable array is copied."""
+    synthetic = gen_synthetic_dataset(30, 3, seed=5)
+    synthetic.to_csv(tmp_path / "d.csv")
+    for data in (synthetic, Dataset.from_csv(tmp_path / "d.csv"),
+                 *versions()):
+        twin = Dataset(data.features, data.labels)
+        assert twin.features is data.features
+        assert np.shares_memory(twin.labels, data.labels)
+    writeable = synthetic.features.copy()
+    assert not np.shares_memory(Dataset(writeable, synthetic.labels).features,
+                                writeable)
 
 
 # The store against a naive model: a version is a list of (x, y) rows,

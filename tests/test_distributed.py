@@ -8,6 +8,7 @@ from scipy import stats
 from hypothesis import given, settings, strategies as st
 
 from unlearn import distributed
+from unlearn.core import _rows_digest
 from unlearn.data import (DataPoint, Dataset, Update, _Rows,
                           gen_adversarial_sequence, gen_synthetic_dataset)
 from unlearn.distributed import (
@@ -375,7 +376,9 @@ def test_void_deletion_in_the_distributed_chain_still_publishes():
 def test_dist_unlearn_rejects_adds_outside_the_bounds(x, y):
     data, loss, cfg = small_problem(seed=18)
     state = dist_learn(data, loss, cfg, seed=18)
-    with pytest.raises(ValueError, match="exceeds declared bound"):
+    message = "exceeds declared bound" if np.isfinite(x).all() \
+        and np.isfinite(y) else "non-finite"
+    with pytest.raises(ValueError, match=message):
         dist_unlearn(state, Update("add", DataPoint(x, y)), loss, cfg)
 
 
@@ -518,6 +521,37 @@ def test_dist_unlearn_rejects_another_loss_or_config():
         dist_unlearn(state, update, loss, more)
     same = dist_params(60, 3, loss, 1.0, 1, 1.0, 0.01, copies=2)
     assert dist_unlearn(state, update, loss, same).round_index == 1
+
+
+def test_a_dist_chain_shares_its_inputs_rows_and_no_write_reaches_it():
+    base, loss, cfg = small_problem(seed=23)
+    features, labels = base.features.copy(), base.labels.copy()
+    data = Dataset(features, labels)
+    state = dist_learn(data, loss, cfg, seed=23)
+    other = dist_learn(data, loss, cfg, seed=24)
+    restored = PartitionedState.restore(state.snapshot(), data, loss, cfg)
+    features[:], labels[:] = 0.0, 0.0
+    for chain in (state, other, restored):
+        assert np.shares_memory(chain.data.features, data.features)
+        assert np.shares_memory(chain.data.labels, data.labels)
+        assert np.array_equal(chain.data.features, base.features)
+        assert np.array_equal(chain.data.labels, base.labels)
+        assert chain.data._rows is not data._rows
+    assert state.data._rows is not other.data._rows
+    assert np.array_equal(state.theta_pub, restored.theta_pub)
+
+
+def test_dist_learn_and_restore_reject_non_finite_rows():
+    data, loss, cfg = small_problem(seed=26)
+    state = dist_learn(data, loss, cfg, seed=26)
+    labels = data.labels.copy()
+    labels[5] = -np.inf
+    bad = Dataset(data.features, labels)
+    with pytest.raises(ValueError, match="non-finite"):
+        dist_learn(bad, loss, cfg, seed=26)
+    snap = {**state.snapshot(), "rows_sha256": _rows_digest(bad)}
+    with pytest.raises(ValueError, match="non-finite"):
+        PartitionedState.restore(snap, bad, loss, cfg)
 
 
 def test_dist_learn_and_add_check_rows_against_the_loss_bounds():

@@ -520,6 +520,14 @@ def test_cli_data_and_update_generation(tmp_path, monkeypatch):
     assert len(updates) == 6
 
 
+def test_cli_rejects_a_non_finite_csv_row(tmp_path, capsys):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("x_1,x_2,y\n0.1,0.2,0.3\nnan,0.1,0.2\n")
+    assert main(["gen-updates", "--data", str(csv_path), "--out",
+                 str(tmp_path / "u.jsonl"), "--length", "2"]) == 3
+    assert "non-finite value at line 3" in capsys.readouterr().err
+
+
 def test_cli_train_writes_a_snapshot(tmp_path):
     out = tmp_path / "state.json"
     code = main(["train", "--state-out", str(out), "--n", "60",

@@ -123,7 +123,9 @@ def test_norms_take_numpys_bytes_in_project_and_the_bound_checks(
 
 def test_bound_checks_keep_their_messages_and_raise_no_type_error():
     """NaN, infinite and oversized points are rejected with the messages
-    of the np.linalg.norm check, and a point whose ``x`` is not a vector
+    of the np.linalg.norm check, a NaN or infinite value as non-finite
+    and an oversized one by the bound it breaks, and a point whose ``x``
+    is not a vector
     is still a ``ValueError`` (or passes ``check_point`` by its
     Frobenius norm, as before), never a ``TypeError``."""
     space = ParamSpace(2, 1.0)
@@ -136,9 +138,10 @@ def test_bound_checks_keep_their_messages_and_raise_no_type_error():
               DataPoint([0.3, 0.0], -np.inf), DataPoint([0.3, 0.0], 2.5),
               DataPoint([0.3, 0.0], 1.0)]
     messages = [reference_check(p, 0.5, 2.0) for p in points]
-    assert messages == ["feature norm exceeds declared bound"] * 3 + [
+    assert messages == ["non-finite feature or label"] * 3 + [
         None, "feature norm exceeds declared bound"] + [
-        "label magnitude exceeds declared bound"] * 3 + [None]
+        "non-finite feature or label"] * 2 + [
+        "label magnitude exceeds declared bound", None]
     for loss in losses:
         label_bound = loss.label_bound
         assert [outcome(loss.check_point, p) for p in points] == [
