@@ -217,11 +217,25 @@ def moments_tolerance(size: int, carried: int, feature_bound: float,
             scale * label_bound * label_bound)
 
 
+def _owned(array: np.ndarray, given) -> np.ndarray:
+    # ``array``, converted from ``given``, as rows no caller can write:
+    # copied if writeable and possibly ``given``'s own memory. A list, a
+    # tuple or an array of another dtype converts to a fresh array,
+    # taken without a second copy; any other object may hand over a
+    # view of memory it keeps.
+    if not array.flags.writeable or isinstance(given, (list, tuple)) or (
+            isinstance(given, np.ndarray) and given.dtype != array.dtype):
+        return array
+    return array.copy()
+
+
 class Dataset:
     """Multiset of labeled points with a size floor.
 
     A dataset owns its rows. Built from arrays, it copies a writeable
-    one once and keeps read-only arrays; an array that is already
+    float64 one once and keeps read-only arrays; a list, or an array of
+    another dtype, is converted into a fresh array, which is kept
+    without a second copy; an array that is already
     read-only is taken as it is, trusted as immutable (a read-only view
     of memory the caller can still write through another handle is the
     caller's responsibility). The library's own producers,
@@ -265,6 +279,7 @@ class Dataset:
 
     def __init__(self, features, labels, feature_bound=1.0, label_bound=1.0,
                  initial_size=None):
+        given = features, labels
         features = np.atleast_2d(np.asarray(features, dtype=float))
         labels = np.asarray(labels, dtype=float).ravel()
         if features.shape[0] != labels.shape[0]:
@@ -274,8 +289,7 @@ class Dataset:
         # Written so that NaN fails the test too.
         if not (self.feature_bound > 0 and self.label_bound > 0):
             raise ValueError("bounds must be positive")
-        self._hold(*(a.copy() if a.flags.writeable else a
-                     for a in (features, labels)))
+        self._hold(*map(_owned, (features, labels), given))
         self._moments = None
         self.initial_size = int(initial_size if initial_size is not None
                                 else features.shape[0])
@@ -357,8 +371,10 @@ class Dataset:
         return self._moments
 
     def _with_moments(self, gram, xty, yty, carried: int) -> "Dataset":
-        # These rows carrying restored moments; the caller checks them
-        # against the rows (see ``moments_tolerance``).
+        # These rows carrying the given moments, which the caller vouches
+        # for: a restore checks them against the rows (see
+        # ``moments_tolerance``), and the distributed chain hands over
+        # those its batch computed from these very rows.
         twin = self._clone()
         twin._moments = (*_frozen(np.array(gram, dtype=float),
                                   np.array(xty, dtype=float)),

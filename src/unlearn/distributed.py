@@ -325,7 +325,9 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
     The touched partitions of all copies are gathered at once. For a
     ridge-family loss their stacked moments give the normal equations
     (``losses.normal_equations``), and ``map_many`` maps in one batch
-    every descent ``pgd`` would map; ``pgd`` runs the rest. Returns the
+    every descent ``pgd`` would map. ``pgd`` runs the rest, told the map
+    refused them, on datasets that carry the batch's moments, so no
+    partition's X^T X is built or its system solved twice. Returns the
     new (C, K, d) estimates, read-only, and each copy's point-gradients.
     """
     count, k, dim = thetas.shape
@@ -347,14 +349,18 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
     new, mapped = np.empty_like(start), np.zeros(len(flat), dtype=bool)
     if loss.ridge_lam is not None:
         rows_t = features.transpose(0, 2, 1)
-        hessian, rhs = normal_equations(
-            rows_t @ features, (rows_t @ labels[:, :, None])[:, :, 0], chunk,
-            loss.ridge_lam)
+        gram, xty = rows_t @ features, (rows_t @ labels[:, :, None])[:, :, 0]
+        hessian, rhs = normal_equations(gram, xty, chunk, loss.ridge_lam)
         new, mapped = map_many(loss, hessian, rhs, start,
                                GDConfig.for_loss(loss, 0).step_size, steps)
     for p in np.flatnonzero(~mapped):
-        new[p] = pgd(loss, Dataset(features[p], labels[p]), start[p],
-                     GDConfig.for_loss(loss, steps[p])).theta
+        part = Dataset(features[p], labels[p])
+        if loss.ridge_lam is not None:
+            # The batch's moments, the same bytes the rows would give.
+            part = part._with_moments(gram[p], xty[p],
+                                      labels[p] @ labels[p], 0)
+        new[p] = pgd(loss, part, start[p], GDConfig.for_loss(loss, steps[p]),
+                     refused=True).theta
     thetas = thetas.copy()
     thetas.reshape(count * k, dim)[flat] = new
     return _read_only(thetas), grads

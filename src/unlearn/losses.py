@@ -39,8 +39,17 @@ from the rows once for n d^2 and carried through every edit, so from
 then on they cost O(d^2) or O(d^3) whatever n is. One builder,
 ``normal_equations``, turns moments into the system (H, g) of the
 gradient H theta - g, for ``quadratic``, the oracle and the stacked
-partition systems of the distributed chain alike. Losses and gradients
-of single points, and every logistic quantity, come from the rows.
+partition systems of the distributed chain alike. A gradient step of
+size eta is then the affine map theta -> A theta + c, with
+A = I - eta H = (1 - eta lam_eff) I - (eta / n) X^T X and
+c = eta g = (eta / n) X^T y; ``affine_step`` reads (A, c) from the
+moments with no system solved. Since every eigenvalue of H lies in
+[m, tr H - (d-1) m], |A v| <= rho |v| with
+rho = max(|1 - eta m|, |1 - eta (tr H - (d-1) m)|), so
+|A theta + c| <= rho |theta| + |c|: if rho < 1 and |theta_0| and
+|c| / (1 - rho) are at most R, every iterate stays within R (see
+``optimizer.pgd``). Losses and gradients of single points, and every
+logistic quantity, come from the rows.
 """
 
 from __future__ import annotations
@@ -172,6 +181,24 @@ class LossModel:
             return None
         return normal_equations(*data.moments()[:2], data.size,
                                 self.ridge_lam)
+
+    def affine_step(self, data: Dataset, step_size: float):
+        """``(A, c)`` with gradient step ``theta - step_size * gradient
+        = A theta + c``; None if the loss is not quadratic.
+
+        A = (1 - eta lam_eff) I - (eta / n) X^T X and c = (eta / n) X^T y,
+        read from the data's moments in O(d^2), with no system built or
+        solved. A is a fresh symmetric array, I - eta H for the H of
+        ``quadratic``, so its eigenvalues are at most
+        1 - eta ``strong_convexity``; ``pgd`` relies on that bound.
+        """
+        if self.ridge_lam is None:
+            return None
+        gram, xty, _ = data.moments()
+        scale = step_size / data.size
+        step = gram * -scale
+        step.reshape(-1)[::data.dim + 1] += 1.0 - step_size * self.ridge_lam
+        return step, xty * scale
 
     def check_dataset(self, data: Dataset):
         """Reject rows outside the loss's bounds or the dataset's own."""

@@ -8,29 +8,41 @@ bound on the objective gap.
 
 Quadratic losses (ridge, and ridge plus added quadratics) have gradient
 H theta - g, so an unprojected step is the affine map
-theta -> theta* + (I - eta H)(theta - theta*) with theta* = H^-1 g, and
-T steps are theta_T = theta* + (I - eta H)^T (theta_0 - theta*).
-``map_many`` is the one implementation of that map. It takes a stack of
-normal-equation systems (H, g), as ``losses.normal_equations`` builds
-them, and maps a problem, with the matrix power taken by repeated
-squaring, when the projection provably never binds: the eigenvalues of
-H lie in [m, tr H - (d-1) m], so every step contracts theta - theta* by
-at most rho = max(|1 - eta m|, |1 - eta (tr H - (d-1) m)|), and if
-rho < 1 and |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9) no
-iterate after the start leaves the ball. It also needs T >= d: the loop
-costs T d^2 flops, as H and every loop gradient come from the data's
-moments (see ``Dataset.moments``), and the power d^3 log T, so the map
-pays from about T = d on, up to the log factor. Once
-rho^T |theta_0 - theta*| <= 2^-53 |theta*| the T-step iterate agrees
-with theta* to rounding, and the map returns theta* without taking the
-power.
+theta -> A theta + c with A = I - eta H and c = eta g, or equally
+theta -> theta* + A (theta - theta*) with theta* = H^-1 g. The
+eigenvalues of H lie in [m, tr H - (d-1) m], so A stretches no vector
+by more than rho = max(|1 - eta m|, |1 - eta (tr H - (d-1) m)|). In the
+strongly convex regime ``pgd`` takes T such steps at once, without a
+gradient call, whenever rho < 1 and a certificate proves that no
+iterate after the start leaves the ball, so that no projection would
+act. T against d picks the path, as the loop costs T d^2 flops (every
+loop gradient comes from the data's moments, see ``Dataset.moments``):
 
-``pgd`` sends its own descent, in the strongly convex regime with
-T >= d, to ``map_many`` as a stack of one, built by ``loss.quadratic``;
-the distributed chain sends the systems of all its touched ridge-family
-partitions at once. So both take the same map, by the same certificate,
-to the same bytes. Any descent not mapped runs ``pgd``'s iterative
-loop. Both report the nominal T * n point-gradients.
+- T >= d: ``map_many``, the one implementation of
+  theta_T = theta* + A^T (theta_0 - theta*), takes a stack of
+  normal-equation systems (H, g), as ``losses.normal_equations`` builds
+  them, solves for theta* and takes the matrix power by repeated
+  squaring, d^3 log T flops, which pays from about T = d on. Its
+  certificate is |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9): every
+  iterate lies within rho |theta_0 - theta*| of theta*. Once
+  rho^T |theta_0 - theta*| <= 2^-53 |theta*| the T-step iterate agrees
+  with theta* to rounding, and the map returns theta* without taking
+  the power.
+- 0 < T < d: the T steps theta <- A theta + c, with (A, c) read from the
+  moments by ``loss.affine_step``, two matrix-vector operations a step
+  and no system solved. Its certificate needs no theta*: with
+  R = max(|theta_0|, |c| / (1 - rho)) <= r (1 - 1e-9), induction gives
+  |theta_{k+1}| <= rho |theta_k| + |c| <= rho R + (1 - rho) R = R, so
+  every iterate stays within R of the origin.
+
+``pgd`` sends its own long descents to ``map_many`` as a stack of one,
+built by ``loss.quadratic``; the distributed chain sends the systems of
+all its touched ridge-family partitions at once. So both take the same
+map, by the same certificate, to the same bytes. Any descent neither
+path certifies (a start outside the ball, a NaN start, a binding ball,
+a step too long to contract, the convex regime, a loss that is not
+quadratic) runs ``pgd``'s iterative loop. All report the nominal
+T * n point-gradients.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _norm
 from .losses import LossModel
 
 __all__ = ["GDConfig", "GDTrace", "pgd", "map_many", "contraction_factor"]
@@ -89,7 +101,8 @@ class GDTrace:
     gradient_evaluations: int
 
 
-def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig) -> GDTrace:
+def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig, *,
+        refused: bool = False) -> GDTrace:
     """Run projected gradient descent and return the final iterate.
 
     Deterministic: same inputs, same float operations, same output.
@@ -98,15 +111,18 @@ def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig) -> GDTrace:
     feasible, and the contraction guarantee is unaffected because the
     shipped losses satisfy their regularity bounds on all of R^d.
 
-    When the regime is strongly convex, T >= d and ``loss.quadratic``
-    gives (H, g), the problem goes to ``map_many`` as a stack of one,
-    which takes the T steps at once as theta* + (I - eta H)^T (theta_0
-    - theta*) if the ball certificate holds (see the module docstring);
-    this agrees with the loop to rounding, since the loop's projections
-    would all be identities. T >= d is checked first because only from
-    about there on does the loop's T d^2 reach the map's d^3 log T, and
-    below it neither H nor theta* is built. Otherwise the loop runs.
-    Either way the trace counts T * n point-gradients.
+    In the strongly convex regime a quadratic loss's descent is taken
+    without a gradient call when its certificate holds (see the module
+    docstring): with T >= d, ``loss.quadratic`` gives (H, g) and the
+    problem goes to ``map_many`` as a stack of one; with 0 < T < d,
+    ``loss.affine_step`` gives (A, c) and the T steps run as
+    theta <- A theta + c. Either agrees with the loop to rounding, since
+    the loop's projections would all be identities. T is compared with
+    d first, so a short descent builds no system and a long one no
+    (A, c). ``refused`` says the caller's ``map_many`` has already
+    refused this very descent, as the distributed chain's does for the
+    partitions it cannot map, so it is not tried again. Otherwise the
+    loop runs. Either way the trace counts T * n point-gradients.
     """
     if data.size == 0:
         raise ValueError("empty dataset")
@@ -114,20 +130,60 @@ def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig) -> GDTrace:
     if theta.shape != (data.dim,):
         raise ValueError("start point has wrong dimension")
     evaluations = config.iterations * data.size
-    if config.regime == "strongly_convex_smooth" and \
-            config.iterations >= data.dim:
-        quad = loss.quadratic(data)
-        if quad is not None:
-            out, mapped = map_many(loss, quad[0][None], quad[1][None],
-                                   theta[None], config.step_size,
-                                   (config.iterations,))
-            if mapped[0]:
-                return GDTrace(theta=out[0], gradient_evaluations=evaluations)
+    out = None
+    if config.regime == "strongly_convex_smooth":
+        if 0 < config.iterations < data.dim:
+            out = _short_map(loss, data, theta, config)
+        elif config.iterations >= data.dim and not refused:
+            out = _long_map(loss, data, theta, config)
+    if out is not None:
+        return GDTrace(theta=out, gradient_evaluations=evaluations)
     space = loss.space
     for _ in range(config.iterations):
         grad = loss.empirical_gradient(data, theta)
         theta = space.project(theta - config.step_size * grad)
     return GDTrace(theta=theta, gradient_evaluations=evaluations)
+
+
+def _long_map(loss: LossModel, data: Dataset, theta, config: GDConfig):
+    """``map_many``'s T-step iterate of this one descent, or None where
+    it refuses or the loss is not quadratic."""
+    quad = loss.quadratic(data)
+    if quad is None:
+        return None
+    out, mapped = map_many(loss, quad[0][None], quad[1][None], theta[None],
+                           config.step_size, (config.iterations,))
+    return out[0] if mapped[0] else None
+
+
+def _short_map(loss: LossModel, data: Dataset, theta, config: GDConfig):
+    """The T steps as theta <- A theta + c, or None where the
+    certificate max(|theta_0|, |c| / (1 - rho)) <= r (1 - 1e-9) fails or
+    the loss is not quadratic."""
+    affine = loss.affine_step(data, config.step_size)
+    if affine is None:
+        return None
+    step, shift = affine
+    eta, dim = config.step_size, data.dim
+    # tr A = d - eta tr H.
+    rho = _stretch(eta, loss.strong_convexity, (dim - step.trace()) / eta,
+                   dim)
+    limit = loss.space.radius * (1.0 - 1e-9)
+    # Written so that a NaN start fails the test too.
+    if not (rho < 1.0 and _norm(theta) <= limit
+            and _norm(shift) <= (1.0 - rho) * limit):
+        return None
+    for _ in range(config.iterations):
+        # ndarray.dot: the same product as @, with less dispatch.
+        theta = step.dot(theta) + shift
+    return theta
+
+
+def _stretch(step_size: float, m: float, trace: float, dim: int) -> float:
+    # rho: the most one step I - eta H can stretch a vector, as the
+    # eigenvalues of H lie in [m, tr H - (d-1) m].
+    return max(abs(1.0 - step_size * m),
+               abs(1.0 - step_size * (trace - (dim - 1) * m)))
 
 
 def map_many(loss: LossModel, hessian, rhs, theta0, step_size: float,
@@ -140,8 +196,9 @@ def map_many(loss: LossModel, hessian, rhs, theta0, step_size: float,
     ``step_size``, the strongly convex regime's. Returns a (P, d) array
     and a (P,) mask of the problems mapped, those with T >= d whose
     ball certificate holds; a row of the array is the problem's T-step
-    iterate where the mask is set, and the caller runs ``pgd``'s loop
-    on the rest. ``pgd`` maps its own descents here as a stack of one,
+    iterate where the mask is set, and the caller runs ``pgd``, told the
+    map ``refused``, on the rest. ``pgd`` maps its own T >= d descents
+    here as a stack of one,
     so a stacked problem is mapped exactly when ``pgd`` maps it alone,
     and then to the same bytes.
     """
@@ -159,10 +216,7 @@ def map_many(loss: LossModel, hessian, rhs, theta0, step_size: float,
     m, limit = loss.strong_convexity, loss.space.radius * (1.0 - 1e-9)
     powered = {}
     for p, steps in enumerate(iterations):
-        # rho: the most one step can stretch theta - theta*, as the
-        # eigenvalues of H lie in [m, tr H - (d-1) m].
-        rho = max(abs(1.0 - step_size * m),
-                  abs(1.0 - step_size * (traces[p] - (dim - 1) * m)))
+        rho = _stretch(step_size, m, traces[p], dim)
         size, gap = norms[p], gaps[p]
         if steps < dim or not (rho < 1.0 and size + rho * gap <= limit):
             continue

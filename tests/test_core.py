@@ -631,6 +631,30 @@ def test_rows_digest_hashes_the_stacked_rows_block_by_block(monkeypatch):
                 hashlib.sha256(rows.tobytes()).hexdigest()
 
 
+def test_a_snapshot_gathers_and_caches_no_rows():
+    """``_rows_digest`` reads the edited chain's rows block by block from
+    the row buffer: the digest is that of the stacked rows, the live
+    version caches no gathered rows, and the snapshot allocates far less
+    than the rows."""
+    data = gen_synthetic_dataset(20_000, 50, seed=5)
+    loss = RidgeLoss(ParamSpace(50, 1.0), lam=1.0)
+    config = UnlearnConfig("strong_secret", 1.0, 0.05, 5)
+    state = unlearn(learn(data, loss, config, seed=5),
+                    Update("add", DataPoint(np.full(50, 0.01), 0.5)),
+                    loss, config)
+    assert state.data._features is None
+    tracemalloc.start()
+    try:
+        snap = state.snapshot()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.data._features is None and state.data._labels is None
+    assert peak < data.features.nbytes / 8
+    rows = np.column_stack([state.data.features, state.data.labels])
+    assert snap["rows_sha256"] == hashlib.sha256(rows.tobytes()).hexdigest()
+
+
 def test_learn_checks_rows_against_the_loss_bounds():
     data = wide_bound_dataset()
     loss = RidgeLoss(ParamSpace(3, 1.0), label_bound=0.5, lam=1.0)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +416,35 @@ def test_read_only_rows_are_taken_as_they_are(tmp_path):
     writeable = synthetic.features.copy()
     assert not np.shares_memory(Dataset(writeable, synthetic.labels).features,
                                 writeable)
+
+
+def test_a_converted_input_is_copied_once():
+    """A list, or an array of another dtype, converts to a fresh array,
+    which the dataset keeps without a second copy; a writeable float64
+    array, and a view of one, is still copied, and no later write by the
+    caller reaches the dataset."""
+    rng = np.random.default_rng(7)
+    features = rng.uniform(-0.1, 0.1, size=(20_000, 50))
+    labels = rng.uniform(-1, 1, size=20_000)
+    single = features.astype(np.float32)
+    tracemalloc.start()
+    try:
+        data = Dataset(single, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About the float64 rows and labels once, not twice.
+    assert peak < 1.1 * (features.nbytes + labels.nbytes)
+    assert data.features.dtype == float
+    assert data.features.tolist() == single.astype(float).tolist()
+    for given in (features, features[::2], features.T.T):
+        kept = Dataset(given, labels[:given.shape[0]])
+        assert not np.shares_memory(kept.features, features)
+        assert given.flags.writeable
+    listed = [[0.1, 0.2], [0.3, 0.0]]
+    data = Dataset(listed, [0.5, 1.0])
+    listed[0][0] = 0.9
+    assert data.features.tolist() == [[0.1, 0.2], [0.3, 0.0]]
 
 
 # The store against a naive model: a version is a list of (x, y) rows,

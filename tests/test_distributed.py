@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 from hypothesis import given, settings, strategies as st
 
-from unlearn import distributed
+from unlearn import data as data_module, distributed
 from unlearn.core import _rows_digest
 from unlearn.data import (DataPoint, Dataset, Update, _Rows,
                           gen_adversarial_sequence, gen_synthetic_dataset)
@@ -753,7 +753,7 @@ def test_stacked_edit_matches_the_per_copy_reference(case, strategy,
     calls = []
     original = distributed.pgd
     monkeypatch.setattr(distributed, "pgd",
-                        lambda *a: calls.append(1) or original(*a))
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
     state = dist_learn(data, loss, cfg, seed=43)
     reference = _reference_chain(data, loss, cfg, 43, updates)
     stepped = 0
@@ -781,6 +781,40 @@ def test_stacked_edit_matches_the_per_copy_reference(case, strategy,
     assert len(calls) - stepped == (stepped if loops is None else loops)
 
 
+def test_refused_partitions_reuse_the_batch_system(monkeypatch):
+    """Every partition of a radius-0.02 ridge chain is refused the map,
+    and ``pgd`` loops over the batch's moments: one X^T X built from rows
+    (the data's own, for ``select_best``) and one solve (the batch's), not
+    one more of each per partition."""
+    data = gen_synthetic_dataset(150, 3, noise=0.05, seed=7)
+    loss = ridge_loss(3, radius=0.02)
+    cfg = dist_params(150, 3, loss, 1.0, 1, 1.0, 0.001, copies=1)
+    assert cfg.num_partitions == 12 and cfg.train_iters >= 3
+    builds, solves, refused = [], [], []
+    row_moments, solve = data_module._row_moments, np.linalg.solve
+    original = distributed.pgd
+    monkeypatch.setattr(data_module, "_row_moments",
+                        lambda *a: builds.append(1) or row_moments(*a))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *a: solves.append(1) or solve(*a))
+    monkeypatch.setattr(distributed, "pgd", lambda *a, **k: refused.append(
+        k["refused"]) or original(*a, **k))
+    state = dist_learn(data, loss, cfg, seed=3)
+    assert (len(builds), len(solves)) == (1, 1)
+    assert refused == [True] * 12
+    # The same bytes as ``pgd`` on each partition's rows alone.
+    monkeypatch.undo()
+    chunk = cfg.sample_size // cfg.num_partitions
+    for j, theta in enumerate(state.thetas[0]):
+        features, labels = state.data.rows(
+            state.indices[0, j * chunk:(j + 1) * chunk])
+        alone = distributed.pgd(loss, Dataset(features, labels),
+                                np.zeros(3),
+                                distributed.GDConfig.for_loss(
+                                    loss, cfg.train_iters))
+        assert alone.theta.tobytes() == theta.tobytes()
+
+
 def test_logistic_partitions_all_run_the_pgd_loop(monkeypatch):
     """Only ridge-family stacks go to ``map_many``: at learn and on every
     edit, each touched partition of a logistic chain runs ``pgd``'s loop,
@@ -793,8 +827,8 @@ def test_logistic_partitions_all_run_the_pgd_loop(monkeypatch):
                         lambda *a: pytest.fail("map_many called"))
     steps, grads = [], []
     original, gradient = distributed.pgd, LogisticLoss.empirical_gradient
-    monkeypatch.setattr(distributed, "pgd", lambda *a: steps.append(
-        a[3].iterations) or original(*a))
+    monkeypatch.setattr(distributed, "pgd", lambda *a, **k: steps.append(
+        a[3].iterations) or original(*a, **k))
     monkeypatch.setattr(LogisticLoss, "empirical_gradient",
                         lambda *a: grads.append(1) or gradient(*a))
     state = dist_learn(data, loss, cfg, seed=44)

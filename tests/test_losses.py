@@ -372,6 +372,8 @@ def test_logistic_rejects_labels_off_the_unit_pair():
 
 
 def test_quadratic_form_reproduces_the_gradient():
+    """``quadratic``'s (H, g) gives the gradient, and ``affine_step``'s
+    (A, c) = (I - eta H, eta g) the gradient step."""
     rng = np.random.default_rng(21)
     data = make_dataset(rng, 30, 4)
     space = ParamSpace(4, 2.0)
@@ -385,9 +387,17 @@ def test_quadratic_form_reproduces_the_gradient():
         assert_allclose(hessian @ theta - rhs,
                         loss.empirical_gradient(data, theta),
                         rtol=1e-12, atol=1e-14)
+        eta = GDConfig.for_loss(loss, 1).step_size
+        step, shift = loss.affine_step(data, eta)
+        assert_allclose(step, step.T, rtol=0, atol=0)
+        assert_allclose(step, np.eye(4) - eta * hessian, rtol=0, atol=1e-15)
+        assert_allclose(step @ theta + shift,
+                        theta - eta * loss.empirical_gradient(data, theta),
+                        rtol=1e-12, atol=1e-14)
     logistic = LogisticLoss(space, lam=0.3)
-    assert logistic.quadratic(data) is None
-    assert RegularizedLoss(logistic, 0.1).quadratic(data) is None
+    for loss in (logistic, RegularizedLoss(logistic, 0.1)):
+        assert loss.quadratic(data) is None
+        assert loss.affine_step(data, 0.5) is None
 
 
 def test_ridge_gradient_from_moments_matches_the_rows():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -231,10 +232,12 @@ def test_closed_form_agrees_with_the_loop(seed, n, dim, extra_iters, radius,
                          min_size=1, max_size=6))
 def test_map_many_maps_what_pgd_maps_to_the_same_bytes(
         seed, size, dim, radius, lam, added, problems):
-    """Each stacked problem is mapped exactly when ``pgd`` on it alone
-    takes no gradient step, and then to ``pgd``'s bytes; few steps,
-    binding balls and far starts leave some unmapped, and short descents
-    take the matrix power."""
+    """Each stacked problem of T >= d steps is mapped exactly when
+    ``pgd`` on it alone takes no gradient step, and then to ``pgd``'s
+    bytes; binding balls and far starts leave some unmapped, and short
+    descents take the matrix power. A problem of T < d steps is never
+    mapped: ``pgd`` takes it by its own affine steps or its loop, and
+    either agrees with the loop."""
     rng = np.random.default_rng(seed)
     loss = RidgeLoss(ParamSpace(dim, radius), lam=lam)
     if added is not None:
@@ -252,26 +255,42 @@ def test_map_many_maps_what_pgd_maps_to_the_same_bytes(
             calls = count_gradients(patch)
             alone = pgd(loss, data, starts[p],
                         GDConfig.for_loss(loss, steps[p]))
+        if steps[p] < dim:
+            assert not mapped[p]
+            slow = loop_pgd(loss, data, starts[p],
+                            GDConfig.for_loss(loss, steps[p]))
+            scale = max(np.linalg.norm(slow), np.linalg.norm(starts[p]))
+            assert np.linalg.norm(alone.theta - slow) <= 1e-12 * scale
+            continue
         assert mapped[p] == (calls == [])
         if mapped[p]:
             assert out[p].tobytes() == alone.theta.tobytes()
 
 
 def test_iterations_below_the_dimension_build_no_system(monkeypatch):
-    """With T < d the loop is cheaper than the map, so ``pgd`` neither
-    builds the normal equations nor solves them."""
+    """With T < d ``pgd`` takes the steps as theta <- A theta + c from the
+    moments: it neither builds the normal equations nor solves them, and
+    calls no gradient. From T = d on it maps through the system and
+    builds no (A, c)."""
     data, loss, _ = ridge_problem(seed=15, dim=5)
-    built, solved = [], []
+    cfg = GDConfig.for_loss(loss, iterations=4)
+    expected = loop_pgd(loss, data, np.zeros(5), cfg)
+    built, solved, affine = [], [], []
     quadratic, solve = LossModel.quadratic, np.linalg.solve
+    affine_step = LossModel.affine_step
     monkeypatch.setattr(LossModel, "quadratic",
                         lambda *a: built.append(1) or quadratic(*a))
+    monkeypatch.setattr(LossModel, "affine_step",
+                        lambda *a: affine.append(1) or affine_step(*a))
     monkeypatch.setattr(np.linalg, "solve",
                         lambda *a: solved.append(1) or solve(*a))
     calls = count_gradients(monkeypatch)
-    pgd(loss, data, np.zeros(5), GDConfig.for_loss(loss, iterations=4))
-    assert (built, solved, len(calls)) == ([], [], 4)
+    trace = pgd(loss, data, np.zeros(5), cfg)
+    assert (built, solved, affine, len(calls)) == ([], [], [1], 0)
+    assert trace.gradient_evaluations == 4 * data.size
+    assert_allclose(trace.theta, expected, rtol=1e-12, atol=0)
     pgd(loss, data, np.zeros(5), GDConfig.for_loss(loss, iterations=5))
-    assert (built, solved, len(calls)) == ([1], [1], 4)
+    assert (built, solved, affine, len(calls)) == ([1], [1], [1], 0)
 
 
 @pytest.mark.parametrize("regularized", [False, True])
@@ -296,7 +315,7 @@ def loop_cases():
     x = ball_points(rng, 30, 3)
     signs = np.where(x @ np.array([1.0, -1.0, 0.5]) >= 0, 1.0, -1.0)
     logistic = LogisticLoss(ParamSpace(3, 5.0), lam=0.5)
-    wide = ridge_problem(seed=13, dim=5)
+    wide = ridge_problem(seed=13, dim=5, radius=0.02)
     flat = RidgeLoss(ParamSpace(3, 5.0), label_bound=0.5, lam=0.0)
     # Labels proportional to the first feature put the minimizer near
     # (0.5, 0, 0), well outside a radius-0.05 ball.
@@ -321,6 +340,9 @@ def loop_cases():
             GDConfig(3.0 / ridge.smoothness, 20)),
         "logistic": (logistic, Dataset(x, signs), np.zeros(3),
                      GDConfig.for_loss(logistic, iterations=20)),
+        # T < d, and |c| / (1 - rho) = 0.0216 exceeds the radius, so the
+        # affine steps are not certified, though the iterates in fact
+        # stay within 0.019 and no projection acts.
         "fewer steps than dimensions": (wide[1], wide[0], np.zeros(5),
                                         GDConfig.for_loss(wide[1],
                                                           iterations=4)),
@@ -338,6 +360,52 @@ def test_descents_the_closed_form_cannot_certify_run_the_loop(monkeypatch,
     assert calls == [data.size] * cfg.iterations
     assert trace.gradient_evaluations == cfg.iterations * data.size
     assert np.array_equal(trace.theta, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("case", list(loop_cases()))
+def test_short_descents_the_affine_steps_cannot_certify_run_the_loop(
+        monkeypatch, case):
+    """The same cases cut to T = d - 1 steps: each fails the affine
+    certificate (or its regime or loss has no affine steps), so the loop
+    runs, byte for byte."""
+    loss, data, theta0, cfg = loop_cases()[case]
+    cfg = dataclasses.replace(cfg, iterations=data.dim - 1)
+    expected = loop_pgd(loss, data, theta0, cfg)
+    calls = count_gradients(monkeypatch)
+    trace = pgd(loss, data, theta0, cfg)
+    assert calls == [data.size] * cfg.iterations
+    assert trace.gradient_evaluations == cfg.iterations * data.size
+    assert np.array_equal(trace.theta, expected, equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       dim=st.integers(2, 8), steps=st.integers(1, 7),
+       reach=st.floats(1.0 + 1e-6, 4.0), lam=st.floats(0.01, 2.0),
+       added=st.one_of(st.none(), st.floats(0.01, 1.0)),
+       start=st.floats(0.0, 0.99))
+def test_short_descents_take_affine_steps_that_agree_with_the_loop(
+        seed, n, dim, steps, reach, lam, added, start):
+    """For T < d, a ball of radius ``reach`` / m always holds the affine
+    certificate: |c| <= eta R_x R_y = eta and 1 - rho >= eta m, so
+    |c| / (1 - rho) <= 1 / m. ``pgd`` then calls no gradient, agrees
+    with the loop and reports T * n point-gradients."""
+    rng = np.random.default_rng(seed)
+    data = Dataset(ball_points(rng, n, dim), rng.uniform(-1, 1, size=n))
+    radius = reach / (lam + (added or 0.0))
+    loss = RidgeLoss(ParamSpace(dim, radius), lam=lam)
+    if added is not None:
+        loss = RegularizedLoss(loss, added)
+    theta0 = ball_points(rng, 1, dim, radius=start * radius)[0]
+    cfg = GDConfig.for_loss(loss, iterations=min(steps, dim - 1))
+    slow = loop_pgd(loss, data, theta0, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_gradients(patch)
+        fast = pgd(loss, data, theta0, cfg)
+    assert calls == []
+    scale = max(np.linalg.norm(slow), np.linalg.norm(theta0))
+    assert np.linalg.norm(fast.theta - slow) <= 1e-12 * scale
+    assert fast.gradient_evaluations == cfg.iterations * n
 
 
 def test_loop_on_fresh_ridge_data_reads_the_moments_only(monkeypatch):
