@@ -21,6 +21,12 @@ computed, are carried from version to version by rank-1 updates and
 recomputed from the rows once n updates have been carried, so they
 cost O(d^2) per edit amortised and their rounding error does not grow
 with the stream (see ``Dataset``).
+
+Both producers of rows allocate them once: ``gen_synthetic_dataset``
+draws its rows and normalises and scales them in place, and
+``Dataset.from_csv`` parses each line straight into arrays sized for
+the file. Neither makes a temporary the size of the rows, so a chain's
+rows, not their making, set the program's memory floor.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.17g"  # shortest round-trip for IEEE doubles
+_BLOCK_ROWS = 1024  # rows per block where rows are read or normed blockwise
 
 
 @dataclass(frozen=True)
@@ -457,15 +464,33 @@ class Dataset:
         return child
 
     def to_csv(self, path):
-        """Write as CSV with header x_1,...,x_d,y at 17 significant digits."""
+        """Write as CSV with header x_1,...,x_d,y at 17 significant digits.
+        The rows are read from the row buffer a block at a time
+        (``rows``), so none are gathered whole or cached on this
+        version."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"x_{j + 1}" for j in range(self.dim)] + ["y"])
-            for row, lab in zip(self.features, self.labels):
-                writer.writerow([_FLOAT_FMT % v for v in row] + [_FLOAT_FMT % lab])
+            for start in range(0, self.size, _BLOCK_ROWS):
+                features, labels = self.rows(
+                    np.arange(start, min(start + _BLOCK_ROWS, self.size)))
+                for row, lab in zip(features, labels):
+                    writer.writerow([_FLOAT_FMT % v for v in row]
+                                    + [_FLOAT_FMT % lab])
 
     @classmethod
     def from_csv(cls, path, feature_bound=1.0, label_bound=1.0) -> "Dataset":
+        """Read the CSV ``to_csv`` writes, its rows allocated once: the
+        file's line ends, counted first, bound its data rows, each line
+        is parsed with ``float`` straight into arrays of that size, and
+        the arrays are trimmed in place.
+
+        Rejects a bad header; a row of the wrong length or with a cell
+        that is not a number as malformed, and a NaN or infinite value
+        as non-finite, each naming its line; a file with no rows; and
+        rows outside the declared bounds.
+        """
+        capacity = _line_ends(path)
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -474,30 +499,59 @@ class Dataset:
             ):
                 raise ValueError("malformed CSV header")
             dim = len(header) - 1
-            feats, labs = [], []
+            features, labels = np.empty((capacity, dim)), np.empty(capacity)
+            count = 0
             for line, row in enumerate(reader, start=2):
+                malformed = f"malformed CSV row at line {line}"
                 if len(row) != dim + 1:
-                    raise ValueError(f"malformed CSV row at line {line}")
-                values = [float(v) for v in row]
+                    raise ValueError(malformed)
+                try:
+                    values = [float(v) for v in row]
+                except ValueError as exc:
+                    raise ValueError(malformed) from exc
                 if not all(map(math.isfinite, values)):
                     raise ValueError(f"non-finite value at line {line}")
-                feats.append(values[:-1])
-                labs.append(values[-1])
-        if not feats:
+                features[count], labels[count] = values[:-1], values[-1]
+                count += 1
+        if not count:
             raise ValueError("empty dataset")
-        data = cls(*_frozen(np.array(feats), np.array(labs)), feature_bound,
-                   label_bound)
+        # No view of either array exists, so each shrinks in place.
+        features.resize((count, dim), refcheck=False)
+        labels.resize(count, refcheck=False)
+        data = cls(*_frozen(features, labels), feature_bound, label_bound)
         data.validate_bounds()
         return data
 
 
+def _line_ends(path) -> int:
+    # Line ends (LF, CR or CRLF) in the file, read in binary chunks: the
+    # header's, and one per data row bar perhaps the last, so at least
+    # the data rows. A CRLF split across two chunks counts twice, which
+    # keeps the bound.
+    ends = 0
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            ends += chunk.count(b"\n") + chunk.count(b"\r") \
+                - chunk.count(b"\r\n")
+    return ends
+
+
 def _ball_points(rng, n, dim, radius):
-    # Uniform on the radius-ball: direction times radius * U^(1/d).
+    # Uniform on the radius-ball: direction times radius * U^(1/d). The
+    # draws are divided and scaled in place, and their norms are taken a
+    # block of rows at a time by the operations np.linalg.norm(axis=1)
+    # performs, so the rows are raw / norms * scale to the byte with no
+    # temporary the size of the rows.
     raw = rng.standard_normal((n, dim))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms = np.empty((n, 1))
+    for start in range(0, n, _BLOCK_ROWS):
+        block = raw[start:start + _BLOCK_ROWS]
+        np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True),
+                out=norms[start:start + _BLOCK_ROWS])
     norms[norms == 0] = 1.0
-    scale = radius * rng.random((n, 1)) ** (1.0 / dim)
-    return raw / norms * scale
+    raw /= norms
+    raw *= radius * rng.random((n, 1)) ** (1.0 / dim)
+    return raw
 
 
 def gen_synthetic_dataset(n, dim, model="linear", noise=0.1, feature_bound=1.0,
@@ -508,6 +562,11 @@ def gen_synthetic_dataset(n, dim, model="linear", noise=0.1, feature_bound=1.0,
     bound; ``logistic`` draws y in {-1, +1} with log-odds <w, x> / noise.
     The planted weights keep |<w, x>| at or below label_bound / 2 so the
     clip rarely binds.
+
+    The rows are allocated once: features are drawn uniformly in the
+    feature-bound ball and normalised and scaled in place, their norms
+    taken a block of rows at a time, so no temporary the size of the
+    rows is made and the bytes are those of the plain formula.
     """
     if n < 1 or dim < 1:
         raise ValueError("n and dim must be positive")

@@ -256,8 +256,9 @@ class PartitionedState:
     def snapshot(self) -> dict:
         """Portable state (see ``_encode_state``); each position's row is
         named by its first equal row in ``data``, as the reservoir tells
-        rows apart only by value."""
-        rows = np.column_stack([self.data.features, self.data.labels])
+        rows apart only by value. The rows are read with ``data.rows``,
+        so none are gathered and cached on the chain's live version."""
+        rows = np.column_stack(self.data.rows(np.arange(self.data.size)))
         _, first, inverse = np.unique(rows, axis=0, return_index=True,
                                       return_inverse=True)
         indices = first[inverse.ravel()][self.indices]

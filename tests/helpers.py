@@ -5,6 +5,7 @@ calls so the library under test never certifies itself.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -43,6 +44,16 @@ def numeric_gradient(fn, theta, step=1e-5):
         bump[j] = step
         grad[j] = (fn(theta + bump) - fn(theta - bump)) / (2 * step)
     return grad
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ball_points(rng, count, dim, radius=1.0):

@@ -1,7 +1,6 @@
 import hashlib
 import logging
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +43,7 @@ from unlearn.losses import (
 )
 from unlearn.rng import substream
 
-from helpers import BAD_ADDS
+from helpers import BAD_ADDS, traced_peak
 
 E = math.e
 DELTA1 = math.exp(-1.0)
@@ -605,12 +604,7 @@ def test_learn_allocates_nothing_the_size_of_the_rows():
     data = gen_synthetic_dataset(20_000, 50, seed=5)
     loss = RidgeLoss(ParamSpace(50, 1.0), lam=1.0)
     config = UnlearnConfig("strong_secret", 1.0, 0.05, 5)
-    tracemalloc.start()
-    try:
-        learn(data, loss, config, seed=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: learn(data, loss, config, seed=5))
     assert peak < data.features.nbytes / 8
 
 
@@ -643,14 +637,10 @@ def test_a_snapshot_gathers_and_caches_no_rows():
                     Update("add", DataPoint(np.full(50, 0.01), 0.5)),
                     loss, config)
     assert state.data._features is None
-    tracemalloc.start()
-    try:
-        snap = state.snapshot()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(state.snapshot)
     assert state.data._features is None and state.data._labels is None
     assert peak < data.features.nbytes / 8
+    snap = state.snapshot()
     rows = np.column_stack([state.data.features, state.data.labels])
     assert snap["rows_sha256"] == hashlib.sha256(rows.tobytes()).hexdigest()
 

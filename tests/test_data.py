@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,11 @@ from unlearn.data import (
     moments_tolerance,
     save_updates,
 )
+from unlearn import data as data_module
 from unlearn.losses import ParamSpace, closed_form_ridge_optimizer
+from unlearn.rng import substream
+
+from helpers import traced_peak
 
 
 def small_dataset():
@@ -239,6 +242,49 @@ def test_synthetic_generation_is_seeded():
     assert not np.array_equal(a.features, c.features)
 
 
+def plain_synthetic(n, dim, model, noise, feature_bound, label_bound, seed):
+    """``gen_synthetic_dataset``'s rows by the plain formula, with its
+    full-size temporaries: norm, divide and scale out of place."""
+    rng = substream(seed, "data", model, n, dim)
+    raw = rng.standard_normal((n, dim))
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    scale = feature_bound * rng.random((n, 1)) ** (1.0 / dim)
+    feats = raw / norms * scale
+    w = rng.standard_normal(dim)
+    w *= 0.5 * label_bound / (feature_bound * max(np.linalg.norm(w), 1e-12))
+    margin = feats @ w
+    if model == "linear":
+        labs = np.clip(margin + noise * rng.standard_normal(n),
+                       -label_bound, label_bound)
+    else:
+        probs = 0.5 * (1.0 + np.tanh(margin / (2.0 * max(noise, 1e-12))))
+        labs = np.where(rng.random(n) < probs, 1.0, -1.0)
+    return feats, labs
+
+
+@pytest.mark.parametrize("model", ["linear", "logistic"])
+def test_synthetic_rows_are_the_plain_formula_to_the_byte(model):
+    """The norms, taken a block of rows at a time, and the in-place
+    divide and scale give the plain formula's bytes, for n just under,
+    at and just over the block size and over several blocks."""
+    block = data_module._BLOCK_ROWS
+    for n, dim in [(block - 1, 50), (block, 50), (block + 1, 50),
+                   (2 * block + 1, 1), (7, 3), (1, 9)]:
+        data = gen_synthetic_dataset(n, dim, model=model, noise=0.2,
+                                     feature_bound=2.0, label_bound=1.5,
+                                     seed=n)
+        feats, labs = plain_synthetic(n, dim, model, 0.2, 2.0, 1.5, n)
+        assert data.features.tobytes() == feats.tobytes()
+        assert data.labels.tobytes() == labs.tobytes()
+
+
+def test_synthetic_rows_are_allocated_once():
+    data = gen_synthetic_dataset(20_000, 50, seed=5)
+    peak = traced_peak(lambda: gen_synthetic_dataset(20_000, 50, seed=5))
+    assert peak < 1.5 * (data.features.nbytes + data.labels.nbytes)
+
+
 def test_synthetic_rejects_bad_requests():
     with pytest.raises(ValueError):
         gen_synthetic_dataset(0, 3)
@@ -347,8 +393,37 @@ def test_dataset_round_trips_through_csv_bit_exactly(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "x_1,x_2,x_3,y"
     back = Dataset.from_csv(path)
-    assert np.array_equal(back.features, data.features)
-    assert np.array_equal(back.labels, data.labels)
+    assert back.features.tobytes() == data.features.tobytes()
+    assert back.labels.tobytes() == data.labels.tobytes()
+
+
+def test_an_edited_version_round_trips_through_csv_without_a_gather(
+        tmp_path):
+    """``to_csv`` reads an edited version's rows block by block and
+    caches none; the file reads back to the same bytes whatever its line
+    ends, with or without a last one."""
+    data = gen_synthetic_dataset(2 * data_module._BLOCK_ROWS + 3, 4, seed=13)
+    edited = data.apply(Update("add", DataPoint(np.full(4, 0.25), -0.5)))
+    edited = edited.apply(Update("delete", data.point(5)))
+    path = tmp_path / "edited.csv"
+    edited.to_csv(path)
+    assert edited._features is None and edited._labels is None
+    text = path.read_bytes()
+    lines = text.split(b"\r\n")[:-1]
+    for variant in (text, text[:-2], b"\n".join(lines), b"\r".join(lines)):
+        path.write_bytes(variant)
+        back = Dataset.from_csv(path)
+        assert back.features.tobytes() == edited.features.tobytes()
+        assert back.labels.tobytes() == edited.labels.tobytes()
+        assert back.features.flags.c_contiguous
+
+
+def test_csv_rows_are_allocated_once(tmp_path):
+    data = gen_synthetic_dataset(20_000, 50, seed=5)
+    path = tmp_path / "data.csv"
+    data.to_csv(path)
+    peak = traced_peak(lambda: Dataset.from_csv(path))
+    assert peak < 1.5 * (data.features.nbytes + data.labels.nbytes)
 
 
 def test_csv_loader_rejects_bad_files(tmp_path):
@@ -358,6 +433,14 @@ def test_csv_loader_rejects_bad_files(tmp_path):
         Dataset.from_csv(path)
     path.write_text("x_1,x_2,y\n0.1,0.2\n")
     with pytest.raises(ValueError, match="malformed CSV row at line 2"):
+        Dataset.from_csv(path)
+    for bad in ("abc,0.2", ",0.2", "0.1,0.2,"):
+        path.write_text(f"x_1,y\n0.1,0.0\n{bad}\n")
+        with pytest.raises(ValueError,
+                           match="^malformed CSV row at line 3$"):
+            Dataset.from_csv(path)
+    path.write_text("x_1,y\n0.1,nan\nabc,0.2\n")
+    with pytest.raises(ValueError, match="non-finite value at line 2"):
         Dataset.from_csv(path)
     path.write_text("x_1,y\n")
     with pytest.raises(ValueError, match="empty dataset"):
@@ -427,12 +510,8 @@ def test_a_converted_input_is_copied_once():
     features = rng.uniform(-0.1, 0.1, size=(20_000, 50))
     labels = rng.uniform(-1, 1, size=20_000)
     single = features.astype(np.float32)
-    tracemalloc.start()
-    try:
-        data = Dataset(single, labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: Dataset(single, labels))
+    data = Dataset(single, labels)
     # About the float64 rows and labels once, not twice.
     assert peak < 1.1 * (features.nbytes + labels.nbytes)
     assert data.features.dtype == float

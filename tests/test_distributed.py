@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import mpmath
@@ -446,6 +447,27 @@ def test_restored_chain_carries_the_moments_byte_equal():
     assert again[0].tobytes() == gram.tobytes()
     assert again[1].tobytes() == xty.tobytes()
     assert again[2:] == (yty, carried)
+
+
+def test_a_dist_snapshot_gathers_and_caches_no_rows():
+    """A distributed snapshot reads the edited chain's rows with
+    ``Dataset.rows``: the live version caches no gathered rows, and the
+    snapshot still names each position's row by its first equal row and
+    carries the digest of the stacked rows."""
+    data, loss, cfg = small_problem(n=5000, dim=20, delta=1e-4, seed=27)
+    state = dist_learn(data, loss, cfg, seed=27)
+    for update in (Update("add", DataPoint(np.full(20, 0.01), 0.5)),
+                   Update("delete", data.point(7))):
+        state = dist_unlearn(state, update, loss, cfg)
+    assert state.data._features is None
+    snap = state.snapshot()
+    assert state.data._features is None and state.data._labels is None
+    rows = np.column_stack([state.data.features, state.data.labels])
+    _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    indices = first[inverse.ravel()][state.indices]
+    assert [copy["indices"] for copy in snap["copies"]] == indices.tolist()
+    assert snap["rows_sha256"] == hashlib.sha256(rows.tobytes()).hexdigest()
 
 
 def test_restore_rejects_unknown_formats():

@@ -528,6 +528,14 @@ def test_cli_rejects_a_non_finite_csv_row(tmp_path, capsys):
     assert "non-finite value at line 3" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_csv_cell_that_is_not_a_number(tmp_path, capsys):
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("x_1,x_2,y\n0.1,0.2,0.3\n0.1,0.1,0.2\nabc,,0.2\n")
+    assert main(["gen-updates", "--data", str(csv_path), "--out",
+                 str(tmp_path / "u.jsonl"), "--length", "2"]) == 3
+    assert "malformed CSV row at line 4" in capsys.readouterr().err
+
+
 def test_cli_train_writes_a_snapshot(tmp_path):
     out = tmp_path / "state.json"
     code = main(["train", "--state-out", str(out), "--n", "60",
