@@ -365,9 +365,16 @@ class Dataset:
 
     def moments(self) -> tuple:
         """(X^T X, X^T y, y^T y), the arrays read-only; built from the rows
-        on first use and kept."""
+        on first use and kept. Rows this version does not already cache
+        are gathered for the product alone and not kept, so a chain's
+        periodic recompute (``apply``) leaves no copy of its rows."""
         if self._moments is None:
-            self._moments = (*_row_moments(self.features, self.labels), 0)
+            features, labels = self._features, self._labels
+            if features is None:
+                features = self._rows.features_at(self._live)
+            if labels is None:
+                labels = self._rows.labels_at(self._live)
+            self._moments = (*_row_moments(features, labels), 0)
         return self._moments[:3]
 
     @property
@@ -487,8 +494,8 @@ class Dataset:
 
         Rejects a bad header; a row of the wrong length or with a cell
         that is not a number as malformed, and a NaN or infinite value
-        as non-finite, each naming its line; a file with no rows; and
-        rows outside the declared bounds.
+        as non-finite, each naming the physical line its record starts
+        on; a file with no rows; and rows outside the declared bounds.
         """
         capacity = _line_ends(path)
         with open(path, newline="") as fh:
@@ -501,7 +508,10 @@ class Dataset:
             dim = len(header) - 1
             features, labels = np.empty((capacity, dim)), np.empty(capacity)
             count = 0
-            for line, row in enumerate(reader, start=2):
+            # The physical line a record starts on: a quoted cell may
+            # span line ends, so records and lines are counted apart.
+            line = reader.line_num + 1
+            for row in reader:
                 malformed = f"malformed CSV row at line {line}"
                 if len(row) != dim + 1:
                     raise ValueError(malformed)
@@ -513,6 +523,7 @@ class Dataset:
                     raise ValueError(f"non-finite value at line {line}")
                 features[count], labels[count] = values[:-1], values[-1]
                 count += 1
+                line = reader.line_num + 1
         if not count:
             raise ValueError("empty dataset")
         # No view of either array exists, so each shrinks in place.

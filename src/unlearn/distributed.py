@@ -255,13 +255,12 @@ class PartitionedState:
 
     def snapshot(self) -> dict:
         """Portable state (see ``_encode_state``); each position's row is
-        named by its first equal row in ``data``, as the reservoir tells
-        rows apart only by value. The rows are read with ``data.rows``,
-        so none are gathered and cached on the chain's live version."""
-        rows = np.column_stack(self.data.rows(np.arange(self.data.size)))
-        _, first, inverse = np.unique(rows, axis=0, return_index=True,
-                                      return_inverse=True)
-        indices = first[inverse.ravel()][self.indices]
+        named by its first equal row in ``data`` (``_first_equal``), as
+        the reservoir tells rows apart only by value. The rows are read
+        with ``data.rows``, so none are gathered and cached on the
+        chain's live version."""
+        first = _first_equal(*self.data.rows(np.arange(self.data.size)))
+        indices = first[self.indices]
         return {
             **_encode_state(DIST_SNAPSHOT_FORMAT, self, self.config.sigma),
             "copies": [
@@ -299,6 +298,28 @@ class PartitionedState:
         rngs = tuple(_generator(e[2]) for e in entries)
         return cls(indices=_read_only(idx), thetas=_read_only(thetas),
                    rngs=rngs, loss=loss, config=config, **shared)
+
+
+def _first_equal(features, labels) -> np.ndarray:
+    """Index of each row's first equal row (features and label equal).
+
+    A stable ``np.lexsort`` over the columns puts equal rows together in
+    index order, so each run's first index names the whole run. Runs
+    are told apart one gathered column at a time, so the only arrays
+    besides the rows are a few of length n.
+    """
+    size = labels.size
+    order = np.lexsort((labels, *features.T))
+    starts = np.zeros(size, dtype=bool)
+    starts[:1] = True
+    for column in (labels, *features.T):
+        key = column[order]
+        starts[1:] |= key[1:] != key[:-1]
+    heads = np.where(starts, np.arange(size), 0)
+    np.maximum.accumulate(heads, out=heads)
+    first = np.empty(size, dtype=np.intp)
+    first[order] = order[heads]
+    return first
 
 
 def select_best(averages, data: Dataset, loss: LossModel) -> int:

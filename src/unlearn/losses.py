@@ -67,6 +67,7 @@ __all__ = [
     "LogisticLoss",
     "RegularizedLoss",
     "closed_form_ridge_optimizer",
+    "closed_form_refusal",
 ]
 
 
@@ -243,7 +244,9 @@ class RidgeLoss(LossModel):
 def normal_equations(gram, xty, size, lam):
     """``(X^T X / n + lam I, X^T y / n)``, the ridge gradient's H and g,
     from the moments X^T X (d, d) and X^T y (d,) of n rows, or from a
-    stack of them, (P, d, d) and (P, d), with n rows each. H is fresh."""
+    stack of them, (P, d, d) and (P, d), with n rows each; for a stack
+    ``lam`` may be a (P, 1) column, one coefficient per system. H is
+    fresh."""
     hessian = gram / size
     dim = hessian.shape[-1]
     hessian.reshape(-1, dim * dim)[:, ::dim + 1] += lam
@@ -335,6 +338,9 @@ class RegularizedLoss(LossModel):
         self.base.check_point(point)
 
 
+_SINGULAR = "singular normal equations; need lam > 0 or full-rank features"
+
+
 def closed_form_ridge_optimizer(data: Dataset, lam: float,
                                 space: ParamSpace) -> np.ndarray:
     """Exact minimizer of the empirical ridge loss over Theta.
@@ -343,7 +349,9 @@ def closed_form_ridge_optimizer(data: Dataset, lam: float,
     moments, the same system ``quadratic`` builds. Only valid when the
     unconstrained solution lies inside the ball, in which case it is
     also the constrained minimizer; otherwise this oracle refuses
-    rather than return a wrong answer.
+    rather than return a wrong answer. The checks on the solution are
+    ``closed_form_refusal``'s, which also judges a theta solved
+    elsewhere, such as a row of a stacked solve.
     """
     if data.size == 0:
         raise ValueError("empty dataset")
@@ -353,13 +361,21 @@ def closed_form_ridge_optimizer(data: Dataset, lam: float,
     try:
         theta = np.linalg.solve(hessian, rhs)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("singular normal equations; need lam > 0 or "
-                         "full-rank features") from exc
-    if not np.all(np.isfinite(theta)) or np.linalg.norm(
-            hessian @ theta - rhs) > 1e-8 * (np.linalg.norm(rhs) + 1):
-        raise ValueError("singular normal equations; need lam > 0 or "
-                         "full-rank features")
-    if np.linalg.norm(theta) > space.radius * (1 + 1e-9):
-        raise ValueError("oracle invalid for constrained problem: "
-                         "unconstrained minimizer lies outside the ball")
+        raise ValueError(_SINGULAR) from exc
+    refusal = closed_form_refusal(hessian, rhs, theta, space)
+    if refusal is not None:
+        raise ValueError(refusal)
     return theta
+
+
+def closed_form_refusal(hessian, rhs, theta, space: ParamSpace):
+    """Why ``theta``, solved from ``hessian theta = rhs``, is not the
+    ball's ridge minimizer, or None if it is: it must be finite, solve
+    the system to a relative residual of 1e-8 and lie in the ball."""
+    if not np.isfinite(theta).all() or _norm(
+            hessian @ theta - rhs) > 1e-8 * (_norm(rhs) + 1):
+        return _SINGULAR
+    if _norm(theta) > space.radius * (1 + 1e-9):
+        return ("oracle invalid for constrained problem: "
+                "unconstrained minimizer lies outside the ball")
+    return None

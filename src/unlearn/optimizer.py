@@ -27,7 +27,10 @@ loop gradient comes from the data's moments, see ``Dataset.moments``):
   iterate lies within rho |theta_0 - theta*| of theta*. Once
   rho^T |theta_0 - theta*| <= 2^-53 |theta*| the T-step iterate agrees
   with theta* to rounding, and the map returns theta* without taking
-  the power.
+  the power. The solve (``solve_many``) and the map with its
+  certificate (``map_solved``) are separate steps, so a caller that
+  already holds theta*, as the harness's oracles do, maps without
+  solving again.
 - 0 < T < d: the T steps theta <- A theta + c, with (A, c) read from the
   moments by ``loss.affine_step``, two matrix-vector operations a step
   and no system solved. Its certificate needs no theta*: with
@@ -55,7 +58,8 @@ import numpy as np
 from .data import Dataset, _norm
 from .losses import LossModel
 
-__all__ = ["GDConfig", "GDTrace", "pgd", "map_many", "contraction_factor"]
+__all__ = ["GDConfig", "GDTrace", "pgd", "map_many", "solve_many",
+           "map_solved", "contraction_factor"]
 
 REGIMES = ("strongly_convex_smooth", "convex_smooth")
 
@@ -200,14 +204,36 @@ def map_many(loss: LossModel, hessian, rhs, theta0, step_size: float,
     map ``refused``, on the rest. ``pgd`` maps its own T >= d descents
     here as a stack of one,
     so a stacked problem is mapped exactly when ``pgd`` maps it alone,
-    and then to the same bytes.
+    and then to the same bytes. This is ``solve_many`` followed by
+    ``map_solved``; a caller that already holds theta* calls the map
+    alone.
     """
-    count, dim = rhs.shape
-    mapped = np.zeros(count, dtype=bool)
+    star = solve_many(hessian, rhs)
+    if star is None:
+        return np.empty(rhs.shape), np.zeros(len(rhs), dtype=bool)
+    return map_solved(loss, hessian, star, theta0, step_size, iterations)
+
+
+def solve_many(hessian, rhs):
+    """theta* = H^-1 g of each system of the stack, a (P, d) array, in one
+    ``np.linalg.solve``; None if a matrix of the stack is singular."""
     try:
-        star = np.linalg.solve(hessian, rhs[:, :, None])[:, :, 0]
+        return np.linalg.solve(hessian, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        return np.empty((count, dim)), mapped
+        return None
+
+
+def map_solved(loss: LossModel, hessian, star, theta0, step_size: float,
+               iterations):
+    """``map_many``'s map and certificate, given theta* = ``star``, the
+    (P, d) ``solve_many`` of the stack.
+
+    Returns ``star`` and the mask: each mapped row that has not
+    converged is overwritten in place by its T-step iterate, so a caller
+    that needs theta* afterwards passes a copy.
+    """
+    count, dim = star.shape
+    mapped = np.zeros(count, dtype=bool)
     diff = theta0 - star
     pair = np.array((star, diff))
     norms, gaps = np.sqrt((pair[..., None, :] @ pair[..., None])[..., 0, 0]

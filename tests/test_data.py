@@ -459,6 +459,49 @@ def test_csv_loader_rejects_bad_files(tmp_path):
         Dataset.from_csv(path)
 
 
+def test_csv_errors_name_the_physical_line_a_record_starts_on(tmp_path):
+    """A quoted cell may hold a line end, which ``float`` accepts, so a
+    record can span two lines; later messages still name the file's
+    own line, and a malformed two-line record names its first."""
+    path = tmp_path / "quoted.csv"
+    path.write_text('x_1,y\n"0.1\n",0.2\n0.1,nan\n')
+    with pytest.raises(ValueError, match="^non-finite value at line 4$"):
+        Dataset.from_csv(path)
+    path.write_text('x_1,y\n0.1,0.2\n"0.3\n",0.4,0.5\n0.1,0.1\n')
+    with pytest.raises(ValueError, match="^malformed CSV row at line 3$"):
+        Dataset.from_csv(path)
+    path.write_text('x_1,y\n"0.1\n",0.2\n0.3,0.4\n')
+    data = Dataset.from_csv(path)
+    assert data.features.tolist() == [[0.1], [0.3]]
+    assert data.labels.tolist() == [0.2, 0.4]
+
+
+def test_moments_recompute_caches_no_rows():
+    """Once a chain has carried as many updates as it has rows, ``apply``
+    recomputes its moments from a gather of the rows that it does not
+    keep: the live version then holds no rows apart from the buffer, and
+    the moments are the rows' own to the byte."""
+    data = gen_synthetic_dataset(200, 3, seed=4)
+    data.moments()
+    recomputes = 0
+    for update in gen_adversarial_sequence(data, 450, strategy="churn",
+                                           seed=4):
+        data = data.apply(update)
+        if data.cached_moments[3]:
+            continue
+        recomputes += 1
+        rows = data._rows
+        assert data._features is None or np.shares_memory(
+            data._features, rows.base_features)
+        assert data._labels is None or np.shares_memory(
+            data._labels, rows.base_labels)
+        fresh = data_module._row_moments(rows.features_at(data._live),
+                                         rows.labels_at(data._live))
+        for carried, own in zip(data.moments(), fresh):
+            assert np.asarray(carried).tobytes() == np.asarray(own).tobytes()
+    assert recomputes >= 2
+
+
 def versions():
     """A fresh dataset, an edited version of it and a compacted one."""
     data = Dataset(np.arange(12.0).reshape(6, 2) / 20, np.linspace(-1, 1, 6),

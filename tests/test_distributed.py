@@ -27,7 +27,7 @@ from unlearn.losses import (LogisticLoss, ParamSpace, RidgeLoss,
                             closed_form_ridge_optimizer)
 from unlearn.rng import substream
 
-from helpers import BAD_ADDS
+from helpers import BAD_ADDS, traced_peak
 
 
 def ridge_loss(dim, lam=1.0, radius=1.0):
@@ -468,6 +468,32 @@ def test_a_dist_snapshot_gathers_and_caches_no_rows():
     indices = first[inverse.ravel()][state.indices]
     assert [copy["indices"] for copy in snap["copies"]] == indices.tolist()
     assert snap["rows_sha256"] == hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+def test_a_dist_snapshot_names_rows_in_little_more_than_the_rows():
+    """``snapshot`` names each position's row by its first equal row with
+    a stable sort over the gathered columns, not a ``np.unique`` over the
+    stacked rows: the indices are the same, duplicate rows included, and
+    the snapshot's tracemalloc peak stays under 1.5 times the rows plus
+    labels."""
+    n, dim = 20000, 20
+    data = gen_synthetic_dataset(n, dim, noise=0.05, seed=28)
+    loss = ridge_loss(dim)
+    cfg = dist_params(n, dim, loss, 1.0, 1, 1.0, 1e-5, copies=3)
+    state = dist_learn(data, loss, cfg, seed=28)
+    twice = [Update("add", data.point(j)) for j in (3, 3, 11)]
+    drift = gen_adversarial_sequence(data, 3, strategy="drift", seed=28)
+    for update in twice + list(drift):
+        state = dist_unlearn(state, update, loss, cfg)
+    snap = {}
+    peak = traced_peak(lambda: snap.update(state.snapshot()))
+    assert peak < 1.5 * n * (dim + 1) * 8
+    rows = np.column_stack([state.data.features, state.data.labels])
+    _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    assert first.size < state.data.size
+    indices = first[inverse.ravel()][state.indices]
+    assert [copy["indices"] for copy in snap["copies"]] == indices.tolist()
 
 
 def test_restore_rejects_unknown_formats():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -246,6 +247,8 @@ def test_strong_mode_chain_runs_one_reference_descent_per_round(monkeypatch):
 
 
 def test_core_chain_resolves_its_schedule_once(monkeypatch):
+    """With or without the gap oracle: the retrain mean is taken under
+    the chain's own schedule, not one resolved again each round."""
     calls = []
     original = core.UnlearnConfig.resolve
 
@@ -254,10 +257,110 @@ def test_core_chain_resolves_its_schedule_once(monkeypatch):
         return original(self, *args)
 
     monkeypatch.setattr(core.UnlearnConfig, "resolve", counted)
-    records = run_chain(ExperimentConfig(n=60, dim=3, update_length=10,
-                                         iters=3))
-    assert len(records) == 11
-    assert [args[1:] for args in calls] == [(60, 3)]
+    for compute_gap in (False, True):
+        calls.clear()
+        records = run_chain(ExperimentConfig(n=60, dim=3, update_length=10,
+                                             iters=3),
+                            compute_gap=compute_gap)
+        assert len(records) == 11
+        assert all((r.mean_gap is not None) == compute_gap
+                   for r in records)
+        assert [args[1:] for args in calls] == [(60, 3)]
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+# Which of the map's branches the retrain mean takes on the grid below,
+# per mode: converged (theta* itself), powered (theta* + A^T (0 - theta*))
+# or refused (``pgd``'s loop). Short descents, T < d, take ``pgd``'s
+# short map and never reach the map.
+GRID_BRANCHES = {
+    "strong_secret": {"powered", "refused"},
+    "strong_perfect": {"powered", "refused"},
+    "regularized_strong": {"converged", "powered", "refused"},
+    "regularized_weak": {"converged", "powered", "refused"},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GRID_BRANCHES))
+def test_round_oracles_match_the_named_oracles_to_the_byte(monkeypatch,
+                                                           mode):
+    """One stacked solve per round serves drift, gap and excess risk, and
+    each equals what ``reference_optimum``, ``core.fresh_mean`` and
+    ``reference_minimum`` return on their own, over radius 1 and 0.05,
+    three sizes and three streams."""
+    branches = set()
+    original = harness.map_solved
+
+    def spy(loss, hessian, star, *args):
+        before = star.copy()
+        out, mapped = original(loss, hessian, star, *args)
+        branches.add("refused" if not mapped[0] else
+                     "converged" if same_bytes(out, before) else "powered")
+        return out, mapped
+
+    monkeypatch.setattr(harness, "map_solved", spy)
+    # A regularized mode's base loss may be merely convex (lam = 0).
+    lams = (1.0, 0.0) if mode.startswith("regularized") else (1.0,)
+    for lam, radius in itertools.product(lams, (1.0, 0.05)):
+        for n, dim in ((60, 3), (400, 5), (2000, 20)):
+            for stream in ("churn", "random", "drift"):
+                cfg = ExperimentConfig(mode=mode, radius=radius, n=n,
+                                       dim=dim, lam=lam,
+                                       update_strategy=stream,
+                                       update_length=5, iters=3, seed=5)
+                try:
+                    chain = list(harness._rounds(cfg, 0))
+                except ValueError:
+                    continue  # perfect mode's iteration floor at n=2000
+                for loss, params, state, _ in chain:
+                    eff, data = state.schedule.effective_loss, state.data
+                    theta, tol, mean, fmin = harness._core_oracles(
+                        state, cfg.iters, compute_gap=True, minimum=True)
+                    ref_theta, ref_tol = reference_optimum(eff, data,
+                                                           cfg.iters)
+                    assert same_bytes(theta, ref_theta)
+                    assert same_bytes(tol, ref_tol)
+                    assert same_bytes(
+                        mean, core.fresh_mean(data, loss, params).theta)
+                    assert same_bytes(
+                        fmin, reference_minimum(loss, data, cfg.iters))
+    assert branches == GRID_BRANCHES[mode]
+
+
+@pytest.mark.parametrize("mode", ["regularized_strong", "strong_secret"])
+def test_gap_chain_solves_once_per_round(monkeypatch, mode):
+    """The effective loss's system, and the base loss's in the
+    regularized modes, go to one ``np.linalg.solve`` per round, which
+    serves the drift, gap and excess-risk oracles alike."""
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        solves.append(1)
+        return solve(*args)
+
+    per_round = []
+    oracles = harness._core_oracles
+
+    def round_oracles(*args, **kwargs):
+        start = len(solves)
+        out = oracles(*args, **kwargs)
+        per_round.append(len(solves) - start)
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(harness, "_core_oracles", round_oracles)
+    records = run_chain(ExperimentConfig(n=400, dim=5, mode=mode,
+                                         update_strategy="random",
+                                         update_length=6, iters=3),
+                        compute_gap=True)
+    assert len(records) == 7
+    assert per_round == [1] * 7
 
 
 def test_chain_scans_the_dataset_against_the_loss_once(monkeypatch):
