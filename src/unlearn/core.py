@@ -66,7 +66,7 @@ __all__ = [
 MODES = ("strong_secret", "strong_perfect", "regularized_strong",
          "regularized_weak")
 
-SNAPSHOT_FORMAT = "unlearn-state/4"
+SNAPSHOT_FORMAT = "unlearn-state/5"
 
 _DIGEST_ROWS = 1024  # rows hashed per block by ``_rows_digest``
 
@@ -246,8 +246,8 @@ def weak_params(lipschitz: float, smoothness: float, diameter: float,
     m_reg = sqrt(L M sqrt(d log(1/delta)) / (D epsilon n sqrt(I))).
     """
     _check_privacy(epsilon, delta)
-    if schedule_exponent < 1:
-        raise ValueError("schedule exponent must be at least 1")
+    if not 1 <= schedule_exponent < math.inf:
+        raise ValueError("schedule exponent must lie in [1, inf)")
     if iters < 1:
         raise ValueError("iteration budget must be at least 1")
     xi = float(schedule_exponent)
@@ -269,8 +269,8 @@ def weak_schedule(i: int, iters: int, schedule_exponent: float = 1.0) -> int:
     """Per-update budget for the growing-budget chain: ceil(i^(2 xi) I)."""
     if i < 1:
         raise ValueError("round index must be at least 1")
-    if schedule_exponent < 1:
-        raise ValueError("schedule exponent must be at least 1")
+    if not 1 <= schedule_exponent < math.inf:
+        raise ValueError("schedule exponent must lie in [1, inf)")
     two_xi = 2.0 * float(schedule_exponent)
     if two_xi.is_integer():
         return int(i) ** int(two_xi) * int(iters)
@@ -301,8 +301,8 @@ class UnlearnConfig:
         _check_privacy(self.epsilon, self.delta)
         if self.iters < 1 or int(self.iters) != self.iters:
             raise ValueError("iteration budget must be a positive integer")
-        if self.schedule_exponent < 1:
-            raise ValueError("schedule exponent must be at least 1")
+        if not 1 <= self.schedule_exponent < math.inf:
+            raise ValueError("schedule exponent must lie in [1, inf)")
 
     def resolve(self, loss: LossModel, n: int, dim: int) -> "ResolvedSchedule":
         """Bind the config to a loss and problem size."""
@@ -462,27 +462,19 @@ def _restore_moments(snapshot: dict, data: Dataset,
         raise ValueError("snapshot moments do not match the loss")
     if moments is None:
         return data
-    try:
-        gram = np.asarray(moments["gram"], dtype=float)
-        xty = np.asarray(moments["xty"], dtype=float)
-        yty = float(moments["yty"])
-        carried = moments["carried"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("snapshot moments lack a field") from exc
-    fresh_gram, fresh_xty, fresh_yty = data.moments()
-    if gram.shape != fresh_gram.shape or xty.shape != fresh_xty.shape:
+    matrix, carried = _fields(moments, "matrix", "carried")
+    matrix, fresh = np.asarray(matrix, dtype=float), data.moments()
+    if matrix.shape != fresh.shape:
         raise ValueError("snapshot moments do not match the dataset's "
                          "dimension")
     if type(carried) is not int or not 0 <= carried <= data.size:
         raise ValueError("snapshot moments carry an impossible update count")
-    tol_gram, tol_xty, tol_yty = moments_tolerance(
-        data.size, carried, loss.feature_bound, loss.label_bound)
+    tol = moments_tolerance(data.size, carried, loss.feature_bound,
+                            loss.label_bound, data.dim)
     # Written as "not <=" so that NaN fails the test too.
-    if not (np.all(np.abs(gram - fresh_gram) <= tol_gram)
-            and np.all(np.abs(xty - fresh_xty) <= tol_xty)
-            and abs(yty - fresh_yty) <= tol_yty):
+    if not np.all(np.abs(matrix - fresh) <= tol):
         raise ValueError("snapshot moments do not match the rows")
-    return data._with_moments(gram, xty, yty, carried)
+    return data._with_moments(matrix, carried)
 
 
 def _fields(record: dict, *names) -> list:
@@ -547,8 +539,7 @@ def _encode_state(fmt: str, state, sigma: float) -> dict:
             "initial_size": state.data.initial_size, "sigma": sigma,
             "size": state.data.size, "rows_sha256": _rows_digest(state.data),
             "moments": None if moments is None else {
-                "gram": moments[0].tolist(), "xty": moments[1].tolist(),
-                "yty": float(moments[2]), "carried": moments[3]}}
+                "matrix": moments[0].tolist(), "carried": moments[1]}}
 
 
 def _decode_state(fmt: str, snapshot: dict, data: Dataset,

@@ -16,7 +16,7 @@ one dataset share an append-only row buffer and each holds only the
 slots of its rows. A delete reads what it compares and no more: one
 compare of the point's label with the buffer's labels, the features of
 the live rows whose label matches, and one copy of the live index; no
-version's rows are gathered. The moments X^T X, X^T y and y^T y, once
+version's rows are gathered. The moments M = [X | y]^T [X | y], once
 computed, are carried from version to version by rank-1 updates and
 recomputed from the rows once n updates have been carried, so they
 cost O(d^2) per edit amortised and their rounding error does not grow
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.17g"  # shortest round-trip for IEEE doubles
-_BLOCK_ROWS = 1024  # rows per block where rows are read or normed blockwise
+_BLOCK_ROWS = 1024  # rows per block where rows are read, normed or summed
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,24 @@ def check_bounds(norm, label, feature_bound, label_bound):
 
 
 def _row_moments(features, labels):
-    """(X^T X, X^T y, y^T y) of the rows, the arrays read-only."""
-    return (*_frozen(features.T @ features, features.T @ labels),
-            float(labels @ labels))
+    """M = Z^T Z, Z = [X | y], read-only, of rows (n, d) and (n,) or of
+    a stack of them, slice by slice, summed in ``_BLOCK_ROWS``-row blocks
+    in order, so no product spans more rows (README: BLAS threads)."""
+    dim = features.shape[-1]
+    moments = np.zeros(features.shape[:-2] + (dim + 1, dim + 1))
+    parts = (moments[..., :dim, :dim], moments[..., :dim, dim:],
+             moments[..., dim:, dim:])
+    for start in range(0, labels.shape[-1], _BLOCK_ROWS):
+        x = features[..., start:start + _BLOCK_ROWS, :]
+        y = labels[..., start:start + _BLOCK_ROWS, None]
+        for part, left, right in zip(parts, (x, x, y), (x, y, y)):
+            # The first block is written into M, the others added to it.
+            if start:
+                part += left.swapaxes(-1, -2) @ right
+            else:
+                np.matmul(left.swapaxes(-1, -2), right, out=part)
+    moments[..., dim, :dim] = moments[..., :dim, dim]
+    return _frozen(moments)[0]
 
 
 def _frozen(*arrays):
@@ -201,27 +216,27 @@ def _frozen(*arrays):
 
 
 def moments_tolerance(size: int, carried: int, feature_bound: float,
-                      label_bound: float) -> tuple:
-    """Entrywise bound on the gap between carried and fresh moments.
+                      label_bound: float, dim: int) -> np.ndarray:
+    """Entrywise bound on the gap between carried and fresh moments M.
 
-    An entry of X^T X (of X^T y, and y^T y) is a sum of products
-    x_i x_j (y x_i, y y) of magnitude at most R_x^2 (R_x R_y, R_y^2).
+    An entry of M = Z^T Z is a sum of products z_i z_j with
+    |z_i| <= r_i, r = (R_x, ..., R_x, R_y): x_i x_j, y x_i or y y.
     Moments computed from the rows of an earlier version and then
     carried through ``carried`` rank-1 updates to a version of ``size``
     rows have summed at most k = size + 2 * carried such products (each
     update moves the size by one), in some order; the version's fresh
     moments sum ``size`` of them. Each result lies within
-    gamma_k * k * R^2 of the exact sum, where gamma_k = k u / (1 - k u)
-    and u = 2^-53, so the two differ by at most twice that; the three
-    bounds are returned. ``Dataset`` keeps ``carried`` at most ``size``,
-    so k <= 3 * size however long the stream.
+    gamma_k * k * r_i r_j of the exact sum, where gamma_k = k u / (1 - k u)
+    and u = 2^-53, so the two differ by at most twice that, the matrix
+    returned. ``Dataset`` keeps ``carried`` at most ``size``, so
+    k <= 3 * size however long the stream.
     """
     terms = size + 2 * carried
     ku = terms * 2.0 ** -53
     scale = 2.0 * ku / (1.0 - ku) * terms
-    return (scale * feature_bound * feature_bound,
-            scale * feature_bound * label_bound,
-            scale * label_bound * label_bound)
+    bound = np.full(dim + 1, float(feature_bound))
+    bound[dim] = label_bound
+    return scale * np.outer(bound, bound)
 
 
 def _owned(array: np.ndarray, given) -> np.ndarray:
@@ -263,16 +278,16 @@ class Dataset:
     minimum tail) a buffer holds at most four times the live rows
     however long the stream.
 
-    The moments (X^T X, X^T y, y^T y) are computed from the rows when
-    first asked for and from then on carried through every edit by
-    rank-1 updates, so ridge-family losses, values and gradients alike,
-    need not touch the rows again. Once a version would carry more
-    updates than it has rows, its moments are recomputed from its rows
-    instead: that costs O(n d^2) once per
-    n edits, keeps the rounding error within ``moments_tolerance`` of a
-    bounded number of terms, and depends only on the edit history, so
-    a chain and its replay recompute at the same edits. A dataset whose
-    moments nobody asked for (a logistic chain's) never pays for them.
+    The moments M = Z^T Z, Z = [X | y], are computed from the rows when
+    first asked for and from then on carried through every edit by the
+    rank-1 update +-z z^T, z = (x, y), so ridge-family losses, values and
+    gradients alike, need not touch the rows again. Once a version would
+    carry more updates than it has rows, its moments are recomputed from
+    its rows instead: that costs O(n d^2) once per n edits, keeps the
+    rounding error within ``moments_tolerance`` of a bounded number of
+    terms, and depends only on the edit history, so a chain and its
+    replay recompute at the same edits. A dataset whose moments nobody
+    asked for (a logistic chain's) never pays for them.
 
     Attributes:
         features: (n, d) read-only array, one row per copy.
@@ -363,10 +378,10 @@ class Dataset:
             self._found = key, hits
         return self._found[1]
 
-    def moments(self) -> tuple:
-        """(X^T X, X^T y, y^T y), the arrays read-only; built from the rows
-        on first use and kept. Rows this version does not already cache
-        are gathered for the product alone and not kept, so a chain's
+    def moments(self) -> np.ndarray:
+        """M = [X | y]^T [X | y], read-only, built from the rows on first
+        use and kept. Rows this version does not already cache are
+        gathered for the product alone and not kept, so a chain's
         periodic recompute (``apply``) leaves no copy of its rows."""
         if self._moments is None:
             features, labels = self._features, self._labels
@@ -374,25 +389,23 @@ class Dataset:
                 features = self._rows.features_at(self._live)
             if labels is None:
                 labels = self._rows.labels_at(self._live)
-            self._moments = (*_row_moments(features, labels), 0)
-        return self._moments[:3]
+            self._moments = _row_moments(features, labels), 0
+        return self._moments[0]
 
     @property
     def cached_moments(self):
-        """``(gram, xty, yty, carried)`` if this version already holds its
-        moments, else None; ``carried`` counts the rank-1 updates since
-        they were last computed from rows."""
+        """``(M, carried)`` if this version already holds its moments,
+        else None; ``carried`` counts the rank-1 updates since they were
+        last computed from rows."""
         return self._moments
 
-    def _with_moments(self, gram, xty, yty, carried: int) -> "Dataset":
+    def _with_moments(self, moments, carried: int) -> "Dataset":
         # These rows carrying the given moments, which the caller vouches
         # for: a restore checks them against the rows (see
         # ``moments_tolerance``), and the distributed chain hands over
         # those its batch computed from these very rows.
         twin = self._clone()
-        twin._moments = (*_frozen(np.array(gram, dtype=float),
-                                  np.array(xty, dtype=float)),
-                         float(yty), carried)
+        twin._moments = _frozen(np.array(moments, dtype=float))[0], carried
         return twin
 
     def _clone(self) -> "Dataset":
@@ -401,16 +414,17 @@ class Dataset:
         twin.__dict__.update(self.__dict__)
         return twin
 
-    def validate_bounds(self):
-        """``check_bounds`` on the largest row norm and label magnitude.
-        The norm is taken from the rows' squared norms, with no (n, d)
-        temporary."""
+    def validate_bounds(self, feature_bound=math.inf, label_bound=math.inf):
+        """``check_bounds`` on the largest row norm and label magnitude,
+        within the given bounds and the dataset's own. The norm is taken
+        from the rows' squared norms, with no (n, d) temporary."""
         if self.size:
             features = self.features
             check_bounds(
                 math.sqrt(np.einsum("ij,ij->i", features, features).max()),
-                np.abs(self.labels).max(), self.feature_bound,
-                self.label_bound)
+                np.abs(self.labels).max(),
+                min(feature_bound, self.feature_bound),
+                min(label_bound, self.label_bound))
 
     def apply(self, update: Update) -> "Dataset":
         """Return the dataset after one edit.
@@ -460,11 +474,11 @@ class Dataset:
             child._rows, child._live = rows, live
             child._features = child._labels = child._found = None
         if self._moments is not None:
-            gram, xty, yty, carried = self._moments
+            moments, carried = self._moments
             if carried < size:
-                child._moments = (*_frozen(gram + np.outer(sign * x, x),
-                                           xty + (sign * y) * x),
-                                  yty + sign * y * y, carried + 1)
+                z = np.append(x, y)
+                child._moments = _frozen(
+                    moments + np.outer(sign * z, z))[0], carried + 1
             else:
                 child._moments = None
                 child.moments()

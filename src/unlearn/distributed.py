@@ -42,7 +42,7 @@ import numpy as np
 from .core import (_chain_data, _check_chain, _check_privacy, _check_sigma,
                    _decode_state, _encode_state, _fields, _finite, _generator,
                    _sqrt_gap, publish)
-from .data import Dataset, Update
+from .data import Dataset, Update, _row_moments
 from .losses import LossModel, normal_equations
 from .optimizer import GDConfig, contraction_factor, map_many, pgd
 from .rng import substream
@@ -61,7 +61,7 @@ __all__ = [
     "select_best",
 ]
 
-DIST_SNAPSHOT_FORMAT = "unlearn-dist-state/3"
+DIST_SNAPSHOT_FORMAT = "unlearn-dist-state/4"
 MAX_SAMPLE_SIZE = 1_000_000  # points per copy's subsample
 
 
@@ -349,8 +349,9 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
     (``losses.normal_equations``), and ``map_many`` maps in one batch
     every descent ``pgd`` would map. ``pgd`` runs the rest, told the map
     refused them, on datasets that carry the batch's moments, so no
-    partition's X^T X is built or its system solved twice. Returns the
-    new (C, K, d) estimates, read-only, and each copy's point-gradients.
+    partition's moments are built or its system solved twice. Returns
+    the new (C, K, d) estimates, read-only, and each copy's
+    point-gradients.
     """
     count, k, dim = thetas.shape
     chunk = indices.shape[1] // k
@@ -370,17 +371,15 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
     start = thetas.reshape(count * k, dim)[flat]
     new, mapped = np.empty_like(start), np.zeros(len(flat), dtype=bool)
     if loss.ridge_lam is not None:
-        rows_t = features.transpose(0, 2, 1)
-        gram, xty = rows_t @ features, (rows_t @ labels[:, :, None])[:, :, 0]
-        hessian, rhs = normal_equations(gram, xty, chunk, loss.ridge_lam)
+        moments = _row_moments(features, labels)
+        hessian, rhs = normal_equations(moments, chunk, loss.ridge_lam)
         new, mapped = map_many(loss, hessian, rhs, start,
                                GDConfig.for_loss(loss, 0).step_size, steps)
     for p in np.flatnonzero(~mapped):
         part = Dataset(features[p], labels[p])
         if loss.ridge_lam is not None:
             # The batch's moments, the same bytes the rows would give.
-            part = part._with_moments(gram[p], xty[p],
-                                      labels[p] @ labels[p], 0)
+            part = part._with_moments(moments[p], 0)
         new[p] = pgd(loss, part, start[p], GDConfig.for_loss(loss, steps[p]),
                      refused=True).theta
     thetas = thetas.copy()

@@ -160,6 +160,7 @@ def prepare(config: ExperimentConfig, trial: int = 0):
     ``dist_learn`` check them when the chain starts.
     """
     tseed = trial_seed(config.seed, trial)
+    loss = config.loss()
     if config.data_path:
         data = Dataset.from_csv(config.data_path, config.feature_bound,
                                 config.label_bound)
@@ -170,7 +171,6 @@ def prepare(config: ExperimentConfig, trial: int = 0):
             config.n, config.dim, model=config.data_model,
             noise=config.data_noise, feature_bound=config.feature_bound,
             label_bound=config.label_bound, seed=tseed)
-    loss = config.loss()
     if config.updates_path:
         updates = load_updates(config.updates_path)
     else:
@@ -298,11 +298,9 @@ def _core_oracles(state, hint: int, compute_gap: bool, minimum: bool):
         lams.append(loss.ridge_lam)
     star = None
     if eff.ridge_lam is not None:
-        gram, xty = data.moments()[:2]
-        count = len(lams)
         hessian, rhs = normal_equations(
-            gram[None].repeat(count, 0), xty[None].repeat(count, 0),
-            data.size, np.array(lams)[:, None])
+            data.moments()[None].repeat(len(lams), 0), data.size,
+            np.array(lams)[:, None])
         star = solve_many(hessian, rhs)
     solved = [star is not None and closed_form_refusal(
         hessian[p], rhs[p], star[p], loss.space) is None

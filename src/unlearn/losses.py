@@ -30,21 +30,21 @@ because the added gradient a * theta is only bounded by a * r <= a * D
 on Theta and downstream noise calibration budgets for a D.
 
 Ridge, and ridge plus added quadratics, are quadratic in theta: with
-total coefficient lam_eff (``ridge_lam``) the empirical loss is
-(theta^T X^T X theta - 2 theta^T X^T y + y^T y) / (2n)
-+ lam_eff |theta|^2 / 2 and its gradient (X^T X theta - X^T y) / n
-+ lam_eff theta. These, their ``quadratic`` form and the closed-form
-oracle read only the data's moments (see ``Dataset.moments``): built
-from the rows once for n d^2 and carried through every edit, so from
-then on they cost O(d^2) or O(d^3) whatever n is. One builder,
-``normal_equations``, turns moments into the system (H, g) of the
-gradient H theta - g, for ``quadratic``, the oracle and the stacked
-partition systems of the distributed chain alike. A gradient step of
-size eta is then the affine map theta -> A theta + c, with
-A = I - eta H = (1 - eta lam_eff) I - (eta / n) X^T X and
-c = eta g = (eta / n) X^T y; ``affine_step`` reads (A, c) from the
-moments with no system solved. Since every eigenvalue of H lies in
-[m, tr H - (d-1) m], |A v| <= rho |v| with
+v = (theta, -1), total coefficient lam_eff (``ridge_lam``) and the
+data's moments M = Z^T Z, Z = [X | y] (``Dataset.moments``), the
+empirical loss is v^T M v / (2n) + lam_eff |theta|^2 / 2 and its
+gradient (M v)[:d] / n + lam_eff theta. These, their ``quadratic`` form
+and the closed-form oracle read only M, whose layout no module but
+this one and ``data`` knows: built from the rows once for n d^2 and
+carried through every edit, so from then on they cost O(d^2) or O(d^3)
+whatever n is. One builder, ``normal_equations``, turns M into the
+system (H, g) of the gradient H theta - g, for ``quadratic``, the
+oracle and the stacked partition systems of the distributed chain
+alike. A gradient step of size eta is then the affine map
+theta -> A theta + c, with A = I - eta H
+= (1 - eta lam_eff) I - (eta / n) X^T X and c = eta g = (eta / n) X^T y;
+``affine_step`` reads (A, c) from M with no system solved. Since every
+eigenvalue of H lies in [m, tr H - (d-1) m], |A u| <= rho |u| with
 rho = max(|1 - eta m|, |1 - eta (tr H - (d-1) m)|), so
 |A theta + c| <= rho |theta| + |c|: if rho < 1 and |theta_0| and
 |c| / (1 - rho) are at most R, every iterate stays within R (see
@@ -54,6 +54,7 @@ logistic quantity, come from the rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,8 @@ class ParamSpace:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
 
     @property
     def diameter(self) -> float:
@@ -103,6 +104,13 @@ class ParamSpace:
         if norm <= self.radius:
             return theta
         return theta * (self.radius / norm)
+
+
+def _check_constants(lam, *bounds):
+    if not 0 <= lam < math.inf:
+        raise ValueError("ridge coefficient must be nonnegative and finite")
+    if not all(0 < bound < math.inf for bound in bounds):
+        raise ValueError("bounds must be positive and finite")
 
 
 def _one_row(x, y):
@@ -152,9 +160,8 @@ class LossModel:
         theta = np.asarray(theta, dtype=float)
         if self.ridge_lam is None:
             return self._batch_loss(data.features, data.labels, theta)
-        gram, xty, yty = data.moments()
-        square = float(theta @ gram @ theta - 2.0 * (xty @ theta) + yty)
-        return 0.5 * square / data.size \
+        lifted = np.append(theta, -1.0)
+        return 0.5 * float(lifted @ data.moments() @ lifted) / data.size \
             + 0.5 * self.ridge_lam * float(theta @ theta)
 
     def empirical_gradient(self, data: Dataset, theta) -> np.ndarray:
@@ -167,21 +174,20 @@ class LossModel:
         theta = np.asarray(theta, dtype=float)
         if self.ridge_lam is None:
             return self._batch_gradient(data.features, data.labels, theta)
-        gram, xty, _ = data.moments()
-        return (gram @ theta - xty) / data.size + self.ridge_lam * theta
+        return data.moments()[:-1] @ np.append(theta, -1.0) / data.size \
+            + self.ridge_lam * theta
 
     def quadratic(self, data: Dataset):
         """``(H, g)`` with empirical gradient ``H theta - g``; None if the
         loss is not quadratic.
 
-        Built from the data's moments in O(d^2). H is a fresh symmetric
-        array whose eigenvalues are at least ``strong_convexity``;
+        Built from the data's moments in O(d^2) (``normal_equations``).
+        H is symmetric, its eigenvalues at least ``strong_convexity``;
         ``pgd`` relies on that bound.
         """
         if self.ridge_lam is None:
             return None
-        return normal_equations(*data.moments()[:2], data.size,
-                                self.ridge_lam)
+        return normal_equations(data.moments(), data.size, self.ridge_lam)
 
     def affine_step(self, data: Dataset, step_size: float):
         """``(A, c)`` with gradient step ``theta - step_size * gradient
@@ -195,17 +201,14 @@ class LossModel:
         """
         if self.ridge_lam is None:
             return None
-        gram, xty, _ = data.moments()
-        scale = step_size / data.size
-        step = gram * -scale
+        moments, scale = data.moments(), step_size / data.size
+        step = moments[:-1, :-1] * -scale
         step.reshape(-1)[::data.dim + 1] += 1.0 - step_size * self.ridge_lam
-        return step, xty * scale
+        return step, moments[:-1, -1] * scale
 
     def check_dataset(self, data: Dataset):
         """Reject rows outside the loss's bounds or the dataset's own."""
-        Dataset(data.features, data.labels,
-                min(self.feature_bound, data.feature_bound),
-                min(self.label_bound, data.label_bound)).validate_bounds()
+        data.validate_bounds(self.feature_bound, self.label_bound)
 
     def check_point(self, point):
         """Reject the single point (x, y) outside the loss's bounds."""
@@ -219,10 +222,7 @@ class RidgeLoss(LossModel):
     def __init__(self, space: ParamSpace, feature_bound=1.0, label_bound=1.0,
                  lam=0.0):
         super().__init__(space)
-        if lam < 0:
-            raise ValueError("ridge coefficient must be nonnegative")
-        if not (feature_bound > 0 and label_bound > 0):
-            raise ValueError("bounds must be positive")
+        _check_constants(lam, feature_bound, label_bound)
         self.feature_bound = float(feature_bound)
         self.label_bound = float(label_bound)
         self.lam = self.ridge_lam = float(lam)
@@ -241,16 +241,16 @@ class RidgeLoss(LossModel):
         return features.T @ resid / resid.size + self.lam * theta
 
 
-def normal_equations(gram, xty, size, lam):
+def normal_equations(moments, size, lam):
     """``(X^T X / n + lam I, X^T y / n)``, the ridge gradient's H and g,
-    from the moments X^T X (d, d) and X^T y (d,) of n rows, or from a
-    stack of them, (P, d, d) and (P, d), with n rows each; for a stack
-    ``lam`` may be a (P, 1) column, one coefficient per system. H is
-    fresh."""
-    hessian = gram / size
-    dim = hessian.shape[-1]
-    hessian.reshape(-1, dim * dim)[:, ::dim + 1] += lam
-    return hessian, xty / size
+    from the moments M (d+1, d+1) of n rows, or from a stack of them,
+    (P, d+1, d+1), with n rows each; for a stack ``lam`` may be a (P, 1)
+    column, one coefficient per system. H and g are views of a fresh
+    M / n + lam I (the lam its corner gets is unused)."""
+    system = moments / size
+    dim = system.shape[-1] - 1
+    system.reshape(-1, (dim + 1) ** 2)[:, ::dim + 2] += lam
+    return system[..., :dim, :dim], system[..., :dim, dim]
 
 
 def _expit(t):
@@ -263,10 +263,7 @@ class LogisticLoss(LossModel):
 
     def __init__(self, space: ParamSpace, feature_bound=1.0, lam=0.0):
         super().__init__(space)
-        if lam < 0:
-            raise ValueError("ridge coefficient must be nonnegative")
-        if not feature_bound > 0:
-            raise ValueError("bounds must be positive")
+        _check_constants(lam, feature_bound)
         self.feature_bound = float(feature_bound)
         self.label_bound = 1.0
         self.lam = float(lam)
@@ -304,8 +301,8 @@ class RegularizedLoss(LossModel):
     """
 
     def __init__(self, base: LossModel, extra: float):
-        if extra <= 0:
-            raise ValueError("added regularization must be positive")
+        if not 0 < extra < math.inf:
+            raise ValueError("added regularization must lie in (0, inf)")
         super().__init__(base.space)
         self.base = base
         self.extra = float(extra)
@@ -346,7 +343,7 @@ def closed_form_ridge_optimizer(data: Dataset, lam: float,
     """Exact minimizer of the empirical ridge loss over Theta.
 
     Solves (X^T X / n + lam I) theta = X^T y / n, from the data's
-    moments, the same system ``quadratic`` builds. Only valid when the
+    moments M, the same system ``quadratic`` builds. Only valid when the
     unconstrained solution lies inside the ball, in which case it is
     also the constrained minimizer; otherwise this oracle refuses
     rather than return a wrong answer. The checks on the solution are
@@ -357,7 +354,7 @@ def closed_form_ridge_optimizer(data: Dataset, lam: float,
         raise ValueError("empty dataset")
     if lam < 0:
         raise ValueError("ridge coefficient must be nonnegative")
-    hessian, rhs = normal_equations(*data.moments()[:2], data.size, lam)
+    hessian, rhs = normal_equations(data.moments(), data.size, lam)
     try:
         theta = np.linalg.solve(hessian, rhs)
     except np.linalg.LinAlgError as exc:

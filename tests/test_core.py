@@ -197,6 +197,19 @@ def test_config_validation():
         UnlearnConfig("regularized_weak", 1.0, 0.1, 5, schedule_exponent=0.5)
 
 
+@pytest.mark.parametrize("exponent", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("make", [
+    lambda xi: UnlearnConfig("regularized_weak", 1.0, 0.1, 5,
+                             schedule_exponent=xi),
+    lambda xi: weak_params(1.0, 1.0, 2.0, 100, 3, 5, 1.0, 0.1, xi),
+    lambda xi: weak_schedule(3, 5, xi),
+], ids=["config", "weak_params", "weak_schedule"])
+def test_non_finite_schedule_exponent_is_rejected(make, exponent):
+    with pytest.raises(ValueError, match=r"must lie in \[1, inf\)"):
+        make(exponent)
+
+
 def test_resolved_training_budget_matches_hand_count():
     # D m n / (2L) = 100 and gamma = 1/2: T = ceil(5 + log2(100)) = 12
     loss = StubLoss(ParamSpace(2, 1.0))
@@ -709,7 +722,7 @@ def test_restore_checks_everything_it_is_handed():
     config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
     state, loss = deleting_chain(config)
     snap = state.snapshot()
-    assert snap["format"] == "unlearn-state/4"
+    assert snap["format"] == "unlearn-state/5"
     assert (snap["initial_size"], snap["size"]) == (20, 15)
     cases = [
         ({**snap, "theta_hat": [0.1] * 5}, state.data, loss, config,
@@ -777,36 +790,37 @@ def test_snapshot_carries_the_moments_and_restore_checks_them():
     config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
     state, loss = deleting_chain(config)
     snap = state.snapshot()
-    gram, xty, yty = state.data.moments()
-    assert snap["moments"] == {"gram": gram.tolist(), "xty": xty.tolist(),
-                               "yty": yty, "carried": 5}
+    moments = state.data.moments()
+    assert moments.shape == (4, 4)
+    assert snap["moments"] == {"matrix": moments.tolist(), "carried": 5}
     restored = UnlearnState.restore(snap, state.data, loss, config)
-    assert restored.data.cached_moments[0].tobytes() == gram.tobytes()
-    assert restored.data.cached_moments[1].tobytes() == xty.tobytes()
-    assert restored.data.cached_moments[2:] == (yty, 5)
+    assert restored.data.cached_moments[0].tobytes() == moments.tobytes()
+    assert restored.data.cached_moments[1] == 5
     # Against the rows' fresh moments: 15 rows carrying 5 updates have
     # summed at most 15 + 2 * 5 products.
-    fresh = Dataset(state.data.features, state.data.labels).moments()[0]
-    tol, _, _ = moments_tolerance(15, 5, loss.feature_bound,
-                                  loss.label_bound)
+    fresh = Dataset(state.data.features, state.data.labels).moments()
+    tol = moments_tolerance(15, 5, loss.feature_bound, loss.label_bound, 3)
     unit = 2.0 ** -53  # 2 gamma_25 * 25 * R_x^2 with R_x = 1
-    assert tol == pytest.approx(2 * 25 * 25 * unit / (1 - 25 * unit),
-                                rel=1e-12, abs=0)
-
-    def with_entry(value):
-        tampered = [row[:] for row in snap["moments"]["gram"]]
-        tampered[0][1] = value
-        return {**snap, "moments": {**snap["moments"], "gram": tampered}}
-
-    UnlearnState.restore(with_entry(fresh[0, 1] + 0.5 * tol), state.data,
-                         loss, config)
-    for value in (fresh[0, 1] + 1.5 * tol, fresh[0, 1] - 1.5 * tol,
-                  float("nan")):
-        with pytest.raises(ValueError, match="moments do not match the rows"):
-            UnlearnState.restore(with_entry(value), state.data, loss, config)
-    short = {**snap, "moments": {**snap["moments"], "xty": xty.tolist()[:2]}}
-    with pytest.raises(ValueError, match="moments do not match the dataset"):
-        UnlearnState.restore(short, state.data, loss, config)
+    assert tol[0, 1] == pytest.approx(2 * 25 * 25 * unit / (1 - 25 * unit),
+                                      rel=1e-12, abs=0)
+    # X^T y's entries pay R_x R_y, with R_y = 0.5.
+    assert tol[0, 3] == tol[3, 0] == pytest.approx(tol[0, 1] / 2,
+                                                   rel=1e-12, abs=0)
+    for at in ((0, 1), (2, 3), (3, 1)):
+        tampered = with_moment_entry(snap, at, fresh[at] + 0.5 * tol[at])
+        UnlearnState.restore(tampered, state.data, loss, config)
+        for value in (fresh[at] + 1.5 * tol[at], fresh[at] - 1.5 * tol[at],
+                      float("nan")):
+            with pytest.raises(ValueError,
+                               match="moments do not match the rows"):
+                UnlearnState.restore(with_moment_entry(snap, at, value),
+                                     state.data, loss, config)
+    for matrix in (moments[:3, :3].tolist(), moments[:, :3].tolist(),
+                   moments[0].tolist()):
+        short = {**snap, "moments": {**snap["moments"], "matrix": matrix}}
+        with pytest.raises(ValueError,
+                           match="moments do not match the dataset"):
+            UnlearnState.restore(short, state.data, loss, config)
     for carried in (-1, 16, 2.0, None):
         odd = {**snap, "moments": {**snap["moments"], "carried": carried}}
         with pytest.raises(ValueError, match="impossible update count"):
@@ -816,29 +830,35 @@ def test_snapshot_carries_the_moments_and_restore_checks_them():
                              config)
 
 
+def with_moment_entry(snap, at, value):
+    tampered = [row[:] for row in snap["moments"]["matrix"]]
+    tampered[at[0]][at[1]] = value
+    return {**snap, "moments": {**snap["moments"], "matrix": tampered}}
+
+
 def test_restore_checks_the_carried_yty():
+    """y^T y, M's corner, is checked against the rows within its own
+    bound, R_y^2 = 1/4 of the R_x^2 one; each field is required."""
     config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
     state, loss = deleting_chain(config)
     snap = state.snapshot()
-    fresh = Dataset(state.data.features, state.data.labels).moments()[2]
-    _, _, tol = moments_tolerance(15, 5, loss.feature_bound,
-                                  loss.label_bound)
+    fresh = Dataset(state.data.features, state.data.labels).moments()[3, 3]
+    tol = moments_tolerance(15, 5, loss.feature_bound, loss.label_bound,
+                            3)[3, 3]
     unit = 2.0 ** -53  # 2 gamma_25 * 25 * R_y^2 with R_y = 0.5
     assert tol == pytest.approx(2 * 25 * 25 * unit / (1 - 25 * unit) / 4,
                                 rel=1e-12, abs=0)
-
-    def with_yty(value):
-        return {**snap, "moments": {**snap["moments"], "yty": value}}
-
-    UnlearnState.restore(with_yty(fresh + 0.5 * tol), state.data, loss,
-                         config)
+    UnlearnState.restore(with_moment_entry(snap, (3, 3), fresh + 0.5 * tol),
+                         state.data, loss, config)
     for value in (fresh + 1.5 * tol, fresh - 1.5 * tol, float("nan")):
         with pytest.raises(ValueError, match="moments do not match the rows"):
-            UnlearnState.restore(with_yty(value), state.data, loss, config)
-    missing = {k: v for k, v in snap["moments"].items() if k != "yty"}
-    with pytest.raises(ValueError, match="moments lack a field"):
-        UnlearnState.restore({**snap, "moments": missing}, state.data, loss,
-                             config)
+            UnlearnState.restore(with_moment_entry(snap, (3, 3), value),
+                                 state.data, loss, config)
+    for field in ("matrix", "carried"):
+        missing = {k: v for k, v in snap["moments"].items() if k != field}
+        with pytest.raises(ValueError, match="snapshot lacks a field"):
+            UnlearnState.restore({**snap, "moments": missing}, state.data,
+                                 loss, config)
 
 
 def test_replay_recomputes_the_moments_at_the_same_edits():
@@ -853,7 +873,7 @@ def test_replay_recomputes_the_moments_at_the_same_edits():
     for update in updates:
         snapshots.append(state.snapshot())
         state = unlearn(state, update, loss, config)
-        carried.append(state.data.cached_moments[3])
+        carried.append(state.data.cached_moments[1])
         assert carried[-1] <= state.data.size
     assert carried.count(0) == 3
     for cut in (0, 7, 10, 23):
@@ -891,8 +911,8 @@ def test_logistic_chain_round_trips_without_moments():
     assert snap["moments"] is None
     with pytest.raises(ValueError, match="moments do not match the loss"):
         UnlearnState.restore(
-            {**snap, "moments": {"gram": [[0.0] * 3] * 3, "xty": [0.0] * 3,
-                                 "carried": 0}}, state.data, loss, config)
+            {**snap, "moments": {"matrix": [[0.0] * 4] * 4, "carried": 0}},
+            state.data, loss, config)
     resumed = UnlearnState.restore(snap, state.data, loss, config)
     for update in updates[3:]:
         state = unlearn(state, update, loss, config)

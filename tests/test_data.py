@@ -476,6 +476,25 @@ def test_csv_errors_name_the_physical_line_a_record_starts_on(tmp_path):
     assert data.labels.tolist() == [0.2, 0.4]
 
 
+def test_row_moments_of_a_stack_are_each_slice_s_own():
+    """Over several row blocks, M is symmetric, read-only and within
+    ``moments_tolerance`` of the whole product [X | y]^T [X | y]; each
+    slice of a stack is, to the byte, what its rows alone give."""
+    rng = np.random.default_rng(43)
+    n = 2 * data_module._BLOCK_ROWS + 7
+    features = rng.uniform(-0.5, 0.5, (3, n, 4))
+    labels = rng.uniform(-1, 1, (3, n))
+    stacked = data_module._row_moments(features, labels)
+    assert stacked.shape == (3, 5, 5) and not stacked.flags.writeable
+    tol = moments_tolerance(n, 0, 1.0, 1.0, 4)
+    for p in range(3):
+        alone = data_module._row_moments(features[p], labels[p])
+        assert alone.tobytes() == stacked[p].tobytes()
+        assert np.array_equal(alone, alone.T)
+        rows = np.column_stack((features[p], labels[p]))
+        assert np.all(np.abs(alone - rows.T @ rows) <= tol)
+
+
 def test_moments_recompute_caches_no_rows():
     """Once a chain has carried as many updates as it has rows, ``apply``
     recomputes its moments from a gather of the rows that it does not
@@ -487,7 +506,7 @@ def test_moments_recompute_caches_no_rows():
     for update in gen_adversarial_sequence(data, 450, strategy="churn",
                                            seed=4):
         data = data.apply(update)
-        if data.cached_moments[3]:
+        if data.cached_moments[1]:
             continue
         recomputes += 1
         rows = data._rows
@@ -497,8 +516,7 @@ def test_moments_recompute_caches_no_rows():
             data._labels, rows.base_labels)
         fresh = data_module._row_moments(rows.features_at(data._live),
                                          rows.labels_at(data._live))
-        for carried, own in zip(data.moments(), fresh):
-            assert np.asarray(carried).tobytes() == np.asarray(own).tobytes()
+        assert data.moments().tobytes() == fresh.tobytes()
     assert recomputes >= 2
 
 
@@ -584,20 +602,16 @@ def model_apply(rows, op, x, y):
 
 
 def fresh_moments(data):
-    return (data.features.T @ data.features, data.features.T @ data.labels,
-            data.labels @ data.labels)
+    rows = np.column_stack((data.features, data.labels))
+    return rows.T @ rows
 
 
 def assert_moments_within_bound(data):
-    gram, xty, yty, carried = data.cached_moments
+    moments, carried = data.cached_moments
     assert 0 <= carried <= data.size
-    fresh_gram, fresh_xty, fresh_yty = fresh_moments(data)
-    tol_gram, tol_xty, tol_yty = moments_tolerance(data.size, carried,
-                                                   data.feature_bound,
-                                                   data.label_bound)
-    assert np.all(np.abs(gram - fresh_gram) <= tol_gram)
-    assert np.all(np.abs(xty - fresh_xty) <= tol_xty)
-    assert abs(yty - fresh_yty) <= tol_yty
+    tol = moments_tolerance(data.size, carried, data.feature_bound,
+                            data.label_bound, data.dim)
+    assert np.all(np.abs(moments - fresh_moments(data)) <= tol)
 
 
 def assert_matches_model(data, rows, probes):
@@ -737,28 +751,29 @@ def test_edits_move_indices_as_index_valued_subsamples_expect():
     assert after[1].tobytes() == before[1].tobytes()
 
 
-def test_yty_is_recomputed_at_the_same_edits_as_the_gram():
-    """Each edit carries y^T y by +-y^2 beside the rank-1 update of
-    X^T X, and the edit that recomputes X^T X from the rows takes y^T y
-    from them too, bytewise."""
+def test_moments_are_carried_by_rank_one_updates_and_recomputed_from_rows():
+    """Each edit carries the one moment matrix M by +-z z^T, z = (x, y),
+    so X^T X, X^T y and y^T y move together; the edit that recomputes M
+    takes it from the rows, bytewise as ``_row_moments`` builds it."""
     data = gen_synthetic_dataset(8, 3, seed=41)
     data.moments()
     recomputed = 0
     for update in gen_adversarial_sequence(data, 40, "random", seed=41):
         before = data.cached_moments
         data = data.apply(update)
-        gram, xty, yty, carried = data.cached_moments
-        fresh_gram, fresh_xty, fresh_yty = fresh_moments(data)
+        moments, carried = data.cached_moments
         if carried == 0:
             recomputed += 1
-            assert gram.tobytes() == fresh_gram.tobytes()
-            assert xty.tobytes() == fresh_xty.tobytes()
-            assert yty == fresh_yty
+            fresh = data_module._row_moments(data.features, data.labels)
+            assert moments.tobytes() == fresh.tobytes()
         else:
-            y = update.point.y
+            z = np.append(update.point.x, update.point.y)
             sign = 1.0 if update.op == "add" else -1.0
-            assert carried == before[3] + 1
-            assert yty == before[2] + sign * y * y
+            assert carried == before[1] + 1
+            step = before[0] + np.outer(sign * z, z)
+            assert moments.tobytes() == step.tobytes()
+        assert not moments.flags.writeable
+        assert np.array_equal(moments, moments.T)
     assert recomputed >= 3
 
 
@@ -785,7 +800,7 @@ def test_long_stream_keeps_moments_and_memory_steady():
         store = data._rows
         assert store.count <= 2 * data.size
         assert store.base + store.tail_labels.shape[0] <= 4 * data.size
-        assert data.cached_moments[3] <= data.size
+        assert data.cached_moments[1] <= data.size
         if step % 5000 == 0:
             assert_matches_model(data, rows, rows[:3])
             assert_moments_within_bound(data)

@@ -436,17 +436,17 @@ def test_restored_chain_carries_the_moments_byte_equal():
     same bytes."""
     data, loss, cfg = small_problem(seed=26)
     state = dist_learn(data, loss, cfg, seed=26)
-    assert state.data.cached_moments[3] == 0
+    assert state.data.cached_moments[1] == 0
     for update in gen_adversarial_sequence(data, 5, "random", seed=26):
         state = dist_unlearn(state, update, loss, cfg)
     snap = state.snapshot()
+    assert snap["format"] == "unlearn-dist-state/4"
     assert snap["moments"]["carried"] == 5
     restored = PartitionedState.restore(snap, state.data, loss, cfg)
-    gram, xty, yty, carried = state.data.cached_moments
+    moments, carried = state.data.cached_moments
     again = restored.data.cached_moments
-    assert again[0].tobytes() == gram.tobytes()
-    assert again[1].tobytes() == xty.tobytes()
-    assert again[2:] == (yty, carried)
+    assert again[0].tobytes() == moments.tobytes()
+    assert again[1] == carried
 
 
 def test_a_dist_snapshot_gathers_and_caches_no_rows():
@@ -831,9 +831,10 @@ def test_stacked_edit_matches_the_per_copy_reference(case, strategy,
 
 def test_refused_partitions_reuse_the_batch_system(monkeypatch):
     """Every partition of a radius-0.02 ridge chain is refused the map,
-    and ``pgd`` loops over the batch's moments: one X^T X built from rows
-    (the data's own, for ``select_best``) and one solve (the batch's), not
-    one more of each per partition."""
+    and ``pgd`` loops over the batch's moments: one moment matrix built
+    from the data's rows (for ``select_best``), one stacked build of the
+    12 partitions' and one solve (the batch's), not one more of each per
+    partition."""
     data = gen_synthetic_dataset(150, 3, noise=0.05, seed=7)
     loss = ridge_loss(3, radius=0.02)
     cfg = dist_params(150, 3, loss, 1.0, 1, 1.0, 0.001, copies=1)
@@ -841,18 +842,24 @@ def test_refused_partitions_reuse_the_batch_system(monkeypatch):
     builds, solves, refused = [], [], []
     row_moments, solve = data_module._row_moments, np.linalg.solve
     original = distributed.pgd
-    monkeypatch.setattr(data_module, "_row_moments",
-                        lambda *a: builds.append(1) or row_moments(*a))
+
+    def counted(features, labels):
+        builds.append(labels.shape)
+        return row_moments(features, labels)
+
+    for module in (data_module, distributed):
+        monkeypatch.setattr(module, "_row_moments", counted)
     monkeypatch.setattr(np.linalg, "solve",
                         lambda *a: solves.append(1) or solve(*a))
     monkeypatch.setattr(distributed, "pgd", lambda *a, **k: refused.append(
         k["refused"]) or original(*a, **k))
     state = dist_learn(data, loss, cfg, seed=3)
-    assert (len(builds), len(solves)) == (1, 1)
+    chunk = cfg.sample_size // cfg.num_partitions
+    assert sorted(builds) == [(12, chunk), (150,)]
+    assert len(solves) == 1
     assert refused == [True] * 12
     # The same bytes as ``pgd`` on each partition's rows alone.
     monkeypatch.undo()
-    chunk = cfg.sample_size // cfg.num_partitions
     for j, theta in enumerate(state.thetas[0]):
         features, labels = state.data.rows(
             state.indices[0, j * chunk:(j + 1) * chunk])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -639,13 +640,38 @@ def test_cli_rejects_a_csv_cell_that_is_not_a_number(tmp_path, capsys):
     assert "malformed CSV row at line 4" in capsys.readouterr().err
 
 
+LAM = "ridge coefficient must be nonnegative and finite"
+BOUNDS = "bounds must be positive and finite"
+EXPONENT = r"schedule exponent must lie in \[1, inf\)"
+
+
+@pytest.mark.parametrize("flags, match", [
+    (["--radius", "inf"], "radius must be positive and finite"),
+    (["--lam", "nan"], LAM),
+    (["--lam", "inf"], LAM),
+    (["--feature-bound", "inf"], BOUNDS),
+    (["--label-bound", "inf"], BOUNDS),
+    (["--loss-kind", "logistic", "--data-model", "logistic", "--lam",
+      "nan"], LAM),
+    (["--mode", "regularized_weak", "--schedule-exponent", "nan"], EXPONENT),
+    (["--mode", "regularized_weak", "--schedule-exponent", "inf"], EXPONENT),
+], ids=["radius-inf", "lam-nan", "lam-inf", "feature-bound-inf",
+        "label-bound-inf", "logistic-lam-nan", "exponent-nan",
+        "exponent-inf"])
+def test_cli_rejects_non_finite_constants(tmp_path, capsys, flags, match):
+    code = main(["run", "--n", "40", "--dim", "2", "--update-length", "2",
+                 "--records-out", str(tmp_path / "r.jsonl")] + flags)
+    assert code == 3
+    assert re.search(match, capsys.readouterr().err)
+
+
 def test_cli_train_writes_a_snapshot(tmp_path):
     out = tmp_path / "state.json"
     code = main(["train", "--state-out", str(out), "--n", "60",
                  "--update-length", "0", "--iters", "3"])
     assert code == 0
     snap = json.loads(out.read_text())
-    assert snap["format"] == "unlearn-state/4"
+    assert snap["format"] == "unlearn-state/5"
     assert snap["round"] == 0
 
 

@@ -35,6 +35,32 @@ def test_param_space_rejects_nonpositive_radius():
         ParamSpace(3, -1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+LAM = "ridge coefficient must be nonnegative and finite"
+BOUNDS = "bounds must be positive and finite"
+EXTRA = r"added regularization must lie in \(0, inf\)"
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: ParamSpace(3, INF), "radius must be positive and finite"),
+    (lambda: RidgeLoss(ParamSpace(3, 1.0), lam=NAN), LAM),
+    (lambda: RidgeLoss(ParamSpace(3, 1.0), lam=INF), LAM),
+    (lambda: RidgeLoss(ParamSpace(3, 1.0), feature_bound=INF), BOUNDS),
+    (lambda: RidgeLoss(ParamSpace(3, 1.0), label_bound=INF), BOUNDS),
+    (lambda: LogisticLoss(ParamSpace(3, 1.0), lam=NAN), LAM),
+    (lambda: LogisticLoss(ParamSpace(3, 1.0), lam=INF), LAM),
+    (lambda: LogisticLoss(ParamSpace(3, 1.0), feature_bound=INF), BOUNDS),
+    (lambda: RegularizedLoss(RidgeLoss(ParamSpace(3, 1.0)), NAN), EXTRA),
+    (lambda: RegularizedLoss(RidgeLoss(ParamSpace(3, 1.0)), INF), EXTRA),
+], ids=["radius-inf", "ridge-lam-nan", "ridge-lam-inf",
+        "ridge-feature-bound-inf", "ridge-label-bound-inf",
+        "logistic-lam-nan", "logistic-lam-inf",
+        "logistic-feature-bound-inf", "extra-nan", "extra-inf"])
+def test_non_finite_constants_are_rejected(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_param_space_diameter_and_contains():
     space = ParamSpace(2, 1.5)
     assert space.diameter == 3.0
@@ -448,13 +474,12 @@ def test_ridge_values_from_carried_moments_match_the_rows():
         else:
             data = data.apply(
                 Update("delete", data.point(int(rng.integers(data.size)))))
-    tol_gram, tol_xty, tol_yty = moments_tolerance(
-        data.size, data.cached_moments[3], 1.0, 1.0)
+    tol = moments_tolerance(data.size, data.cached_moments[1], 1.0, 1.0, 4)
     for loss in losses:
         for theta in ball_points(rng, 5, 4, radius=3.0):
-            l1 = np.abs(theta).sum()
-            bound = 0.5 * (l1 * l1 * tol_gram + 2 * l1 * tol_xty
-                           + tol_yty) / data.size
+            # |v^T (M' - M) v| <= |v|^T tol |v| for v = (theta, -1).
+            lifted = np.abs(np.append(theta, -1.0))
+            bound = 0.5 * float(lifted @ tol @ lifted) / data.size
             rows = loss._batch_loss(data.features, data.labels, theta)
             assert abs(loss.empirical_loss(data, theta) - rows) <= bound
 
