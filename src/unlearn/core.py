@@ -442,7 +442,8 @@ class UnlearnState:
         if theta_hat is None and config.mode != "strong_perfect":
             raise ValueError("snapshot lacks the secret parameter")
         return cls(schedule=sched, theta_hat=None if theta_hat is None
-                   else _vector(theta_hat, data.dim), **shared)
+                   else _vector(theta_hat, data.dim, "theta_hat"),
+                   **shared)
 
 
 def _restore_moments(snapshot: dict, data: Dataset,
@@ -463,7 +464,7 @@ def _restore_moments(snapshot: dict, data: Dataset,
     if moments is None:
         return data
     matrix, carried = _fields(moments, "matrix", "carried")
-    matrix, fresh = np.asarray(matrix, dtype=float), data.moments()
+    matrix, fresh = _array(matrix, "moments.matrix"), data.moments()
     if matrix.shape != fresh.shape:
         raise ValueError("snapshot moments do not match the dataset's "
                          "dimension")
@@ -502,6 +503,15 @@ def _generator(state: dict) -> np.random.Generator:
     return rng
 
 
+def _array(values, field: str, dtype=float) -> np.ndarray:
+    """Snapshot field ``field`` as an array of ``dtype``; a ragged or
+    non-numeric value is rejected in the field's name."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"snapshot {field} is malformed: {exc}") from exc
+
+
 def _finite(theta: np.ndarray) -> np.ndarray:
     # A NaN or infinite parameter would be published, or descended from.
     if not np.all(np.isfinite(theta)):
@@ -509,8 +519,8 @@ def _finite(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _vector(values, dim: int) -> np.ndarray:
-    theta = np.asarray(values, dtype=float)
+def _vector(values, dim: int, field: str) -> np.ndarray:
+    theta = _array(values, field)
     if theta.shape != (dim,):
         raise ValueError("snapshot dimension does not match the dataset")
     return _finite(theta)
@@ -550,7 +560,7 @@ def _decode_state(fmt: str, snapshot: dict, data: Dataset,
     theta_pub, size, digest, n0, round_index, budget, rng = _fields(
         snapshot, "theta_pub", "size", "rows_sha256", "initial_size",
         "round", "budget", "noise_rng")
-    theta_pub = _vector(theta_pub, data.dim)
+    theta_pub = _vector(theta_pub, data.dim, "theta_pub")
     if data.size != size or _rows_digest(data) != digest:
         raise ValueError("dataset rows do not match the snapshot")
     data = _chain_data(data, loss, _count(n0))

@@ -25,10 +25,14 @@ down by one, as ``Dataset.apply`` moves the rows. A delete finds the
 point once: the reservoir's ``Dataset.find`` is answered from the
 search the dataset's own delete just made. A position never
 changes partition, so an edit touches only the partitions whose
-contents actually changed, and only those rerun descent: their rows are
-gathered at once, a ridge-family loss's descents go as one stack of
-normal equations to ``map_many``, the closed-form map ``pgd`` itself
-uses, and ``pgd`` runs the rest.
+contents actually changed, and only those rerun descent. Partitions
+descend a fixed block of ``_BLOCK_PARTITIONS`` at a time: a block's rows
+are gathered, a ridge-family loss's descents go as one stack of normal
+equations to ``map_many``, the closed-form map ``pgd`` itself uses,
+``pgd`` runs the rest, and the block's estimates are written before the
+next block is gathered. So learn, which descends all C K partitions,
+holds one block's rows and stacks at a time, not the C B subsampled
+rows, and an edit's few touched partitions usually fit one block.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_chain_data, _check_chain, _check_privacy, _check_sigma,
-                   _decode_state, _encode_state, _fields, _finite, _generator,
-                   _sqrt_gap, publish)
+from .core import (_array, _chain_data, _check_chain, _check_privacy,
+                   _check_sigma, _decode_state, _encode_state, _fields,
+                   _finite, _generator, _sqrt_gap, publish)
 from .data import Dataset, Update, _row_moments
 from .losses import LossModel, normal_equations
 from .optimizer import GDConfig, contraction_factor, map_many, pgd
@@ -63,6 +67,7 @@ __all__ = [
 
 DIST_SNAPSHOT_FORMAT = "unlearn-dist-state/4"
 MAX_SAMPLE_SIZE = 1_000_000  # points per copy's subsample
+_BLOCK_PARTITIONS = 16  # partitions ``_descend`` gathers and maps at once
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -284,12 +289,15 @@ class PartitionedState:
             raise ValueError("snapshot's n_0 does not match the config")
         if data.dim != config.dim:
             raise ValueError("dataset dimension does not match the config")
-        entries = [_fields(e, "indices", "thetas", "rng")
-                   for e in _fields(snapshot, "copies")[0]]
-        if not all(type(j) is int for e in entries for j in e[0]):
-            raise ValueError("snapshot copy indices are not integers")
-        idx = np.asarray([e[0] for e in entries], dtype=int)
-        thetas = _finite(np.asarray([e[1] for e in entries], dtype=float))
+        copies = _fields(snapshot, "copies")[0]
+        if type(copies) is not list:
+            raise ValueError("snapshot copies are not a list")
+        entries = [_fields(e, "indices", "thetas", "rng") for e in copies]
+        if not all(type(e[0]) is list and all(type(j) is int for j in e[0])
+                   for e in entries):
+            raise ValueError("snapshot copies.indices are not integers")
+        idx = _array([e[0] for e in entries], "copies.indices", int)
+        thetas = _finite(_array([e[1] for e in entries], "copies.thetas"))
         if idx.shape != (config.copies, config.sample_size) or \
                 thetas.shape != (config.copies, config.num_partitions,
                                  data.dim) or \
@@ -344,12 +352,16 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
     ``touched[c]``, by ``iterations[c]`` steps on the rows of ``data`` at
     ``indices[c, j B/K : (j+1) B/K]``.
 
-    The touched partitions of all copies are gathered at once. For a
-    ridge-family loss their stacked moments give the normal equations
-    (``losses.normal_equations``), and ``map_many`` maps in one batch
-    every descent ``pgd`` would map. ``pgd`` runs the rest, told the map
-    refused them, on datasets that carry the batch's moments, so no
-    partition's moments are built or its system solved twice. Returns
+    The touched partitions of all copies are taken in order, in blocks
+    of ``_BLOCK_PARTITIONS``, and each block is done before the next is
+    gathered: its rows are gathered, for a ridge-family loss its stacked
+    moments give the normal equations (``losses.normal_equations``) and
+    ``map_many`` maps in one batch every descent ``pgd`` would map.
+    ``pgd`` runs the rest, told the map refused them, on datasets that
+    carry the block's moments, so no partition's moments are built or
+    its system solved twice. Every product acts partition by partition,
+    so the blocks give the bytes one stack would, and the transient is
+    one block's rows and (d+1)-square stacks whatever C, B or K. Returns
     the new (C, K, d) estimates, read-only, and each copy's
     point-gradients.
     """
@@ -363,27 +375,32 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
             for j in part.tolist()]
     if not jobs:
         return thetas, grads
-    flat, steps = (list(column) for column in zip(*jobs))
-    # Read-only, so a refused partition's Dataset takes its rows as they
-    # are (see ``Dataset``).
-    features, labels = map(_read_only, data.rows(
-        indices.reshape(count * k, chunk)[flat]))
-    start = thetas.reshape(count * k, dim)[flat]
-    new, mapped = np.empty_like(start), np.zeros(len(flat), dtype=bool)
-    if loss.ridge_lam is not None:
-        moments = _row_moments(features, labels)
-        hessian, rhs = normal_equations(moments, chunk, loss.ridge_lam)
-        new, mapped = map_many(loss, hessian, rhs, start,
-                               GDConfig.for_loss(loss, 0).step_size, steps)
-    for p in np.flatnonzero(~mapped):
-        part = Dataset(features[p], labels[p])
-        if loss.ridge_lam is not None:
-            # The batch's moments, the same bytes the rows would give.
-            part = part._with_moments(moments[p], 0)
-        new[p] = pgd(loss, part, start[p], GDConfig.for_loss(loss, steps[p]),
-                     refused=True).theta
     thetas = thetas.copy()
-    thetas.reshape(count * k, dim)[flat] = new
+    estimates = thetas.reshape(count * k, dim)
+    positions = indices.reshape(count * k, chunk)
+    for first in range(0, len(jobs), _BLOCK_PARTITIONS):
+        flat, steps = (list(column) for column in
+                       zip(*jobs[first:first + _BLOCK_PARTITIONS]))
+        # Read-only, so a refused partition's Dataset takes its rows as
+        # they are (see ``Dataset``).
+        features, labels = map(_read_only, data.rows(positions[flat]))
+        start = estimates[flat]
+        new, mapped = np.empty_like(start), np.zeros(len(flat), dtype=bool)
+        if loss.ridge_lam is not None:
+            moments = _row_moments(features, labels)
+            hessian, rhs = normal_equations(moments, chunk, loss.ridge_lam)
+            new, mapped = map_many(loss, hessian, rhs, start,
+                                   GDConfig.for_loss(loss, 0).step_size,
+                                   steps)
+        for p in np.flatnonzero(~mapped):
+            part = Dataset(features[p], labels[p])
+            if loss.ridge_lam is not None:
+                # The block's moments, the same bytes the rows would give.
+                part = part._with_moments(moments[p], 0)
+            new[p] = pgd(loss, part, start[p],
+                         GDConfig.for_loss(loss, steps[p]),
+                         refused=True).theta
+        estimates[flat] = new
     return _read_only(thetas), grads
 
 

@@ -40,7 +40,7 @@ loop gradient comes from the data's moments, see ``Dataset.moments``):
 
 ``pgd`` sends its own long descents to ``map_many`` as a stack of one,
 built by ``loss.quadratic``; the distributed chain sends the systems of
-all its touched ridge-family partitions at once. So both take the same
+its touched ridge-family partitions a block at a time. So both take the same
 map, by the same certificate, to the same bytes. Any descent neither
 path certifies (a start outside the ball, a NaN start, a binding ball,
 a step too long to contract, the convex regime, a loss that is not

@@ -33,6 +33,7 @@ from unlearn.core import (
 from unlearn.data import (DataPoint, Dataset, Update,
                           gen_adversarial_sequence, gen_synthetic_dataset,
                           moments_tolerance)
+from unlearn.distributed import PartitionedState, dist_learn, dist_params
 from unlearn.losses import (
     LogisticLoss,
     LossModel,
@@ -484,6 +485,50 @@ def test_learn_rejects_a_loss_of_another_dimension():
     with pytest.raises(ValueError, match="loss dimension 4 does not match "
                                          "the dataset's 3"):
         learn(data, wider, config, seed=13)
+
+
+# How each array field of a snapshot is made ragged: a row cut short,
+# a list where a number was, or, for a copy's indices, one copy holding
+# one index fewer than the others.
+RAGGED = {
+    "moments.matrix": lambda m: [m[0][:-1]] + m[1:],
+    "theta_pub": lambda v: [v[:2]] + v[1:],
+    "theta_hat": lambda v: [v[:2]] + v[1:],
+    "copies.indices": lambda v: v[:-1],
+    "copies.thetas": lambda t: [t[0][:-1]] + t[1:],
+}
+
+
+def _first_to_text(value):
+    if isinstance(value[0], list):
+        return [_first_to_text(value[0])] + value[1:]
+    return ["x"] + value[1:]
+
+
+@pytest.mark.parametrize("defect", ["ragged", "text"])
+@pytest.mark.parametrize("field", sorted(RAGGED))
+def test_restore_names_a_malformed_array_field(field, defect):
+    """A ragged or non-numeric array in a snapshot is rejected with a
+    ``ValueError`` that names its field, not numpy's bare message."""
+    data, loss = ridge_chain_problem(n=40, seed=9)
+    if field.startswith("copies."):
+        config = dist_params(40, 3, loss, 1.0, 1, 1.0, 0.01, copies=2)
+        state = dist_learn(data, loss, config, seed=9)
+        restore = PartitionedState.restore
+    else:
+        config = UnlearnConfig("strong_secret", 1.0, DELTA1, 3)
+        state = learn(data, loss, config, seed=9)
+        restore = UnlearnState.restore
+    snap = state.snapshot()
+    assert restore(snap, state.data, loss, config).snapshot() == snap
+    head, _, key = field.rpartition(".")
+    record = snap[head] if head else snap
+    if head == "copies":
+        record = record[0]
+    record[key] = (RAGGED[field] if defect == "ragged"
+                   else _first_to_text)(record[key])
+    with pytest.raises(ValueError, match=f"snapshot {field} "):
+        restore(snap, state.data, loss, config)
 
 
 def test_restore_rejects_a_loss_of_another_dimension():

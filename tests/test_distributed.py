@@ -496,6 +496,20 @@ def test_a_dist_snapshot_names_rows_in_little_more_than_the_rows():
     assert [copy["indices"] for copy in snap["copies"]] == indices.tolist()
 
 
+def test_dist_learn_descends_one_block_of_partitions_at_a_time():
+    """Learn gathers, builds and maps ``_BLOCK_PARTITIONS`` partitions at
+    a time, so over 300 partitions at xi = 4/3 its tracemalloc peak stays
+    under the rows of one copy's subsample, B d floats, where gathering
+    every partition at once held all C B rows and their stacks."""
+    n, dim = 1000, 20
+    data = gen_synthetic_dataset(n, dim, noise=0.05, seed=29)
+    loss = ridge_loss(dim)
+    cfg = dist_params(n, dim, loss, 4.0 / 3.0, 1, 1.0, 1e-5, copies=3)
+    assert cfg.copies * cfg.num_partitions == 300
+    peak = traced_peak(lambda: dist_learn(data, loss, cfg, seed=29))
+    assert peak < cfg.sample_size * dim * 8
+
+
 def test_restore_rejects_unknown_formats():
     data, loss, cfg = small_problem(seed=21)
     state = dist_learn(data, loss, cfg, seed=21)
@@ -644,6 +658,9 @@ def test_restore_checks_everything_it_is_handed():
         ({**snap, "theta_pub": [float("nan")] * 3}, "not finite"),
         (with_copy0(indices=[1.5] + copy0["indices"][1:]), "not integers"),
         (with_copy0(indices=[True] + copy0["indices"][1:]), "not integers"),
+        (with_copy0(indices=3), "not integers"),
+        ({**snap, "copies": 3}, "copies are not a list"),
+        ({**snap, "copies": {"0": copy0}}, "copies are not a list"),
         ({**snap, "round": 1.5}, "not a nonnegative integer"),
         ({**snap, "budget": -1}, "not a nonnegative integer"),
         ({**snap, "initial_size": 118}, "n_0 does not match"),
@@ -780,12 +797,18 @@ def _reference_chain(data, loss, config, seed, updates):
 EQUIVALENCE_CASES = {
     # every partition descent mapped in closed form
     "ridge": (lambda d: RidgeLoss(ParamSpace(d, 1.0), lam=1.0), "linear",
-              0),
+              0, 40),
     # the ball binds, so every certificate fails and pgd's loop runs
     "ridge_small_ball": (lambda d: RidgeLoss(ParamSpace(d, 0.02), lam=1.0),
-                         "linear", None),
+                         "linear", None, 40),
     "logistic": (lambda d: LogisticLoss(ParamSpace(d, 1.0), lam=1.0),
-                 "logistic", None),
+                 "logistic", None, 40),
+    # 2 copies of 17 partitions: learn descends them in three blocks
+    "ridge_blocks": (lambda d: RidgeLoss(ParamSpace(d, 1.0), lam=1.0),
+                     "linear", 0, 300),
+    "ridge_small_ball_blocks": (
+        lambda d: RidgeLoss(ParamSpace(d, 0.02), lam=1.0), "linear", None,
+        300),
 }
 
 
@@ -793,10 +816,13 @@ EQUIVALENCE_CASES = {
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_stacked_edit_matches_the_per_copy_reference(case, strategy,
                                                      monkeypatch):
-    make_loss, model, loops = EQUIVALENCE_CASES[case]
-    data = gen_synthetic_dataset(40, 3, model=model, noise=0.05, seed=41)
+    make_loss, model, loops, n = EQUIVALENCE_CASES[case]
+    data = gen_synthetic_dataset(n, 3, model=model, noise=0.05, seed=41)
     loss = make_loss(3)
-    cfg = dist_params(40, 3, loss, 1.0, 1, 1.0, 0.01, copies=2)
+    # delta <= 1/B
+    cfg = dist_params(n, 3, loss, 1.0, 1, 1.0, min(0.01, 0.5 / n), copies=2)
+    assert (cfg.copies * cfg.num_partitions
+            > distributed._BLOCK_PARTITIONS) == (n > 40)
     updates = gen_adversarial_sequence(data, 10, strategy, seed=42)
     calls = []
     original = distributed.pgd
