@@ -529,11 +529,11 @@ def _vector(values, dim: int, field: str) -> np.ndarray:
 def _rows_digest(data: Dataset) -> str:
     """SHA-256 of the (n, d + 1) rows [features | labels] in C order, fed
     a fixed block of rows at a time, each read from the row buffer
-    (``Dataset.rows``), so the rows are neither stacked whole nor
+    (``Dataset.stacked``), so the rows are neither stacked whole nor
     gathered and cached on ``data``."""
     digest = hashlib.sha256()
     for start in range(0, data.size, _DIGEST_ROWS):
-        digest.update(np.column_stack(data.rows(
+        digest.update(np.ascontiguousarray(data.stacked(
             np.arange(start, min(start + _DIGEST_ROWS, data.size)))))
     return digest.hexdigest()
 

@@ -7,24 +7,24 @@ remembers the size of the original training set so that edits can
 enforce the size floor n_i >= n_0 / 2 that the deletion guarantees rely
 on.
 
-A dataset owns its rows: it keeps them in read-only arrays, copying a
-writeable input once, so no later write by a caller reaches it, and a
-dataset built over those arrays (a chain's own) shares them without a
-copy. An edit costs O(n) index work and O(d^2) arithmetic; it copies no
-rows, bar a compaction after on the order of n edits. The versions of
-one dataset share an append-only row buffer and each holds only the
-slots of its rows. A delete reads what it compares and no more: one
-compare of the point's label with the buffer's labels, the features of
-the live rows whose label matches, and one copy of the live index; no
-version's rows are gathered. The moments M = [X | y]^T [X | y], once
-computed, are carried from version to version by rank-1 updates and
-recomputed from the rows once n updates have been carried, so they
-cost O(d^2) per edit amortised and their rounding error does not grow
-with the stream (see ``Dataset``).
+A dataset owns its rows: it keeps them as one read-only column-major
+array Z = [X | y], whose views are its ``features`` and ``labels``; any
+input is copied into Z once, so no later write by a caller reaches it,
+and a dataset built over another's views (a chain's own) shares its Z.
+An edit costs O(n) index work and O(d^2) arithmetic; it copies no rows,
+bar a compaction after on the order of n edits. The versions of one
+dataset share an append-only row buffer and each holds only the slots
+of its rows. A delete reads what it compares and no more: the buffer's
+label column, contiguous in Z, the features of the live rows whose
+label matches, and one copy of the live index. The moments M = Z^T Z,
+one product per block of rows, are carried from version to version by
+rank-1 updates and recomputed from the rows once n updates have been
+carried, so they cost O(d^2) per edit amortised and their rounding
+error does not grow with the stream (see ``Dataset``).
 
-Both producers of rows allocate them once: ``gen_synthetic_dataset``
-draws its rows and normalises and scales them in place, and
-``Dataset.from_csv`` parses each line straight into arrays sized for
+Both producers of rows allocate them once, straight into Z:
+``gen_synthetic_dataset`` draws and scales its features a block at a
+time in Z, and ``Dataset.from_csv`` parses each line into a Z sized for
 the file. Neither makes a temporary the size of the rows, so a chain's
 rows, not their making, set the program's memory floor.
 """
@@ -54,6 +54,10 @@ __all__ = [
 
 _FLOAT_FMT = "%.17g"  # shortest round-trip for IEEE doubles
 _BLOCK_ROWS = 1024  # rows per block where rows are read, normed or summed
+# Rows per block the generator draws and multiplies: small next to the
+# rows, and a multiple of 4, the row group of the matrix-vector kernel,
+# so a block's margins are the bytes one whole product gives.
+_DRAW_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,8 @@ class Update:
     def __post_init__(self):
         if self.op not in ("add", "delete"):
             raise ValueError(f"unknown update op {self.op!r}")
+        if not isinstance(self.point, DataPoint):
+            raise ValueError("update point is not a DataPoint")
 
 
 class _Rows:
@@ -86,28 +92,26 @@ class _Rows:
     A slot is written once and never changes, so a version is just the
     increasing vector of its live slots, and an edit to any version,
     old or new, leaves every other version as it was. Slots below
-    ``base`` are the rows of the dataset's read-only arrays, used in
-    place; appends go to a tail that grows by doubling, so no edit
-    copies those rows.
+    ``base`` are the rows of the dataset's column-major Z,
+    ``base_rows``, used in place; appends go to a column-major ``tail``
+    that grows by doubling, so no edit copies those rows. Rows are read
+    only by indexing that touches the rows asked for: ``take(axis=0)``
+    on a column-major array would first copy the whole of it.
     """
 
-    def __init__(self, features, labels):
-        self.base = labels.shape[0]
-        self.base_features, self.base_labels = features, labels
-        self.tail_features = np.empty((16, features.shape[1]))
-        self.tail_labels = np.empty(16)
+    def __init__(self, rows):
+        self.base, self.base_rows = rows.shape[0], rows
+        self.tail = np.empty((16, rows.shape[1]), order="F")
         self.count = self.base
 
     def append(self, x, y) -> int:
         """Write one row into the next slot and return the slot."""
         at = self.count - self.base
-        if at == self.tail_labels.shape[0]:
-            self.tail_features = np.concatenate(
-                [self.tail_features, np.empty_like(self.tail_features)])
-            self.tail_labels = np.concatenate(
-                [self.tail_labels, np.empty_like(self.tail_labels)])
-        self.tail_features[at] = x
-        self.tail_labels[at] = y
+        if at == self.tail.shape[0]:
+            grown = np.empty((2 * at, self.tail.shape[1]), order="F")
+            grown[:at] = self.tail
+            self.tail = grown
+        self.tail[at, :-1], self.tail[at, -1] = x, y
         self.count += 1
         return self.count - 1
 
@@ -115,9 +119,9 @@ class _Rows:
         """Indices into ``live``, an increasing slot vector, of its slots
         holding the row (x, y), in order. The label of every slot is
         compared, live or not, and the features only of live slots
-        whose label matches; no row is gathered."""
-        slots = np.flatnonzero(self.base_labels == y)
-        tail = np.flatnonzero(self.tail_labels[:self.count - self.base] == y)
+        whose label matches; no version's rows are gathered."""
+        slots = np.flatnonzero(self.base_rows[:, -1] == y)
+        tail = np.flatnonzero(self.tail[:self.count - self.base, -1] == y)
         if tail.size:
             slots = np.concatenate((slots, tail + self.base))
         if not live.size:
@@ -126,45 +130,41 @@ class _Rows:
         at = live.searchsorted(slots)
         hit = live.take(at, mode="clip") == slots
         at, slots = at[hit], slots[hit]
-        return at[(self.features_at(slots) == x).all(axis=1)]
+        return at[(self.at(slots)[:, :-1] == x).all(axis=1)]
 
-    def row(self, slot):
+    def row(self, slot) -> np.ndarray:
+        """The stored row z = (x, y) of ``slot``, a view of the buffer."""
         if slot < self.base:
-            return self.base_features[slot], self.base_labels[slot]
-        return self.tail_features[slot - self.base], \
-            self.tail_labels[slot - self.base]
+            return self.base_rows[slot]
+        return self.tail[slot - self.base]
 
-    def at(self, slots) -> tuple:
-        """Feature and label rows of ``slots``, any integer array of slots
-        (any order, repeats allowed), shaped like ``slots``."""
-        if not self.base:
-            return self.tail_features[slots], self.tail_labels[slots]
-        # "clip" keeps the tail's slots in range; their rows are replaced.
-        features = self.base_features.take(slots, axis=0, mode="clip")
-        labels = self.base_labels.take(slots, mode="clip")
+    def at(self, slots) -> np.ndarray:
+        """Rows of ``slots``, any integer array of slots (any order,
+        repeats allowed), as one fresh row-major array shaped
+        ``slots.shape + (d+1,)``: the quickest read of a few rows."""
         back = np.flatnonzero(slots >= self.base)
-        if back.size:
-            tail = slots.flat[back] - self.base
-            features.reshape(-1, features.shape[-1])[back] = \
-                self.tail_features[tail]
-            labels.flat[back] = self.tail_labels[tail]
-        return features, labels
+        if not back.size:
+            return self.base_rows[slots]
+        if back.size == slots.size:
+            return self.tail[slots - self.base]
+        # Clipped, the tail's slots stay in range; their rows are replaced.
+        rows = self.base_rows[np.minimum(slots, self.base - 1)]
+        rows.reshape(-1, rows.shape[-1])[back] = \
+            self.tail[slots.flat[back] - self.base]
+        return rows
 
-    def features_at(self, slots) -> np.ndarray:
-        """Feature rows of ``slots``, an increasing slot vector."""
-        return self._gather(self.base_features, self.tail_features, slots)
-
-    def labels_at(self, slots) -> np.ndarray:
-        return self._gather(self.base_labels, self.tail_labels, slots)
-
-    def _gather(self, base, tail, slots):
+    def gather(self, slots) -> np.ndarray:
+        """Rows of ``slots``, an increasing slot vector, as one fresh
+        column-major Z, read by ``take`` along each region's transpose,
+        which is contiguous: the quickest read of many rows."""
+        if not self.base:
+            return self.tail.T.take(slots, axis=1).T
+        # "clip" keeps the tail's slots in range; their rows are replaced.
+        columns = self.base_rows.T.take(slots, axis=1, mode="clip")
         split = slots.searchsorted(self.base)
-        out = np.empty((slots.size,) + base.shape[1:])
-        # In range by construction; "clip" lets take write in place.
-        base.take(slots[:split], axis=0, out=out[:split], mode="clip")
-        tail.take(slots[split:] - self.base, axis=0, out=out[split:],
-                  mode="clip")
-        return out
+        columns[:, split:] = self.tail.T.take(slots[split:] - self.base,
+                                              axis=1)
+        return columns.T
 
 
 def _norm(x) -> float:
@@ -188,25 +188,27 @@ def check_bounds(norm, label, feature_bound, label_bound):
                      else "feature norm exceeds declared bound")
 
 
-def _row_moments(features, labels):
-    """M = Z^T Z, Z = [X | y], read-only, of rows (n, d) and (n,) or of
-    a stack of them, slice by slice, summed in ``_BLOCK_ROWS``-row blocks
-    in order, so no product spans more rows (README: BLAS threads)."""
-    dim = features.shape[-1]
-    moments = np.zeros(features.shape[:-2] + (dim + 1, dim + 1))
-    parts = (moments[..., :dim, :dim], moments[..., :dim, dim:],
-             moments[..., dim:, dim:])
-    for start in range(0, labels.shape[-1], _BLOCK_ROWS):
-        x = features[..., start:start + _BLOCK_ROWS, :]
-        y = labels[..., start:start + _BLOCK_ROWS, None]
-        for part, left, right in zip(parts, (x, x, y), (x, y, y)):
-            # The first block is written into M, the others added to it.
-            if start:
-                part += left.swapaxes(-1, -2) @ right
-            else:
-                np.matmul(left.swapaxes(-1, -2), right, out=part)
-    moments[..., dim, :dim] = moments[..., :dim, dim]
+def _row_moments(rows):
+    """M = Z^T Z, read-only, of rows Z = [X | y], (n, d+1), or of a stack
+    of them, slice by slice: one product per ``_BLOCK_ROWS``-row block,
+    summed in order, so no product spans more rows (README: BLAS
+    threads). Row- and column-major Z give the same bytes."""
+    width = rows.shape[-1]
+    moments = np.zeros(rows.shape[:-2] + (width, width))
+    for start in range(0, rows.shape[-2], _BLOCK_ROWS):
+        block = rows[..., start:start + _BLOCK_ROWS, :]
+        # The first block is written into M, the others added to it.
+        if start:
+            moments += block.swapaxes(-1, -2) @ block
+        else:
+            np.matmul(block.swapaxes(-1, -2), block, out=moments)
     return _frozen(moments)[0]
+
+
+def _columns(rows):
+    """``(features, labels)``, the views ``Z[..., :-1]`` and ``Z[..., -1]``
+    of rows Z = [X | y]."""
+    return rows[..., :-1], rows[..., -1]
 
 
 def _frozen(*arrays):
@@ -239,59 +241,67 @@ def moments_tolerance(size: int, carried: int, feature_bound: float,
     return scale * np.outer(bound, bound)
 
 
-def _owned(array: np.ndarray, given) -> np.ndarray:
-    # ``array``, converted from ``given``, as rows no caller can write:
-    # copied if writeable and possibly ``given``'s own memory. A list, a
-    # tuple or an array of another dtype converts to a fresh array,
-    # taken without a second copy; any other object may hand over a
-    # view of memory it keeps.
-    if not array.flags.writeable or isinstance(given, (list, tuple)) or (
-            isinstance(given, np.ndarray) and given.dtype != array.dtype):
-        return array
-    return array.copy()
+def _shared(features, labels):
+    # The column-major Z whose views Z[:, :-1] and Z[:, -1] ``features``
+    # and ``labels`` are, if both are read-only, as a dataset's own rows
+    # and the rows it hands out are; else None.
+    if not (isinstance(features, np.ndarray)
+            and isinstance(labels, np.ndarray) and features.ndim == 2
+            and labels.dtype == float and not features.flags.writeable
+            and features.base is not None and features.base is labels.base):
+        return None
+    # Z[:, :-1] is ``features`` by construction; Z[:, -1] is read only if
+    # it is ``labels``, to the address, shape, strides and flags.
+    rows = np.lib.stride_tricks.as_strided(
+        features, (features.shape[0], features.shape[1] + 1),
+        writeable=False)
+    if not rows.flags.f_contiguous or \
+            rows[:, -1].__array_interface__ != labels.__array_interface__:
+        return None
+    return rows
 
 
 class Dataset:
     """Multiset of labeled points with a size floor.
 
-    A dataset owns its rows. Built from arrays, it copies a writeable
-    float64 one once and keeps read-only arrays; a list, or an array of
-    another dtype, is converted into a fresh array, which is kept
-    without a second copy; an array that is already
-    read-only is taken as it is, trusted as immutable (a read-only view
-    of memory the caller can still write through another handle is the
-    caller's responsibility). The library's own producers,
-    ``gen_synthetic_dataset``, ``from_csv``, compaction and the rows an
-    edited version gathers, hand over fresh read-only arrays, which are
-    never copied; so a dataset built over another's ``features`` and
-    ``labels``, as a chain's is, shares them.
+    A dataset owns its rows, one read-only column-major array
+    Z = [X | y] whose views Z[:, :-1] and Z[:, -1] are its ``features``
+    and ``labels``. Built from two read-only views of one such Z, as
+    the library's producers (``gen_synthetic_dataset``, ``from_csv``,
+    compaction, an edited version's gather) hand out, it adopts that Z
+    without a copy, trusted as immutable (a read-only view of memory
+    the caller can still write through another handle is the caller's
+    responsibility); so a dataset built over another's ``features`` and
+    ``labels``, as a chain's is, shares them. Any other pair is copied
+    into a fresh Z once, converted as it is written. Every dataset's
+    rows so have one layout, and a row product the same bytes however
+    the dataset was built.
 
     Each version is the increasing vector of its live slots in an
     append-only row buffer. A dataset built from arrays starts a buffer
-    of its own over them and keeps them as its ``features`` and
-    ``labels``; its edits share that buffer, so an add writes one row
-    and a delete drops one index, and a version gathers its rows on
-    first read of ``features`` or ``labels`` and caches them. ``find``,
-    and so a delete, reads the buffer in place and gathers nothing. An
-    edit that leaves the buffer holding more than twice the live rows
-    compacts them into a buffer of the child's own, so (beyond a 16-row
-    minimum tail) a buffer holds at most four times the live rows
-    however long the stream.
+    of its own over its Z; its edits share that buffer, so an add writes
+    one row and a delete drops one index, and a version gathers its Z,
+    both ``features`` and ``labels``, on first read of either and
+    caches it. ``find``, and so a delete, reads the buffer in place and
+    gathers nothing. An edit that leaves the buffer holding more than
+    twice the live rows compacts them into a fresh Z of the child's
+    own, so (beyond a 16-row minimum tail) a buffer holds at most four
+    times the live rows however long the stream.
 
-    The moments M = Z^T Z, Z = [X | y], are computed from the rows when
-    first asked for and from then on carried through every edit by the
-    rank-1 update +-z z^T, z = (x, y), so ridge-family losses, values and
-    gradients alike, need not touch the rows again. Once a version would
-    carry more updates than it has rows, its moments are recomputed from
-    its rows instead: that costs O(n d^2) once per n edits, keeps the
-    rounding error within ``moments_tolerance`` of a bounded number of
-    terms, and depends only on the edit history, so a chain and its
-    replay recompute at the same edits. A dataset whose moments nobody
-    asked for (a logistic chain's) never pays for them.
+    The moments M = Z^T Z are computed from the rows when first asked
+    for and from then on carried through every edit by the rank-1
+    update +-z z^T, z = (x, y) the stored row, so ridge-family losses,
+    values and gradients alike, need not touch the rows again. Once a
+    version would carry more updates than it has rows, its moments are
+    recomputed from its rows instead: that costs O(n d^2) once per n
+    edits, keeps the rounding error within ``moments_tolerance`` of a
+    bounded number of terms, and depends only on the edit history, so
+    a chain and its replay recompute at the same edits. A dataset whose
+    moments nobody asked for (a logistic chain's) never pays for them.
 
     Attributes:
-        features: (n, d) read-only array, one row per copy.
-        labels: (n,) read-only array.
+        features: (n, d) read-only view of Z, one row per copy.
+        labels: (n,) read-only view of Z.
         initial_size: size n_0 of the original training set; edits must
             keep the current size at or above n_0 / 2.
         feature_bound: declared bound on ||x||_2, validated on load and
@@ -301,40 +311,50 @@ class Dataset:
 
     def __init__(self, features, labels, feature_bound=1.0, label_bound=1.0,
                  initial_size=None):
-        given = features, labels
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        labels = np.asarray(labels, dtype=float).ravel()
-        if features.shape[0] != labels.shape[0]:
-            raise ValueError("features and labels disagree on length")
+        rows = _shared(features, labels)
+        if rows is None:
+            # Copied into a fresh Z, converted as it is written.
+            features = np.atleast_2d(np.asarray(features))
+            labels = np.asarray(labels).ravel()
+            if features.ndim != 2 or features.shape[0] != labels.shape[0]:
+                raise ValueError("features and labels disagree on shape")
+            rows = np.empty((labels.size, features.shape[1] + 1), order="F")
+            rows[:, :-1], rows[:, -1] = features, labels
+            features, labels = _columns(_frozen(rows)[0])
         self.feature_bound = float(feature_bound)
         self.label_bound = float(label_bound)
         # Written so that NaN fails the test too.
         if not (self.feature_bound > 0 and self.label_bound > 0):
             raise ValueError("bounds must be positive")
-        self._hold(*map(_owned, (features, labels), given))
+        self._hold(rows, features, labels)
         self._moments = None
         self.initial_size = int(initial_size if initial_size is not None
-                                else features.shape[0])
+                                else rows.shape[0])
 
-    def _hold(self, features, labels):
-        # A new buffer over these arrays, which no one else writes and
-        # which are frozen here, all its slots live, and the arrays kept
-        # as the gathered rows.
-        self._features, self._labels = _frozen(features, labels)
-        self._rows, self._live = _Rows(features, labels), \
-            np.arange(labels.shape[0])
+    def _hold(self, rows, features, labels):
+        # A new buffer over rows Z, which no one writes, all its slots
+        # live, and Z kept as the gathered rows, with ``features`` and
+        # ``labels`` its views.
+        self._rows, self._live = _Rows(rows), np.arange(rows.shape[0])
+        self._z, self._features, self._labels = rows, features, labels
         self._found = None
+
+    def _gathered(self) -> np.ndarray:
+        # This version's rows Z, gathered from the buffer on first read
+        # and kept, with their views.
+        if self._z is None:
+            self._z, = _frozen(self._rows.gather(self._live))
+            self._features, self._labels = _columns(self._z)
+        return self._z
 
     @property
     def features(self) -> np.ndarray:
-        if self._features is None:
-            self._features, = _frozen(self._rows.features_at(self._live))
+        self._gathered()
         return self._features
 
     @property
     def labels(self) -> np.ndarray:
-        if self._labels is None:
-            self._labels, = _frozen(self._rows.labels_at(self._live))
+        self._gathered()
         return self._labels
 
     @property
@@ -343,31 +363,38 @@ class Dataset:
 
     @property
     def dim(self) -> int:
-        return self._rows.base_features.shape[1]
+        return self._rows.base_rows.shape[1] - 1
 
     def point(self, i: int) -> DataPoint:
-        x, y = self._rows.row(self._live[i])
-        return DataPoint(x.copy(), float(y))
+        z = self._rows.row(self._live[i])
+        return DataPoint(z[:-1].copy(), float(z[-1]))
 
     def rows(self, indices) -> tuple:
-        """``(features, labels)`` of the rows at ``indices``, an integer
-        array of indices into this version (any shape, any order, repeats
-        allowed), shaped like ``indices``. Only those rows are gathered,
-        and the result is a fresh array whatever this version caches."""
-        return self._rows.at(self._live[np.asarray(indices)])
+        """``(features, labels)`` of the rows at ``indices``: the views
+        ``Z[..., :-1]`` and ``Z[..., -1]`` of ``stacked(indices)``."""
+        return _columns(self.stacked(indices))
+
+    def stacked(self, indices) -> np.ndarray:
+        """The rows Z = [X | y] at ``indices``, an integer array of
+        indices into this version (any shape, any order, repeats
+        allowed), as one read-only row-major array shaped
+        ``indices.shape + (d+1,)``. Only those rows are gathered, and
+        the result is fresh whatever this version caches."""
+        return _frozen(self._rows.at(self._live[np.asarray(indices)]))[0]
 
     def find(self, point: DataPoint) -> np.ndarray:
         """Indices of all copies equal to ``point`` (exact equality), in
         order, read-only.
 
-        One pass compares ``point.y`` with the labels of the shared row
-        buffer, at most about twice the live rows, and only the live
-        rows whose label matches have their features compared; this
-        version's rows are not gathered. A version remembers its last
-        result, keyed by the point's bytes, so finding the point a
-        delete just removed, as the distributed reservoir does, costs
-        no second pass. Raises if the point is not of this dataset's
-        dimension, which the comparison would otherwise broadcast.
+        One pass compares ``point.y`` with the label column of the
+        shared row buffer, contiguous and at most about twice the live
+        rows, and only the live rows whose label matches have their
+        features compared; this version's rows are not gathered. A
+        version remembers its last result, keyed by the point's bytes,
+        so finding the point a delete just removed, as the distributed
+        reservoir does, costs no second pass. Raises if the point is not
+        of this dataset's dimension, which the comparison would
+        otherwise broadcast.
         """
         if point.x.shape != (self.dim,):
             raise ValueError("point has wrong dimension")
@@ -379,17 +406,14 @@ class Dataset:
         return self._found[1]
 
     def moments(self) -> np.ndarray:
-        """M = [X | y]^T [X | y], read-only, built from the rows on first
+        """M = Z^T Z, Z = [X | y], read-only, built from the rows on first
         use and kept. Rows this version does not already cache are
         gathered for the product alone and not kept, so a chain's
         periodic recompute (``apply``) leaves no copy of its rows."""
         if self._moments is None:
-            features, labels = self._features, self._labels
-            if features is None:
-                features = self._rows.features_at(self._live)
-            if labels is None:
-                labels = self._rows.labels_at(self._live)
-            self._moments = _row_moments(features, labels), 0
+            rows = self._rows.gather(self._live) if self._z is None \
+                else self._z
+            self._moments = _row_moments(rows), 0
         return self._moments[0]
 
     @property
@@ -462,23 +486,28 @@ class Dataset:
             return child
         rows, live = self._rows, self._live
         if update.op == "add":
-            x, y, sign = point.x, point.y, 1.0
-            live = np.concatenate((live, [rows.append(x, y)]))
+            slot = rows.append(point.x, point.y)
+            live = np.concatenate((live, [slot]))
         else:
-            (x, y), sign = rows.row(live[hits[0]]), -1.0
+            slot = live[hits[0]]
             live = np.concatenate((live[:hits[0]], live[hits[0] + 1:]))
+        z = rows.row(slot)
         if rows.count > 2 * live.size:
             # Compact: the child's own rows in a buffer of their own.
-            child._hold(rows.features_at(live), rows.labels_at(live))
+            fresh, = _frozen(rows.gather(live))
+            child._hold(fresh, *_columns(fresh))
         else:
             child._rows, child._live = rows, live
-            child._features = child._labels = child._found = None
+            child._z = child._features = child._labels = None
+            child._found = None
         if self._moments is not None:
             moments, carried = self._moments
             if carried < size:
-                z = np.append(x, y)
-                child._moments = _frozen(
-                    moments + np.outer(sign * z, z))[0], carried + 1
+                # M +- z z^T, with z the stored row.
+                step = np.multiply.outer(z, z)
+                step = moments + step if update.op == "add" \
+                    else moments - step
+                child._moments = _frozen(step)[0], carried + 1
             else:
                 child._moments = None
                 child.moments()
@@ -487,24 +516,22 @@ class Dataset:
     def to_csv(self, path):
         """Write as CSV with header x_1,...,x_d,y at 17 significant digits.
         The rows are read from the row buffer a block at a time
-        (``rows``), so none are gathered whole or cached on this
+        (``stacked``), so none are gathered whole or cached on this
         version."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"x_{j + 1}" for j in range(self.dim)] + ["y"])
             for start in range(0, self.size, _BLOCK_ROWS):
-                features, labels = self.rows(
-                    np.arange(start, min(start + _BLOCK_ROWS, self.size)))
-                for row, lab in zip(features, labels):
-                    writer.writerow([_FLOAT_FMT % v for v in row]
-                                    + [_FLOAT_FMT % lab])
+                for row in self.stacked(
+                        np.arange(start, min(start + _BLOCK_ROWS, self.size))):
+                    writer.writerow([_FLOAT_FMT % v for v in row])
 
     @classmethod
     def from_csv(cls, path, feature_bound=1.0, label_bound=1.0) -> "Dataset":
         """Read the CSV ``to_csv`` writes, its rows allocated once: the
         file's line ends, counted first, bound its data rows, each line
-        is parsed with ``float`` straight into arrays of that size, and
-        the arrays are trimmed in place.
+        is parsed with ``float`` straight into a column-major Z of that
+        many rows, and Z is trimmed in place.
 
         Rejects a bad header; a row of the wrong length or with a cell
         that is not a number as malformed, and a NaN or infinite value
@@ -519,15 +546,17 @@ class Dataset:
                 name == f"x_{j + 1}" for j, name in enumerate(header[:-1])
             ):
                 raise ValueError("malformed CSV header")
-            dim = len(header) - 1
-            features, labels = np.empty((capacity, dim)), np.empty(capacity)
+            width = len(header)
+            # Z's columns end to end, ``capacity`` rows apart.
+            flat = np.empty(capacity * width)
+            rows = flat.reshape(width, capacity).T
             count = 0
             # The physical line a record starts on: a quoted cell may
             # span line ends, so records and lines are counted apart.
             line = reader.line_num + 1
             for row in reader:
                 malformed = f"malformed CSV row at line {line}"
-                if len(row) != dim + 1:
+                if len(row) != width:
                     raise ValueError(malformed)
                 try:
                     values = [float(v) for v in row]
@@ -535,15 +564,19 @@ class Dataset:
                     raise ValueError(malformed) from exc
                 if not all(map(math.isfinite, values)):
                     raise ValueError(f"non-finite value at line {line}")
-                features[count], labels[count] = values[:-1], values[-1]
+                rows[count] = values
                 count += 1
                 line = reader.line_num + 1
         if not count:
             raise ValueError("empty dataset")
-        # No view of either array exists, so each shrinks in place.
-        features.resize((count, dim), refcheck=False)
-        labels.resize(count, refcheck=False)
-        data = cls(*_frozen(features, labels), feature_bound, label_bound)
+        # Each column moves down to ``count`` rows apart, and the buffer,
+        # of which no view is used again, shrinks in place.
+        for j in range(1, width):
+            flat[j * count:(j + 1) * count] = \
+                flat[j * capacity:j * capacity + count]
+        flat.resize(count * width, refcheck=False)
+        rows = _frozen(flat)[0].reshape(width, count).T
+        data = cls(*_columns(rows), feature_bound, label_bound)
         data.validate_bounds()
         return data
 
@@ -561,24 +594,6 @@ def _line_ends(path) -> int:
     return ends
 
 
-def _ball_points(rng, n, dim, radius):
-    # Uniform on the radius-ball: direction times radius * U^(1/d). The
-    # draws are divided and scaled in place, and their norms are taken a
-    # block of rows at a time by the operations np.linalg.norm(axis=1)
-    # performs, so the rows are raw / norms * scale to the byte with no
-    # temporary the size of the rows.
-    raw = rng.standard_normal((n, dim))
-    norms = np.empty((n, 1))
-    for start in range(0, n, _BLOCK_ROWS):
-        block = raw[start:start + _BLOCK_ROWS]
-        np.sqrt(np.add.reduce(block * block, axis=1, keepdims=True),
-                out=norms[start:start + _BLOCK_ROWS])
-    norms[norms == 0] = 1.0
-    raw /= norms
-    raw *= radius * rng.random((n, 1)) ** (1.0 / dim)
-    return raw
-
-
 def gen_synthetic_dataset(n, dim, model="linear", noise=0.1, feature_bound=1.0,
                           label_bound=1.0, seed=0) -> Dataset:
     """Generate a dataset from a simple planted model.
@@ -586,30 +601,69 @@ def gen_synthetic_dataset(n, dim, model="linear", noise=0.1, feature_bound=1.0,
     ``linear`` draws y = <w, x> + noise * N(0, 1) clipped to the label
     bound; ``logistic`` draws y in {-1, +1} with log-odds <w, x> / noise.
     The planted weights keep |<w, x>| at or below label_bound / 2 so the
-    clip rarely binds.
-
-    The rows are allocated once: features are drawn uniformly in the
-    feature-bound ball and normalised and scaled in place, their norms
-    taken a block of rows at a time, so no temporary the size of the
-    rows is made and the bytes are those of the plain formula.
+    clip rarely binds. Rejects a negative or non-finite ``noise`` and a
+    bound that is not positive and finite. The rows are allocated once,
+    as a column-major Z (``_planted_rows``).
     """
     if n < 1 or dim < 1:
         raise ValueError("n and dim must be positive")
     if model not in ("linear", "logistic"):
         raise ValueError(f"unknown data model {model!r}")
-    rng = substream(seed, "data", model, n, dim)
-    feats = _ball_points(rng, n, dim, feature_bound)
+    if not 0 <= noise < math.inf:
+        raise ValueError("noise must be nonnegative and finite")
+    if not (0 < feature_bound < math.inf and 0 < label_bound < math.inf):
+        raise ValueError("bounds must be positive and finite")
+    rows, = _frozen(_planted_rows(substream(seed, "data", model, n, dim), n,
+                                  dim, model, noise, feature_bound,
+                                  label_bound))
+    return Dataset(*_columns(rows), feature_bound, label_bound)
+
+
+def _planted_rows(rng, n, dim, model, noise, feature_bound, label_bound):
+    # ``gen_synthetic_dataset``'s Z, to the byte the plain formula's: the
+    # features uniform on the feature-bound ball, normals drawn a block
+    # of rows at a time, in stream order, normed and divided into Z, then
+    # scaled by radius * U^(1/d) in place; the margins taken on row-major
+    # copies of Z's blocks into Z's label column, and the labels made
+    # there. Beside Z it holds one block and one vector of temporaries.
+    rows = np.empty((n, dim + 1), order="F")
+    (feats, labels), block = _columns(rows), np.empty(
+        (min(n, _DRAW_ROWS) + 1, dim))
+    spans = [(start, min(start + _DRAW_ROWS, n))
+             for start in range(0, n, _DRAW_ROWS)]
+    for start, stop in spans:
+        draw = block[:stop - start]
+        rng.standard_normal(out=draw)
+        # The operations np.linalg.norm(axis=1) performs.
+        norms = np.sqrt(np.add.reduce(draw * draw, axis=1, keepdims=True))
+        norms[norms == 0] = 1.0
+        np.divide(draw, norms, out=feats[start:stop])
+    column = rng.random(n)
+    column **= 1.0 / dim
+    column *= feature_bound
+    feats *= column[:, None]
     w = rng.standard_normal(dim)
     w *= 0.5 * label_bound / (feature_bound * max(np.linalg.norm(w), 1e-12))
-    margin = feats @ w
+    if len(spans) > 1 and n % _DRAW_ROWS == 1:
+        # A one-row product goes to a dot, not the matrix-vector kernel
+        # the whole product ran in, so a last lone row joins its block.
+        spans[-2:] = [(spans[-2][0], n)]
+    for start, stop in spans:
+        draw = block[:stop - start]
+        draw[...] = feats[start:stop]
+        np.matmul(draw, w, out=labels[start:stop])
     if model == "linear":
-        labs = margin + noise * rng.standard_normal(n)
-        labs = np.clip(labs, -label_bound, label_bound)
+        rng.standard_normal(out=column)
+        column *= noise
+        labels += column
+        np.clip(labels, -label_bound, label_bound, out=labels)
     else:
-        temp = max(noise, 1e-12)
-        probs = 0.5 * (1.0 + np.tanh(margin / (2.0 * temp)))
-        labs = np.where(rng.random(n) < probs, 1.0, -1.0)
-    return Dataset(*_frozen(feats, labs), feature_bound, label_bound)
+        np.divide(labels, 2.0 * max(noise, 1e-12), out=column)
+        np.tanh(column, out=column)
+        column += 1.0
+        column *= 0.5
+        labels[...] = np.where(rng.random(n) < column, 1.0, -1.0)
+    return rows
 
 
 def _extreme_point(rng, data: Dataset) -> DataPoint:

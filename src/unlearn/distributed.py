@@ -46,7 +46,7 @@ import numpy as np
 from .core import (_array, _chain_data, _check_chain, _check_privacy,
                    _check_sigma, _decode_state, _encode_state, _fields,
                    _finite, _generator, _sqrt_gap, publish)
-from .data import Dataset, Update, _row_moments
+from .data import Dataset, Update, _columns, _frozen, _row_moments
 from .losses import LossModel, normal_equations
 from .optimizer import GDConfig, contraction_factor, map_many, pgd
 from .rng import substream
@@ -68,11 +68,6 @@ __all__ = [
 DIST_SNAPSHOT_FORMAT = "unlearn-dist-state/4"
 MAX_SAMPLE_SIZE = 1_000_000  # points per copy's subsample
 _BLOCK_PARTITIONS = 16  # partitions ``_descend`` gathers and maps at once
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True)
@@ -262,9 +257,9 @@ class PartitionedState:
         """Portable state (see ``_encode_state``); each position's row is
         named by its first equal row in ``data`` (``_first_equal``), as
         the reservoir tells rows apart only by value. The rows are read
-        with ``data.rows``, so none are gathered and cached on the
+        with ``data.stacked``, so none are gathered and cached on the
         chain's live version."""
-        first = _first_equal(*self.data.rows(np.arange(self.data.size)))
+        first = _first_equal(self.data.stacked(np.arange(self.data.size)))
         indices = first[self.indices]
         return {
             **_encode_state(DIST_SNAPSHOT_FORMAT, self, self.config.sigma),
@@ -304,23 +299,23 @@ class PartitionedState:
                 not np.all((idx >= 0) & (idx < data.size)):
             raise ValueError("snapshot copies do not have the config's shape")
         rngs = tuple(_generator(e[2]) for e in entries)
-        return cls(indices=_read_only(idx), thetas=_read_only(thetas),
+        return cls(indices=_frozen(idx)[0], thetas=_frozen(thetas)[0],
                    rngs=rngs, loss=loss, config=config, **shared)
 
 
-def _first_equal(features, labels) -> np.ndarray:
-    """Index of each row's first equal row (features and label equal).
+def _first_equal(rows) -> np.ndarray:
+    """Index of each row of Z = [X | y] in ``rows``' first equal row.
 
     A stable ``np.lexsort`` over the columns puts equal rows together in
     index order, so each run's first index names the whole run. Runs
     are told apart one gathered column at a time, so the only arrays
     besides the rows are a few of length n.
     """
-    size = labels.size
-    order = np.lexsort((labels, *features.T))
+    size = rows.shape[0]
+    order = np.lexsort(rows.T)
     starts = np.zeros(size, dtype=bool)
     starts[:1] = True
-    for column in (labels, *features.T):
+    for column in rows.T:
         key = column[order]
         starts[1:] |= key[1:] != key[:-1]
     heads = np.where(starts, np.arange(size), 0)
@@ -354,9 +349,10 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
 
     The touched partitions of all copies are taken in order, in blocks
     of ``_BLOCK_PARTITIONS``, and each block is done before the next is
-    gathered: its rows are gathered, for a ridge-family loss its stacked
-    moments give the normal equations (``losses.normal_equations``) and
-    ``map_many`` maps in one batch every descent ``pgd`` would map.
+    gathered: its rows Z are gathered once, for a ridge-family loss its
+    stacked moments, one Z^T Z per partition, give the normal equations
+    (``losses.normal_equations``) and ``map_many`` maps in one batch
+    every descent ``pgd`` would map.
     ``pgd`` runs the rest, told the map refused them, on datasets that
     carry the block's moments, so no partition's moments are built or
     its system solved twice. Every product acts partition by partition,
@@ -381,19 +377,19 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
     for first in range(0, len(jobs), _BLOCK_PARTITIONS):
         flat, steps = (list(column) for column in
                        zip(*jobs[first:first + _BLOCK_PARTITIONS]))
-        # Read-only, so a refused partition's Dataset takes its rows as
-        # they are (see ``Dataset``).
-        features, labels = map(_read_only, data.rows(positions[flat]))
+        # One gather of the block's rows Z; a refused partition's
+        # Dataset copies its slice into a column-major Z of its own.
+        rows = data.stacked(positions[flat])
         start = estimates[flat]
         new, mapped = np.empty_like(start), np.zeros(len(flat), dtype=bool)
         if loss.ridge_lam is not None:
-            moments = _row_moments(features, labels)
+            moments = _row_moments(rows)
             hessian, rhs = normal_equations(moments, chunk, loss.ridge_lam)
             new, mapped = map_many(loss, hessian, rhs, start,
                                    GDConfig.for_loss(loss, 0).step_size,
                                    steps)
         for p in np.flatnonzero(~mapped):
-            part = Dataset(features[p], labels[p])
+            part = Dataset(*_columns(rows[p]))
             if loss.ridge_lam is not None:
                 # The block's moments, the same bytes the rows would give.
                 part = part._with_moments(moments[p], 0)
@@ -401,7 +397,7 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
                          GDConfig.for_loss(loss, steps[p]),
                          refused=True).theta
         estimates[flat] = new
-    return _read_only(thetas), grads
+    return _frozen(thetas)[0], grads
 
 
 def dist_learn(data: Dataset, loss: LossModel, config: DistConfig,
@@ -426,7 +422,7 @@ def dist_learn(data: Dataset, loss: LossModel, config: DistConfig,
     noise_rng = substream(seed, "noise")
     theta_pub = dist_publish(thetas[best], config.sigma, noise_rng)
     return PartitionedState(
-        round_index=0, data=data, indices=_read_only(indices),
+        round_index=0, data=data, indices=_frozen(indices)[0],
         thetas=thetas,
         rngs=tuple(substream(seed, "reservoir", c) for c in range(copies)),
         theta_pub=theta_pub, budget=sum(grads), noise_rng=noise_rng,
@@ -487,7 +483,7 @@ def reservoir_update(indices: np.ndarray, update: Update, data: Dataset,
     for c, p, kept in zip(owner.tolist(), pos.tolist(), same.tolist()):
         if not kept:
             changed[c].append(p)
-    return _read_only(indices), [np.array(sorted(c), dtype=int)
+    return _frozen(indices)[0], [np.array(sorted(c), dtype=int)
                                  for c in changed]
 
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _norm, check_bounds
+from .data import _BLOCK_ROWS, Dataset, _norm, check_bounds
 
 __all__ = [
     "ParamSpace",
@@ -278,9 +278,15 @@ class LogisticLoss(LossModel):
             + 0.5 * self.lam * float(theta @ theta)
 
     def _batch_gradient(self, features, labels, theta):
+        # X^T w summed over ``_BLOCK_ROWS``-row blocks in order, so no
+        # product spans more rows (README: BLAS threads).
         margins = labels * (features @ theta)
         weights = labels * _expit(-margins)
-        return -features.T @ weights / labels.size + self.lam * theta
+        total = np.zeros(theta.shape)
+        for start in range(0, labels.size, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            total += features[start:stop].T @ weights[start:stop]
+        return -total / labels.size + self.lam * theta
 
     def check_dataset(self, data: Dataset):
         super().check_dataset(data)

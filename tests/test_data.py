@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ def sorted_rows(data):
 def test_update_rejects_unknown_op():
     with pytest.raises(ValueError, match="unknown update op"):
         Update("replace", DataPoint(np.zeros(2), 0.0))
+
+
+def test_update_rejects_a_point_that_is_not_a_data_point():
+    """A string, an array or a tuple is refused where the update is
+    made, not later inside ``Dataset.apply``."""
+    for point in ("x", np.zeros(2), (np.zeros(2), 0.0), None):
+        for op in ("add", "delete"):
+            with pytest.raises(ValueError, match="not a DataPoint"):
+                Update(op, point)
 
 
 def test_update_sequence_is_indexable():
@@ -267,16 +277,22 @@ def plain_synthetic(n, dim, model, noise, feature_bound, label_bound, seed):
 def test_synthetic_rows_are_the_plain_formula_to_the_byte(model):
     """The norms, taken a block of rows at a time, and the in-place
     divide and scale give the plain formula's bytes, for n just under,
-    at and just over the block size and over several blocks."""
+    at and just over the block size and over several blocks, for two
+    seeds: drawn a block at a time into a column-major Z, the rows are
+    still those of one row-major draw and one margin product, a lone
+    last row included."""
     block = data_module._BLOCK_ROWS
     for n, dim in [(block - 1, 50), (block, 50), (block + 1, 50),
-                   (2 * block + 1, 1), (7, 3), (1, 9)]:
-        data = gen_synthetic_dataset(n, dim, model=model, noise=0.2,
-                                     feature_bound=2.0, label_bound=1.5,
-                                     seed=n)
-        feats, labs = plain_synthetic(n, dim, model, 0.2, 2.0, 1.5, n)
-        assert data.features.tobytes() == feats.tobytes()
-        assert data.labels.tobytes() == labs.tobytes()
+                   (2 * block + 1, 1), (7, 3), (1, 9), (20_000, 50),
+                   (2 * block + 1, 20), (3 * block + 2, 7)]:
+        for seed in (n, 5):
+            data = gen_synthetic_dataset(n, dim, model=model, noise=0.2,
+                                         feature_bound=2.0, label_bound=1.5,
+                                         seed=seed)
+            feats, labs = plain_synthetic(n, dim, model, 0.2, 2.0, 1.5, seed)
+            assert data.features.tobytes() == feats.tobytes()
+            assert data.labels.tobytes() == labs.tobytes()
+            assert data.features.flags.f_contiguous
 
 
 def test_synthetic_rows_are_allocated_once():
@@ -290,6 +306,16 @@ def test_synthetic_rejects_bad_requests():
         gen_synthetic_dataset(0, 3)
     with pytest.raises(ValueError, match="unknown data model"):
         gen_synthetic_dataset(10, 3, model="quadratic")
+    # A NaN, infinite or negative noise, and a bound that is not positive
+    # and finite, would give NaN labels or rows outside the bounds.
+    for noise in (math.nan, math.inf, -math.inf, -0.1):
+        with pytest.raises(ValueError, match="noise must be"):
+            gen_synthetic_dataset(20, 3, noise=noise)
+    for bounds in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                   (1.0, math.nan), (0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="bounds must be"):
+            gen_synthetic_dataset(20, 3, feature_bound=bounds[0],
+                                  label_bound=bounds[1])
 
 
 def test_noiseless_linear_data_identifies_the_planted_weights():
@@ -415,7 +441,7 @@ def test_an_edited_version_round_trips_through_csv_without_a_gather(
         back = Dataset.from_csv(path)
         assert back.features.tobytes() == edited.features.tobytes()
         assert back.labels.tobytes() == edited.labels.tobytes()
-        assert back.features.flags.c_contiguous
+        assert back.features.flags.f_contiguous
 
 
 def test_csv_rows_are_allocated_once(tmp_path):
@@ -476,23 +502,64 @@ def test_csv_errors_name_the_physical_line_a_record_starts_on(tmp_path):
     assert data.labels.tolist() == [0.2, 0.4]
 
 
+def parent_row_moments(features, labels):
+    """M as it was built from two arrays: X^T X, X^T y and y^T y, three
+    products per block, and the corner copied across."""
+    dim = features.shape[-1]
+    moments = np.zeros(features.shape[:-2] + (dim + 1, dim + 1))
+    for start in range(0, labels.shape[-1], 1024):
+        x = features[..., start:start + 1024, :]
+        y = labels[..., start:start + 1024, None]
+        moments[..., :dim, :dim] += x.swapaxes(-1, -2) @ x
+        moments[..., :dim, dim:] += x.swapaxes(-1, -2) @ y
+        moments[..., dim:, dim:] += y.swapaxes(-1, -2) @ y
+    moments[..., dim, :dim] = moments[..., :dim, dim]
+    return moments
+
+
 def test_row_moments_of_a_stack_are_each_slice_s_own():
     """Over several row blocks, M is symmetric, read-only and within
-    ``moments_tolerance`` of the whole product [X | y]^T [X | y]; each
-    slice of a stack is, to the byte, what its rows alone give."""
-    rng = np.random.default_rng(43)
-    n = 2 * data_module._BLOCK_ROWS + 7
-    features = rng.uniform(-0.5, 0.5, (3, n, 4))
-    labels = rng.uniform(-1, 1, (3, n))
-    stacked = data_module._row_moments(features, labels)
+    ``moments_tolerance`` of the whole product Z^T Z and of the
+    three-product M; each slice of a stack, such as the partitions a
+    dataset gathers, is, to the byte, what its rows alone give in
+    row-major and in column-major order alike."""
+    data = gen_synthetic_dataset(2 * data_module._BLOCK_ROWS + 7, 4,
+                                 seed=43)
+    n = data.size
+    positions = np.stack([np.arange(n), np.arange(n)[::-1],
+                          np.random.default_rng(43).integers(n, size=n)])
+    rows = data.stacked(positions)
+    stacked = data_module._row_moments(rows)
     assert stacked.shape == (3, 5, 5) and not stacked.flags.writeable
     tol = moments_tolerance(n, 0, 1.0, 1.0, 4)
+    old = parent_row_moments(*data.rows(positions))
     for p in range(3):
-        alone = data_module._row_moments(features[p], labels[p])
+        alone = data_module._row_moments(rows[p])
         assert alone.tobytes() == stacked[p].tobytes()
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            assert data_module._row_moments(
+                layout(rows[p])).tobytes() == alone.tobytes()
         assert np.array_equal(alone, alone.T)
-        rows = np.column_stack((features[p], labels[p]))
-        assert np.all(np.abs(alone - rows.T @ rows) <= tol)
+        assert np.all(np.abs(alone - rows[p].T @ rows[p]) <= tol)
+        assert np.all(np.abs(alone - old[p]) <= tol)
+    assert data.moments().tobytes() == stacked[0].tobytes()
+
+
+def test_a_delete_reads_no_more_than_the_rows_it_compares():
+    """On an n = 2e5 buffer, a delete, from the dataset itself and from
+    an edited version with a tail, and with moments carried, makes no
+    temporary near the size of the rows: it compares labels, gathers
+    the few rows whose label matches and copies the live index."""
+    data = gen_synthetic_dataset(200_000, 20, seed=3)
+    data.moments()
+    buffer = data.features.nbytes + data.labels.nbytes
+    point = DataPoint(np.full(20, 0.01), 0.5)
+    added = data.apply(Update("add", point))
+    for version, victim in ((data, data.point(123_456)), (added, point),
+                            (added, data.point(7))):
+        update = Update("delete", victim)
+        peak = traced_peak(lambda: version.apply(update))
+        assert peak < buffer / 8
 
 
 def test_moments_recompute_caches_no_rows():
@@ -510,12 +577,8 @@ def test_moments_recompute_caches_no_rows():
             continue
         recomputes += 1
         rows = data._rows
-        assert data._features is None or np.shares_memory(
-            data._features, rows.base_features)
-        assert data._labels is None or np.shares_memory(
-            data._labels, rows.base_labels)
-        fresh = data_module._row_moments(rows.features_at(data._live),
-                                         rows.labels_at(data._live))
+        assert data._z is None or np.shares_memory(data._z, rows.base_rows)
+        fresh = data_module._row_moments(rows.gather(data._live))
         assert data.moments().tobytes() == fresh.tobytes()
     assert recomputes >= 2
 
@@ -560,6 +623,32 @@ def test_read_only_rows_are_taken_as_they_are(tmp_path):
     writeable = synthetic.features.copy()
     assert not np.shares_memory(Dataset(writeable, synthetic.labels).features,
                                 writeable)
+
+
+def test_only_two_views_of_one_column_major_z_are_shared():
+    """A dataset keeps its rows as one column-major Z, so it shares only
+    read-only views Z[:, :-1] and Z[:, -1] of such a Z; two separate
+    read-only arrays, or views of a row-major Z, are copied into a Z of
+    its own once."""
+    rows = np.asfortranarray(np.random.default_rng(2).uniform(-0.3, 0.3,
+                                                              (40, 4)))
+    rows.flags.writeable = False
+    shared = Dataset(rows[:, :-1], rows[:, -1])
+    assert np.shares_memory(shared.features, rows)
+    assert np.shares_memory(shared.labels, rows)
+    row_major = np.ascontiguousarray(rows)
+    row_major.flags.writeable = False
+    separate = rows[:, :-1].copy(), rows[:, -1].copy()
+    for given in (separate, (row_major[:, :-1], row_major[:, -1]),
+                  (rows[:, :-1], rows[:, 0])):
+        for array in given:
+            array.flags.writeable = False
+        copied = Dataset(*given)
+        assert not np.shares_memory(copied.features, rows)
+        assert not np.shares_memory(copied.features, row_major)
+        assert copied.features.flags.f_contiguous
+        assert copied.features.tobytes() == given[0].tobytes()
+        assert copied.labels.tobytes() == given[1].tobytes()
 
 
 def test_a_converted_input_is_copied_once():
@@ -764,7 +853,8 @@ def test_moments_are_carried_by_rank_one_updates_and_recomputed_from_rows():
         moments, carried = data.cached_moments
         if carried == 0:
             recomputed += 1
-            fresh = data_module._row_moments(data.features, data.labels)
+            fresh = data_module._row_moments(
+                data.stacked(np.arange(data.size)))
             assert moments.tobytes() == fresh.tobytes()
         else:
             z = np.append(update.point.x, update.point.y)
@@ -799,7 +889,7 @@ def test_long_stream_keeps_moments_and_memory_steady():
         data = data.apply(update)
         store = data._rows
         assert store.count <= 2 * data.size
-        assert store.base + store.tail_labels.shape[0] <= 4 * data.size
+        assert store.base + store.tail.shape[0] <= 4 * data.size
         assert data.cached_moments[1] <= data.size
         if step % 5000 == 0:
             assert_matches_model(data, rows, rows[:3])

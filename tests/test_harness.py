@@ -385,9 +385,9 @@ def test_gap_chain_builds_the_gram_from_rows_only_at_learn(monkeypatch):
     builds = []
     original = data_module._row_moments
 
-    def counted(features, labels):
-        builds.append(labels.size)
-        return original(features, labels)
+    def counted(rows):
+        builds.append(rows.shape[0])
+        return original(rows)
 
     monkeypatch.setattr(data_module, "_row_moments", counted)
     cfg = ExperimentConfig(n=400, dim=5, mode="regularized_strong",
@@ -622,6 +622,20 @@ def test_cli_data_and_update_generation(tmp_path, monkeypatch):
                  "--length", "6", "--strategy", "random"]) == 0
     updates = load_updates(tmp_path / "out" / "u.jsonl")
     assert len(updates) == 6
+
+
+def test_cli_gen_data_rejects_bad_noise_and_bounds(tmp_path, capsys):
+    """A NaN, infinite or negative noise, or an infinite bound, exits 3
+    and writes no file, where it wrote NaN labels."""
+    out = tmp_path / "d.csv"
+    for flags in (["--noise", "nan"], ["--noise", "inf"],
+                  ["--noise", "-0.5"], ["--label-bound", "inf"],
+                  ["--feature-bound", "inf"], ["--label-bound", "nan"]):
+        capsys.readouterr()
+        assert main(["gen-data", "--out", str(out), "--n", "20"]
+                    + flags) == 3
+        assert not out.exists()
+        assert "must be" in capsys.readouterr().err
 
 
 def test_cli_rejects_a_non_finite_csv_row(tmp_path, capsys):

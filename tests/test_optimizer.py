@@ -416,9 +416,9 @@ def test_loop_on_fresh_ridge_data_reads_the_moments_only(monkeypatch):
     row_moments, batch_gradient = data_module._row_moments, \
         RidgeLoss._batch_gradient
 
-    def counted_moments(features, labels):
-        builds.append(labels.size)
-        return row_moments(features, labels)
+    def counted_moments(rows):
+        builds.append(rows.shape[0])
+        return row_moments(rows)
 
     def counted_gradient(self, features, labels, theta):
         row_gradients.append(labels.size)

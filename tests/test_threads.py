@@ -2,9 +2,9 @@
 
 Each chain runs in a subprocess of its own, since OpenBLAS reads its
 thread count once, at load. Only the counts 1 and 2 are compared, and
-only at the dimensions the moment builder was measured at (see
-``data._row_moments``); a logistic chain's row gradients are not
-covered.
+only at the dimensions the blocked products were measured at: the
+moment builder (``data._row_moments``) for ridge, and the logistic row
+gradient's ``X^T w`` (``LogisticLoss._batch_gradient``).
 """
 
 import json
@@ -24,7 +24,7 @@ import hashlib, json, sys
 import numpy as np
 from unlearn import core, distributed
 from unlearn.data import gen_adversarial_sequence, gen_synthetic_dataset
-from unlearn.losses import ParamSpace, RidgeLoss
+from unlearn.losses import LogisticLoss, ParamSpace, RidgeLoss
 
 
 def digests(states, secret):
@@ -64,6 +64,16 @@ def dist_chain():
     return digests(states, lambda s: s.thetas)
 
 
+def logistic_chain():
+    data = gen_synthetic_dataset(20_000, 50, model="logistic", seed=5)
+    loss = LogisticLoss(ParamSpace(50, 1.0), lam=1.0)
+    config = core.UnlearnConfig("strong_secret", 1.0, 0.05, 2)
+    updates = gen_adversarial_sequence(data, 4, "churn", seed=5)
+    states = chain(core.learn(data, loss, config, seed=5),
+                   lambda s, u: core.unlearn(s, u, loss, config), updates)
+    return digests(states, lambda s: s.theta_hat)
+
+
 print(json.dumps({sys.argv[1]: globals()[sys.argv[1]]()}))
 """
 
@@ -78,9 +88,12 @@ def run_at(threads: int, which: str) -> dict:
     return json.loads(done.stdout)
 
 
-@pytest.mark.parametrize("which", ["core_chain", "dist_chain"])
+@pytest.mark.parametrize("which", ["core_chain", "dist_chain",
+                                   "logistic_chain"])
 def test_chain_bytes_do_not_depend_on_the_blas_thread_count(which):
     """A core ridge ``strong_secret`` chain at n=1e4, d=50 with six churn
-    edits, and a distributed ridge chain at n=500, d=20 with twelve:
+    edits, a distributed ridge chain at n=500, d=20 with twelve, and a
+    core logistic ``strong_secret`` chain at n=2e4, d=50 with four, where
+    one product over all the rows gives other bytes at 2 threads:
     published and secret digests are equal at 1 and 2 threads."""
     assert run_at(1, which) == run_at(2, which)
