@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Update, moments_tolerance
+from .data import Dataset, Update, check_integer, moments_tolerance
 from .losses import LossModel, RegularizedLoss
 from .optimizer import GDConfig, GDTrace, contraction_factor, pgd
 from .rng import substream
@@ -299,7 +299,8 @@ class UnlearnConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         _check_privacy(self.epsilon, self.delta)
-        if self.iters < 1 or int(self.iters) != self.iters:
+        check_integer(self.iters, "iteration budget")
+        if self.iters < 1:
             raise ValueError("iteration budget must be a positive integer")
         if not 1 <= self.schedule_exponent < math.inf:
             raise ValueError("schedule exponent must lie in [1, inf)")

@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +173,16 @@ def _norm(x) -> float:
     # generic dispatch: it too takes sqrt(v . v) of v = x.ravel("K").
     flat = x.ravel(order="K")
     return math.sqrt(flat.dot(flat))
+
+
+def check_integer(value, name: str):
+    """Reject a count that is a bool or not an integer (``numbers.Integral``)
+    with ``ValueError``: a fractional or True count would be taken for
+    another number further on."""
+    # A plain int passes the first test alone: the ABC check is slower.
+    if type(value) is not int and (isinstance(value, bool) or not
+                                   isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 def check_bounds(norm, label, feature_bound, label_bound):

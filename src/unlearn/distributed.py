@@ -33,6 +33,9 @@ equations to ``map_many``, the closed-form map ``pgd`` itself uses,
 next block is gathered. So learn, which descends all C K partitions,
 holds one block's rows and stacks at a time, not the C B subsampled
 rows, and an edit's few touched partitions usually fit one block.
+Learn starts every partition at the origin, where ``map_many`` decides
+convergence before solving and maps an unconverged descent with no
+solve at all; an edit starts warm and solves its block once.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ import numpy as np
 from .core import (_array, _chain_data, _check_chain, _check_privacy,
                    _check_sigma, _decode_state, _encode_state, _fields,
                    _finite, _generator, _sqrt_gap, publish)
-from .data import Dataset, Update, _columns, _frozen, _row_moments
+from .data import (Dataset, Update, _columns, _frozen, _row_moments,
+                   check_integer)
 from .losses import LossModel, normal_equations
 from .optimizer import GDConfig, contraction_factor, map_many, pgd
 from .rng import substream
@@ -146,6 +150,10 @@ def dist_params(n: int, dim: int, loss: LossModel, sample_exponent: float,
     """
     if not 1.0 <= sample_exponent <= 4.0 / 3.0:
         raise ValueError("sample exponent must lie in [1, 4/3]")
+    check_integer(n, "point count n")
+    check_integer(iters, "iteration budget")
+    if copies is not None:
+        check_integer(copies, "copy count")
     if n < 2:
         raise ValueError("need at least two points")
     if iters < 1:
@@ -352,14 +360,15 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
     gathered: its rows Z are gathered once, for a ridge-family loss its
     stacked moments, one Z^T Z per partition, give the normal equations
     (``losses.normal_equations``) and ``map_many`` maps in one batch
-    every descent ``pgd`` would map.
-    ``pgd`` runs the rest, told the map refused them, on datasets that
-    carry the block's moments, so no partition's moments are built or
-    its system solved twice. Every product acts partition by partition,
-    so the blocks give the bytes one stack would, and the transient is
-    one block's rows and (d+1)-square stacks whatever C, B or K. Returns
-    the new (C, K, d) estimates, read-only, and each copy's
-    point-gradients.
+    every descent ``pgd`` would map: from the origin (learn) with no
+    solve unless it has converged, from a warm start (an edit) by one
+    solve of the block. ``pgd`` runs the rest, told the map refused
+    them, on datasets that carry the block's moments, so no partition's
+    moments are built or its system solved twice. Every product acts
+    partition by partition, so the blocks give the bytes one stack
+    would, and the transient is one block's rows and (d+1)-square stacks
+    whatever C, B or K. Returns the new (C, K, d) estimates, read-only,
+    and each copy's point-gradients.
     """
     count, k, dim = thetas.shape
     chunk = indices.shape[1] // k

@@ -287,9 +287,10 @@ def _core_oracles(state, hint: int, compute_gap: bool, minimum: bool):
     tolerance 0; one it refuses, or a loss with no closed form, takes
     the reference descent the named oracle falls back to. The mean maps
     the effective theta* from 0 through the T_train steps of a retrain
-    under ``map_solved``'s certificate, as ``pgd`` would through
-    ``map_many``; a converged map returns theta* itself. A descent the
-    map refuses, or one too short to map, runs ``pgd``.
+    under ``map_solved``, the map ``pgd`` takes through ``map_many``
+    with no solve: a converged map returns theta* itself, any other is
+    the lifted power, which needs no theta*. A descent the map refuses,
+    or one too short to map, runs ``pgd``.
     """
     sched, data = state.schedule, state.data
     eff, loss = sched.effective_loss, sched.loss
@@ -317,7 +318,7 @@ def _core_oracles(state, hint: int, compute_gap: bool, minimum: bool):
             # A copy: the map overwrites theta* where it takes the power.
             out, mapped = map_solved(eff, hessian[:1], star[:1].copy(),
                                      zero[None], train.step_size,
-                                     (train.iterations,))
+                                     (train.iterations,), rhs[:1])
             mean = out[0] if mapped[0] else None
         if mean is None:
             mean = pgd(eff, data, zero, train,

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _BLOCK_ROWS, Dataset, _norm, check_bounds
+from .data import _BLOCK_ROWS, Dataset, _norm, check_bounds, check_integer
 
 __all__ = [
     "ParamSpace",
@@ -86,6 +86,7 @@ class ParamSpace:
     radius: float
 
     def __post_init__(self):
+        check_integer(self.dim, "dimension")
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         if not 0 < self.radius < math.inf:

@@ -18,19 +18,24 @@ iterate after the start leaves the ball, so that no projection would
 act. T against d picks the path, as the loop costs T d^2 flops (every
 loop gradient comes from the data's moments, see ``Dataset.moments``):
 
-- T >= d: ``map_many``, the one implementation of
-  theta_T = theta* + A^T (theta_0 - theta*), takes a stack of
-  normal-equation systems (H, g), as ``losses.normal_equations`` builds
-  them, solves for theta* and takes the matrix power by repeated
-  squaring, d^3 log T flops, which pays from about T = d on. Its
-  certificate is |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9): every
-  iterate lies within rho |theta_0 - theta*| of theta*. Once
+- T >= d: ``map_many``, the one closed-form map of T steps, takes a
+  stack of normal-equation systems (H, g), as
+  ``losses.normal_equations`` builds them. A warm start is solved for
+  theta* (``solve_many``) and mapped as
+  theta_T = theta* + A^T (theta_0 - theta*), the matrix power taken by
+  repeated squaring, d^3 log T flops, which pays from about T = d on.
+  Its certificate is |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9):
+  every iterate lies within rho |theta_0 - theta*| of theta*. Once
   rho^T |theta_0 - theta*| <= 2^-53 |theta*| the T-step iterate agrees
   with theta* to rounding, and the map returns theta* without taking
-  the power. The solve (``solve_many``) and the map with its
-  certificate (``map_solved``) are separate steps, so a caller that
-  already holds theta*, as the harness's oracles do, maps without
-  solving again.
+  the power.
+- T >= d from the origin (learn, a retrain): |theta_0 - theta*| =
+  |theta*|, so that test reduces to rho^T <= 2^-53 and is decided
+  before any solve. A converged descent is solved and returns theta*
+  as above. Any other is not solved: ``_lifted_map`` reads theta_T off
+  the last column of B^T for the lifted step B = [[A, c], [0, 1]], as
+  B^k (0, 1) = (theta_k, 1), the power again by repeated squaring,
+  under the short map's certificate below, which needs no theta*.
 - 0 < T < d: the T steps theta <- A theta + c, with (A, c) read from the
   moments by ``loss.affine_step``, two matrix-vector operations a step
   and no system solved. Its certificate needs no theta*: with
@@ -40,10 +45,12 @@ loop gradient comes from the data's moments, see ``Dataset.moments``):
 
 ``pgd`` sends its own long descents to ``map_many`` as a stack of one,
 built by ``loss.quadratic``; the distributed chain sends the systems of
-its touched ridge-family partitions a block at a time. So both take the same
-map, by the same certificate, to the same bytes. Any descent neither
-path certifies (a start outside the ball, a NaN start, a binding ball,
-a step too long to contract, the convex regime, a loss that is not
+its touched ridge-family partitions a block at a time. So both take the
+same map, by the same certificate, to the same bytes. A caller that
+already holds theta*, as the harness's oracles do, calls
+``map_solved``, the same map with no solve. Any descent neither path
+certifies (a start outside the ball, a NaN start, a binding ball, a
+step too long to contract, the convex regime, a loss that is not
 quadratic) runs ``pgd``'s iterative loop. All report the nominal
 T * n point-gradients.
 """
@@ -55,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _norm
+from .data import Dataset, _norm, check_integer
 from .losses import LossModel
 
 __all__ = ["GDConfig", "GDTrace", "pgd", "map_many", "solve_many",
@@ -75,8 +82,9 @@ class GDConfig:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        if not self.step_size > 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step size must be positive and finite")
+        check_integer(self.iterations, "iteration count")
         if self.iterations < 0:
             raise ValueError("iteration count must be nonnegative")
 
@@ -199,19 +207,24 @@ def map_many(loss: LossModel, hessian, rhs, theta0, step_size: float,
     descends from ``theta0[p]`` for ``iterations[p]`` (an int) steps of
     ``step_size``, the strongly convex regime's. Returns a (P, d) array
     and a (P,) mask of the problems mapped, those with T >= d whose
-    ball certificate holds; a row of the array is the problem's T-step
+    certificate holds; a row of the array is the problem's T-step
     iterate where the mask is set, and the caller runs ``pgd``, told the
     map ``refused``, on the rest. ``pgd`` maps its own T >= d descents
-    here as a stack of one,
-    so a stacked problem is mapped exactly when ``pgd`` maps it alone,
-    and then to the same bytes. This is ``solve_many`` followed by
-    ``map_solved``; a caller that already holds theta* calls the map
-    alone.
+    here as a stack of one, so a stacked problem is mapped exactly when
+    ``pgd`` maps it alone, and then to the same bytes.
+
+    A descent is solved for theta* (``solve_many``) and mapped to
+    theta* + A^T (theta_0 - theta*) under the certificate
+    |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9), or to theta*
+    itself once rho^T |theta_0 - theta*| <= 2^-53 |theta*|. From the
+    origin |theta_0 - theta*| = |theta*|, so that test reduces to
+    rho^T <= 2^-53 and is decided before any solve: a converged descent
+    is solved as above, and any other is mapped by ``_lifted_map``,
+    which needs no theta*, so a stack of them solves nothing. Nor is a
+    descent shorter than d solved, as it is not mapped. A caller that
+    already holds theta* calls ``map_solved``.
     """
-    star = solve_many(hessian, rhs)
-    if star is None:
-        return np.empty(rhs.shape), np.zeros(len(rhs), dtype=bool)
-    return map_solved(loss, hessian, star, theta0, step_size, iterations)
+    return _map(loss, hessian, rhs, None, theta0, step_size, iterations)
 
 
 def solve_many(hessian, rhs):
@@ -224,26 +237,68 @@ def solve_many(hessian, rhs):
 
 
 def map_solved(loss: LossModel, hessian, star, theta0, step_size: float,
-               iterations):
+               iterations, rhs):
     """``map_many``'s map and certificate, given theta* = ``star``, the
-    (P, d) ``solve_many`` of the stack.
+    (P, d) ``solve_many`` of the stack, so nothing is solved again.
 
-    Returns ``star`` and the mask: each mapped row that has not
-    converged is overwritten in place by its T-step iterate, so a caller
-    that needs theta* afterwards passes a copy.
+    Takes the from-origin rule ``map_many`` takes, to its bytes, which
+    is why the stack's ``rhs`` is passed too. Returns ``star`` and the
+    mask: each mapped row that has not converged is overwritten in place
+    by its T-step iterate, so a caller that needs theta* afterwards
+    passes a copy.
     """
-    count, dim = star.shape
-    mapped = np.zeros(count, dtype=bool)
-    diff = theta0 - star
-    pair = np.array((star, diff))
-    norms, gaps = np.sqrt((pair[..., None, :] @ pair[..., None])[..., 0, 0]
-                          ).tolist()
-    traces = hessian.trace(axis1=1, axis2=2).tolist()
+    return _map(loss, hessian, rhs, star, theta0, step_size, iterations)
+
+
+def _map(loss: LossModel, hessian, rhs, star, theta0, step_size: float,
+         iterations):
+    # ``map_many`` when ``star`` is None, else ``map_solved``.
+    count, dim = rhs.shape
     m, limit = loss.strong_convexity, loss.space.radius * (1.0 - 1e-9)
+    rhos = [_stretch(step_size, m, trace, dim)
+            for trace in hessian.trace(axis1=1, axis2=2).tolist()]
+    # The rows that need theta* and those lifted. Warm starts have
+    # (almost surely) no zero coordinate, so one count passes a stack of
+    # them, and if none is shorter than d the whole stack needs theta*.
+    solved, lifted = range(count), []
+    nonzero = np.count_nonzero(theta0)
+    if nonzero < theta0.size or min(iterations) < dim:
+        origin = [not nonzero] * count if nonzero in (0, theta0.size) \
+            else (~theta0.any(axis=1)).tolist()
+        solved = []
+        for p, steps in enumerate(iterations):
+            # From the origin unconverged while rho^T > 2^-53 (an
+            # underflow is converged; a rho of 1 or more counts, and the
+            # lifted certificate refuses it). A descent shorter than d is
+            # not mapped, so it is not solved either.
+            if steps >= dim:
+                (lifted if origin[p] and (
+                    rhos[p] >= 1.0 or rhos[p] ** steps > 2.0 ** -53)
+                 else solved).append(p)
+    mapped = np.zeros(count, dtype=bool)
+    if star is None:
+        if len(solved) == count:
+            star = solve_many(hessian, rhs)
+            if star is None:
+                return np.empty(rhs.shape), mapped
+        else:
+            # The rows not solved are not mapped below.
+            part = solve_many(hessian[solved], rhs[solved]) if solved \
+                else None
+            star = np.zeros((count, dim))
+            if part is None:
+                solved = []
+            else:
+                star[solved] = part
+    diff = theta0 - star
+    # From the origin alone |theta_0 - theta*| = |theta*|: one norm each.
+    pair = np.array((star, diff)) if nonzero else star[None]
+    norms = np.sqrt((pair[..., None, :] @ pair[..., None])[..., 0, 0]
+                    ).tolist()
+    sizes, gaps = norms[0], norms[-1]
     powered = {}
-    for p, steps in enumerate(iterations):
-        rho = _stretch(step_size, m, traces[p], dim)
-        size, gap = norms[p], gaps[p]
+    for p in solved:
+        steps, rho, size, gap = iterations[p], rhos[p], sizes[p], gaps[p]
         if steps < dim or not (rho < 1.0 and size + rho * gap <= limit):
             continue
         mapped[p] = True
@@ -259,7 +314,53 @@ def map_solved(loss: LossModel, hessian, star, theta0, step_size: float,
         step = np.eye(dim) - step_size * hessian[group]
         star[group] += (np.linalg.matrix_power(step, steps)
                         @ diff[group][:, :, None])[:, :, 0]
+    if lifted:
+        _lifted_map(loss, hessian, rhs, step_size, iterations, rhos, lifted,
+                    star, mapped)
     return star, mapped
+
+
+def _lifted_map(loss: LossModel, hessian, rhs, step_size: float, iterations,
+                rhos, rows, out, mapped):
+    """Map the descents ``rows`` of the stack, each from the origin, with
+    stretches ``rhos``: set ``mapped[p]`` where the certificate holds and
+    write the T-step iterate to ``out[p]``. It is read off the last
+    column of B^T for the lifted step B = [[A, c], [0, 1]], A = I - eta H
+    and c = eta g, as B^k (0, 1) = (theta_k, 1); the power is taken by
+    repeated squaring, d^3 log T flops and no solve. The certificate is
+    ``_short_map``'s, which needs no theta*: rho < 1 and
+    |c| / (1 - rho) <= r (1 - 1e-9)."""
+    count, dim = rhs.shape
+    shift = rhs * step_size
+    norms = np.sqrt((shift[:, None, :] @ shift[:, :, None])[:, 0, 0]
+                    ).tolist()
+    limit = loss.space.radius * (1.0 - 1e-9)
+    groups = {}
+    for p in rows:
+        if rhos[p] < 1.0 and norms[p] <= (1.0 - rhos[p]) * limit:
+            mapped[p] = True
+            groups.setdefault(iterations[p], []).append(p)
+    for steps, group in groups.items():
+        size = len(group)
+        # A group of the whole stack is indexed by views, not copies.
+        group = group if size < count else slice(None)
+        power = np.zeros((size, dim + 1, dim + 1))
+        np.multiply(hessian[group], -step_size, out=power[:, :dim, :dim])
+        # 1 on the whole diagonal: I - eta H, and B's corner.
+        power.reshape(size, -1)[:, ::dim + 2] += 1.0
+        power[:, :dim, dim] = shift[group]
+        # B^T (0, 1), with B^(2^k) applied for each bit k set in T; the
+        # first is B^(2^k) (0, 1), B^(2^k)'s last column.
+        column = None
+        while True:
+            steps, bit = divmod(steps, 2)
+            if bit:
+                column = power[:, :, dim] if column is None else \
+                    (power @ column[:, :, None])[:, :, 0]
+            if not steps:
+                break
+            power = power @ power
+        out[group] = column[:, :dim]
 
 
 def contraction_factor(loss: LossModel) -> float:

@@ -198,6 +198,14 @@ def test_config_validation():
         UnlearnConfig("regularized_weak", 1.0, 0.1, 5, schedule_exponent=0.5)
 
 
+@pytest.mark.parametrize("iters", [True, 1.5, 5.0, "5"])
+def test_config_rejects_an_iteration_budget_that_is_not_an_integer(iters):
+    """True passed as 1, and 1.5 failed only deep in the schedule."""
+    with pytest.raises(ValueError, match="iteration budget must be an "
+                                         "integer"):
+        UnlearnConfig("strong_secret", 1.0, 0.1, iters)
+
+
 @pytest.mark.parametrize("exponent", [float("nan"), float("inf")],
                          ids=["nan", "inf"])
 @pytest.mark.parametrize("make", [

@@ -79,6 +79,23 @@ def test_parameter_validation():
         dist_params(60, 2, loss, 1.0, 0, 1.0, 0.01)
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("n", 2.5, "point count n"), ("n", 100.0, "point count n"),
+    ("n", True, "point count n"), ("iters", 1.5, "iteration budget"),
+    ("iters", True, "iteration budget"), ("copies", 1.5, "copy count"),
+    ("copies", True, "copy count"), ("copies", 2.0, "copy count"),
+])
+def test_parameters_reject_counts_that_are_not_integers(field, value,
+                                                        name):
+    """``iters=1.5`` calibrated sigma to 1.5 and spent 1 (243x less noise
+    than the spent budget supports), ``n=2.5`` was recorded, and
+    ``copies=1.5`` or True became 1."""
+    args = {"n": 100, "iters": 1, "copies": 2, field: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        dist_params(args["n"], 3, RidgeLoss(ParamSpace(3, 1.0), lam=1.0),
+                    1.0, args["iters"], 1.0, 1e-3, copies=args["copies"])
+
+
 def test_copy_count_from_failure_probability():
     loss = ridge_loss(2)
     assert dist_params(60, 2, loss, 1.0, 1, 1.0, 0.01, beta=0.1).copies == 5
@@ -794,21 +811,27 @@ def _reference_chain(data, loss, config, seed, updates):
             copies, reports
 
 
+# (loss, data model, pgd calls of the stacked chain, n, d, xi)
 EQUIVALENCE_CASES = {
     # every partition descent mapped in closed form
     "ridge": (lambda d: RidgeLoss(ParamSpace(d, 1.0), lam=1.0), "linear",
-              0, 40),
+              0, 40, 3, 1.0),
     # the ball binds, so every certificate fails and pgd's loop runs
     "ridge_small_ball": (lambda d: RidgeLoss(ParamSpace(d, 0.02), lam=1.0),
-                         "linear", None, 40),
+                         "linear", None, 40, 3, 1.0),
     "logistic": (lambda d: LogisticLoss(ParamSpace(d, 1.0), lam=1.0),
-                 "logistic", None, 40),
+                 "logistic", None, 40, 3, 1.0),
     # 2 copies of 17 partitions: learn descends them in three blocks
     "ridge_blocks": (lambda d: RidgeLoss(ParamSpace(d, 1.0), lam=1.0),
-                     "linear", 0, 300),
+                     "linear", 0, 300, 3, 1.0),
     "ridge_small_ball_blocks": (
         lambda d: RidgeLoss(ParamSpace(d, 0.02), lam=1.0), "linear", None,
-        300),
+        300, 3, 1.0),
+    # xi = 4/3, d = 20: learn's T = 11 < d, so each of its 2 x 21
+    # partitions, three blocks of them, goes to ``pgd``'s short map; the
+    # edits' descents are mapped
+    "ridge_short_learn": (lambda d: RidgeLoss(ParamSpace(d, 1.0), lam=1.0),
+                          "linear", 42, 100, 20, 4.0 / 3.0),
 }
 
 
@@ -816,13 +839,15 @@ EQUIVALENCE_CASES = {
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_stacked_edit_matches_the_per_copy_reference(case, strategy,
                                                      monkeypatch):
-    make_loss, model, loops, n = EQUIVALENCE_CASES[case]
-    data = gen_synthetic_dataset(n, 3, model=model, noise=0.05, seed=41)
-    loss = make_loss(3)
+    make_loss, model, loops, n, dim, xi = EQUIVALENCE_CASES[case]
+    data = gen_synthetic_dataset(n, dim, model=model, noise=0.05, seed=41)
+    loss = make_loss(dim)
     # delta <= 1/B
-    cfg = dist_params(n, 3, loss, 1.0, 1, 1.0, min(0.01, 0.5 / n), copies=2)
+    cfg = dist_params(n, dim, loss, xi, 1, 1.0, min(0.01, 0.5 / n ** xi),
+                      copies=2)
     assert (cfg.copies * cfg.num_partitions
             > distributed._BLOCK_PARTITIONS) == (n > 40)
+    assert (cfg.train_iters < dim) == (xi > 1.0)
     updates = gen_adversarial_sequence(data, 10, strategy, seed=42)
     calls = []
     original = distributed.pgd
@@ -849,8 +874,9 @@ def test_stacked_edit_matches_the_per_copy_reference(case, strategy,
                     r.gradient_evaluations)
                    for r in state.last_report.copies]
             assert got == [(tuple(p), t, i, g) for p, t, i, g in reports]
-    # The reference always loops; the stacked chain loops only where the
-    # certificate fails, which is everywhere or nowhere in these cases.
+    # The reference always loops; the stacked chain calls ``pgd`` only
+    # where the certificate fails, which is everywhere or nowhere in
+    # these cases, or where a descent is shorter than d.
     assert stepped > 0
     assert len(calls) - stepped == (stepped if loops is None else loops)
 
@@ -858,9 +884,10 @@ def test_stacked_edit_matches_the_per_copy_reference(case, strategy,
 def test_refused_partitions_reuse_the_batch_system(monkeypatch):
     """Every partition of a radius-0.02 ridge chain is refused the map,
     and ``pgd`` loops over the batch's moments: one moment matrix built
-    from the data's rows (for ``select_best``), one stacked build of the
-    12 partitions' and one solve (the batch's), not one more of each per
-    partition."""
+    from the data's rows (for ``select_best``) and one stacked build of
+    the 12 partitions', not one more per partition. Learn descends from
+    the origin, unconverged, so the lifted map's certificate refuses
+    every partition before any system is solved."""
     data = gen_synthetic_dataset(150, 3, noise=0.05, seed=7)
     loss = ridge_loss(3, radius=0.02)
     cfg = dist_params(150, 3, loss, 1.0, 1, 1.0, 0.001, copies=1)
@@ -882,7 +909,7 @@ def test_refused_partitions_reuse_the_batch_system(monkeypatch):
     state = dist_learn(data, loss, cfg, seed=3)
     chunk = cfg.sample_size // cfg.num_partitions
     assert sorted(builds) == [(12, chunk), (150,)]
-    assert len(solves) == 1
+    assert len(solves) == 0
     assert refused == [True] * 12
     # The same bytes as ``pgd`` on each partition's rows alone.
     monkeypatch.undo()
@@ -894,6 +921,35 @@ def test_refused_partitions_reuse_the_batch_system(monkeypatch):
                                 distributed.GDConfig.for_loss(
                                     loss, cfg.train_iters))
         assert alone.theta.tobytes() == theta.tobytes()
+
+
+def test_benchmark_learn_solves_nothing_and_edits_solve_as_before(
+        monkeypatch):
+    """At the benchmark's distributed config (n = 500, d = 20, xi = 1,
+    3 copies of 22 partitions, T = 31 >= d and rho^T > 2^-53) learn
+    descends from the origin unconverged: every partition is mapped by
+    the lifted power, with no system solved and no ``pgd`` call. An edit
+    starts warm, so it solves once per block of touched partitions, as
+    before, and maps them all."""
+    data = gen_synthetic_dataset(500, 20, seed=5)
+    loss = RidgeLoss(ParamSpace(20, 1.0), lam=1.0)
+    cfg = dist_params(500, 20, loss, 1.0, 1, 1.0, 1e-3, copies=3)
+    assert (cfg.copies * cfg.num_partitions, cfg.train_iters) == (66, 31)
+    solves, calls = [], []
+    solve, original = np.linalg.solve, distributed.pgd
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *a: solves.append(1) or solve(*a))
+    monkeypatch.setattr(distributed, "pgd",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    state = dist_learn(data, loss, cfg, seed=5)
+    assert (solves, calls) == ([], [])
+    for update in gen_adversarial_sequence(data, 8, "churn", seed=5):
+        solves.clear()
+        state = dist_unlearn(state, update, loss, cfg)
+        touched = sum(len(r.touched) for r in state.last_report.copies)
+        assert len(solves) == math.ceil(touched
+                                        / distributed._BLOCK_PARTITIONS)
+        assert calls == []
 
 
 def test_logistic_partitions_all_run_the_pgd_loop(monkeypatch):

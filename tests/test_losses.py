@@ -35,6 +35,13 @@ def test_param_space_rejects_nonpositive_radius():
         ParamSpace(3, -1.0)
 
 
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, "3"])
+def test_param_space_rejects_a_dimension_that_is_not_an_integer(dim):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        ParamSpace(dim, 1.0)
+    assert ParamSpace(np.int64(3), 1.0).dim == 3
+
+
 NAN, INF = float("nan"), float("inf")
 LAM = "ridge coefficient must be nonnegative and finite"
 BOUNDS = "bounds must be positive and finite"

@@ -16,7 +16,8 @@ from unlearn.losses import (
     RidgeLoss,
     closed_form_ridge_optimizer,
 )
-from unlearn.optimizer import GDConfig, pgd, contraction_factor, map_many
+from unlearn.optimizer import (GDConfig, contraction_factor, map_many, pgd,
+                               solve_many)
 
 from helpers import ball_points
 
@@ -178,6 +179,22 @@ def test_contraction_factor_rejects_inconsistent_constants():
         contraction_factor(bad)
 
 
+@pytest.mark.parametrize("step_size, iterations, match", [
+    (float("inf"), 5, "step size must be positive and finite"),
+    (float("nan"), 5, "step size must be positive and finite"),
+    (0.5, 2.5, "iteration count must be an integer"),
+    (0.5, 2.0, "iteration count must be an integer"),
+    (0.5, True, "iteration count must be an integer"),
+])
+def test_gd_config_rejects_what_pgd_cannot_run(step_size, iterations,
+                                               match):
+    """An infinite step gave a NaN iterate with only a RuntimeWarning, and
+    a fractional count failed inside ``pgd`` with a TypeError."""
+    with pytest.raises(ValueError, match=match):
+        GDConfig(step_size, iterations)
+    assert GDConfig(0.5, np.int64(3)).iterations == 3
+
+
 def loop_pgd(loss, data, theta0, cfg):
     """The iterative descent, step by step, as the reference."""
     theta = np.asarray(theta0, dtype=float)
@@ -267,11 +284,73 @@ def test_map_many_maps_what_pgd_maps_to_the_same_bytes(
             assert out[p].tobytes() == alone.theta.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 30),
+       dim=st.integers(1, 6), radius=st.floats(0.05, 5.0),
+       lam=st.floats(0.01, 2.0), added=st.one_of(st.none(),
+                                                  st.floats(0.01, 1.0)),
+       problems=st.lists(st.tuples(st.one_of(st.integers(-5, -1),
+                                             st.integers(0, 150)),
+                                   st.booleans()),
+                         min_size=1, max_size=6))
+def test_descents_from_the_origin_decide_convergence_before_solving(
+        seed, size, dim, radius, lam, added, problems):
+    """From the origin |theta_0 - theta*| = |theta*|, so a descent has
+    converged when rho^T <= 2^-53, known before any solve. A stack of
+    unconverged descents from the origin maps with no solve, each mapped
+    one within 1e-12 of the loop; a converged one returns theta*, the
+    solve's bytes; a descent shorter than d is neither mapped nor
+    solved; and every problem, warm starts included, is mapped exactly
+    when ``pgd`` maps it alone, to its bytes."""
+    rng = np.random.default_rng(seed)
+    loss = RidgeLoss(ParamSpace(dim, radius), lam=lam)
+    if added is not None:
+        loss = RegularizedLoss(loss, added)
+    datasets = [Dataset(ball_points(rng, size, dim),
+                        rng.uniform(-1, 1, size=size)) for _ in problems]
+    starts = np.array([np.zeros(dim) if origin else
+                       ball_points(rng, 1, dim, radius=radius)[0]
+                       for _, origin in problems])
+    steps = [max(1, dim + extra) for extra, _ in problems]
+    hessian, rhs = map(np.array, zip(*map(loss.quadratic, datasets)))
+    eta, m = GDConfig.for_loss(loss, 0).step_size, loss.strong_convexity
+    rhos = [max(abs(1 - eta * m), abs(1 - eta * (np.trace(h) - (dim - 1) * m)))
+            for h in hessian]
+    unconverged = [origin and rho ** t > 2.0 ** -53
+                   for (_, origin), rho, t in zip(problems, rhos, steps)]
+    solved = [t >= dim and not lift for t, lift in zip(steps, unconverged)]
+    solves = []
+    with pytest.MonkeyPatch.context() as patch:
+        solve = np.linalg.solve
+        patch.setattr(np.linalg, "solve",
+                      lambda *a: solves.append(1) or solve(*a))
+        out, mapped = map_many(loss, hessian, rhs, starts, eta, steps)
+    assert len(solves) == any(solved)
+    star = solve_many(hessian, rhs)
+    for p, data in enumerate(datasets):
+        cfg = GDConfig.for_loss(loss, steps[p])
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_gradients(patch)
+            alone = pgd(loss, data, starts[p], cfg)
+        # Alone, a descent shorter than d takes the short map instead.
+        assert mapped[p] == (steps[p] >= dim and calls == [])
+        if not mapped[p]:
+            continue
+        assert out[p].tobytes() == alone.theta.tobytes()
+        if unconverged[p]:
+            slow = loop_pgd(loss, data, starts[p], cfg)
+            assert np.linalg.norm(out[p] - slow) \
+                <= 1e-12 * np.linalg.norm(slow)
+        elif problems[p][1]:
+            assert out[p].tobytes() == star[p].tobytes()
+
+
 def test_iterations_below_the_dimension_build_no_system(monkeypatch):
     """With T < d ``pgd`` takes the steps as theta <- A theta + c from the
     moments: it neither builds the normal equations nor solves them, and
     calls no gradient. From T = d on it maps through the system and
-    builds no (A, c)."""
+    builds no (A, c): from the origin, unconverged, by the lifted power
+    with no solve, and from any other start by a solve."""
     data, loss, _ = ridge_problem(seed=15, dim=5)
     cfg = GDConfig.for_loss(loss, iterations=4)
     expected = loop_pgd(loss, data, np.zeros(5), cfg)
@@ -290,7 +369,9 @@ def test_iterations_below_the_dimension_build_no_system(monkeypatch):
     assert trace.gradient_evaluations == 4 * data.size
     assert_allclose(trace.theta, expected, rtol=1e-12, atol=0)
     pgd(loss, data, np.zeros(5), GDConfig.for_loss(loss, iterations=5))
-    assert (built, solved, affine, len(calls)) == ([1], [1], [1], 0)
+    assert (built, solved, affine, len(calls)) == ([1], [], [1], 0)
+    pgd(loss, data, np.full(5, 0.1), GDConfig.for_loss(loss, iterations=5))
+    assert (built, solved, affine, len(calls)) == ([1, 1], [1], [1], 0)
 
 
 @pytest.mark.parametrize("regularized", [False, True])
