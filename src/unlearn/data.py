@@ -612,10 +612,13 @@ def gen_synthetic_dataset(n, dim, model="linear", noise=0.1, feature_bound=1.0,
     ``linear`` draws y = <w, x> + noise * N(0, 1) clipped to the label
     bound; ``logistic`` draws y in {-1, +1} with log-odds <w, x> / noise.
     The planted weights keep |<w, x>| at or below label_bound / 2 so the
-    clip rarely binds. Rejects a negative or non-finite ``noise`` and a
-    bound that is not positive and finite. The rows are allocated once,
-    as a column-major Z (``_planted_rows``).
+    clip rarely binds. Rejects a count that is not an integer, a
+    negative or non-finite ``noise`` and a bound that is not positive
+    and finite. The rows are allocated once, as a column-major Z
+    (``_planted_rows``).
     """
+    check_integer(n, "n")
+    check_integer(dim, "dim")
     if n < 1 or dim < 1:
         raise ValueError("n and dim must be positive")
     if model not in ("linear", "logistic"):
@@ -697,6 +700,7 @@ def gen_adversarial_sequence(data: Dataset, length, strategy="churn",
         deletes: delete random existing points; rejected up front when
             ``length`` exceeds the floor allowance.
     """
+    check_integer(length, "length")
     if length < 0:
         raise ValueError("length must be nonnegative")
     if strategy not in ("churn", "drift", "random", "deletes"):
@@ -754,8 +758,9 @@ def save_updates(seq, path):
 def load_updates(path) -> tuple:
     """Read the edits ``save_updates`` writes. A line that is not a JSON
     object with a known ``op``, a list of numbers ``x`` and a number
-    ``y`` is rejected as malformed, and one with a NaN or infinite
-    value as non-finite, each naming its line."""
+    ``y`` is rejected as malformed (a string or a boolean is not a
+    number), and one with a NaN or infinite value as non-finite, each
+    naming its line."""
     updates = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -764,11 +769,15 @@ def load_updates(path) -> tuple:
                 continue
             try:
                 obj = json.loads(line)
+                x, y = obj["x"], obj["y"]
+                # float() would read a numeric string, and bool is an int.
+                if type(x) is not list or not all(
+                        type(v) in (int, float) for v in x + [y]):
+                    raise ValueError("x is not a list of numbers or y "
+                                     "is not a number")
                 update = Update(obj["op"], DataPoint(
-                    np.asarray(obj["x"], dtype=float), float(obj["y"])))
-                if update.point.x.ndim != 1:
-                    raise ValueError("x is not a vector")
-            except (KeyError, TypeError, ValueError) as exc:
+                    np.array(x, dtype=float), float(y)))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"malformed update at line {line_no}") from exc
             point = update.point
             if not np.all(np.isfinite(point.x)) or not math.isfinite(point.y):

@@ -33,9 +33,9 @@ equations to ``map_many``, the closed-form map ``pgd`` itself uses,
 next block is gathered. So learn, which descends all C K partitions,
 holds one block's rows and stacks at a time, not the C B subsampled
 rows, and an edit's few touched partitions usually fit one block.
-Learn starts every partition at the origin, where ``map_many`` decides
-convergence before solving and maps an unconverged descent with no
-solve at all; an edit starts warm and solves its block once.
+``map_many`` decides convergence before solving, from any start, and
+solves only the descents that have converged: an unconverged learn
+solves nothing, and an edit solves its block's converged descents once.
 """
 
 from __future__ import annotations
@@ -360,9 +360,9 @@ def _descend(loss: LossModel, data: Dataset, indices, thetas, touched,
     gathered: its rows Z are gathered once, for a ridge-family loss its
     stacked moments, one Z^T Z per partition, give the normal equations
     (``losses.normal_equations``) and ``map_many`` maps in one batch
-    every descent ``pgd`` would map: from the origin (learn) with no
-    solve unless it has converged, from a warm start (an edit) by one
-    solve of the block. ``pgd`` runs the rest, told the map refused
+    every descent ``pgd`` would map, with one solve of the block's
+    converged descents and none if none has converged (an unconverged
+    learn's). ``pgd`` runs the rest, told the map refused
     them, on datasets that carry the block's moments, so no partition's
     moments are built or its system solved twice. Every product acts
     partition by partition, so the blocks give the bytes one stack

@@ -286,11 +286,10 @@ def _core_oracles(state, hint: int, compute_gap: bool, minimum: bool):
     ``closed_form_refusal`` accepts is that loss's minimizer with
     tolerance 0; one it refuses, or a loss with no closed form, takes
     the reference descent the named oracle falls back to. The mean maps
-    the effective theta* from 0 through the T_train steps of a retrain
-    under ``map_solved``, the map ``pgd`` takes through ``map_many``
-    with no solve: a converged map returns theta* itself, any other is
-    the lifted power, which needs no theta*. A descent the map refuses,
-    or one too short to map, runs ``pgd``.
+    a retrain's T_train steps from 0 under ``map_solved``, the map
+    ``pgd`` takes through ``map_many`` with no solve: a converged map
+    returns the solved theta* itself, any other is the lifted power. A
+    descent the map refuses, or one too short to map, runs ``pgd``.
     """
     sched, data = state.schedule, state.data
     eff, loss = sched.effective_loss, sched.loss
@@ -315,8 +314,7 @@ def _core_oracles(state, hint: int, compute_gap: bool, minimum: bool):
         zero = np.zeros(data.dim)
         train = GDConfig(sched.eta, sched.train_iters(data.size))
         if star is not None and train.iterations >= data.dim:
-            # A copy: the map overwrites theta* where it takes the power.
-            out, mapped = map_solved(eff, hessian[:1], star[:1].copy(),
+            out, mapped = map_solved(eff, hessian[:1], star[:1],
                                      zero[None], train.step_size,
                                      (train.iterations,), rhs[:1])
             mean = out[0] if mapped[0] else None

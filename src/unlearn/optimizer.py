@@ -8,40 +8,35 @@ bound on the objective gap.
 
 Quadratic losses (ridge, and ridge plus added quadratics) have gradient
 H theta - g, so an unprojected step is the affine map
-theta -> A theta + c with A = I - eta H and c = eta g, or equally
-theta -> theta* + A (theta - theta*) with theta* = H^-1 g. The
-eigenvalues of H lie in [m, tr H - (d-1) m], so A stretches no vector
-by more than rho = max(|1 - eta m|, |1 - eta (tr H - (d-1) m)|). In the
-strongly convex regime ``pgd`` takes T such steps at once, without a
-gradient call, whenever rho < 1 and a certificate proves that no
-iterate after the start leaves the ball, so that no projection would
-act. T against d picks the path, as the loop costs T d^2 flops (every
-loop gradient comes from the data's moments, see ``Dataset.moments``):
+theta -> A theta + c with A = I - eta H and c = eta g. The eigenvalues
+of H lie in [m, tr H - (d-1) m], so A stretches no vector by more than
+rho = max(|1 - eta m|, |1 - eta (tr H - (d-1) m)|). In the strongly
+convex regime ``pgd`` takes T such steps at once, without a gradient
+call, whenever one certificate, which needs no theta* = H^-1 g, proves
+that no iterate after the start leaves the ball, so that no projection
+would act: rho < 1 and
+R = max(rho |theta_0| + |c|, |c| / (1 - rho)) <= r (1 - 1e-9). Then
+|theta_1| <= rho |theta_0| + |c| <= R, and by induction
+|theta_{k+1}| <= rho |theta_k| + |c| <= rho R + (1 - rho) R = R. A start
+outside the ball passes when its first step lands inside. T against d
+picks the path, as the loop costs T d^2 flops (every loop gradient
+comes from the data's moments, see ``Dataset.moments``):
 
 - T >= d: ``map_many``, the one closed-form map of T steps, takes a
   stack of normal-equation systems (H, g), as
-  ``losses.normal_equations`` builds them. A warm start is solved for
-  theta* (``solve_many``) and mapped as
-  theta_T = theta* + A^T (theta_0 - theta*), the matrix power taken by
-  repeated squaring, d^3 log T flops, which pays from about T = d on.
-  Its certificate is |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9):
-  every iterate lies within rho |theta_0 - theta*| of theta*. Once
-  rho^T |theta_0 - theta*| <= 2^-53 |theta*| the T-step iterate agrees
-  with theta* to rounding, and the map returns theta* without taking
-  the power.
-- T >= d from the origin (learn, a retrain): |theta_0 - theta*| =
-  |theta*|, so that test reduces to rho^T <= 2^-53 and is decided
-  before any solve. A converged descent is solved and returns theta*
-  as above. Any other is not solved: ``_lifted_map`` reads theta_T off
-  the last column of B^T for the lifted step B = [[A, c], [0, 1]], as
-  B^k (0, 1) = (theta_k, 1), the power again by repeated squaring,
-  under the short map's certificate below, which needs no theta*.
+  ``losses.normal_equations`` builds them. I - A = eta H has
+  eigenvalues in [1 - rho, 1 + rho], so |theta*| lies in
+  [|c| / (1 + rho), |c| / (1 - rho)], and |theta_T - theta*| is at most
+  rho^T (|theta_0| + |c| / (1 - rho)). Once that is at most
+  2^-53 |c| / (1 + rho), the T-step iterate agrees with theta* to
+  rounding: the descent has converged, and the map returns theta*, from
+  one ``solve_many`` over the converged descents alone. Any other is
+  read off B^T (theta_0, 1) = (theta_T, 1) for the lifted step
+  B = [[A, c], [0, 1]], the power taken by repeated squaring,
+  d^3 log T flops and no solve, which pays from about T = d on.
 - 0 < T < d: the T steps theta <- A theta + c, with (A, c) read from the
   moments by ``loss.affine_step``, two matrix-vector operations a step
-  and no system solved. Its certificate needs no theta*: with
-  R = max(|theta_0|, |c| / (1 - rho)) <= r (1 - 1e-9), induction gives
-  |theta_{k+1}| <= rho |theta_k| + |c| <= rho R + (1 - rho) R = R, so
-  every iterate stays within R of the origin.
+  and no system built or solved.
 
 ``pgd`` sends its own long descents to ``map_many`` as a stack of one,
 built by ``loss.quadratic``; the distributed chain sends the systems of
@@ -49,15 +44,16 @@ its touched ridge-family partitions a block at a time. So both take the
 same map, by the same certificate, to the same bytes. A caller that
 already holds theta*, as the harness's oracles do, calls
 ``map_solved``, the same map with no solve. Any descent neither path
-certifies (a start outside the ball, a NaN start, a binding ball, a
-step too long to contract, the convex regime, a loss that is not
-quadratic) runs ``pgd``'s iterative loop. All report the nominal
+certifies (a start too far outside the ball, a NaN start, a binding
+ball, a step too long to contract, the convex regime, a loss that is
+not quadratic) runs ``pgd``'s iterative loop. All report the nominal
 T * n point-gradients.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +120,7 @@ def pgd(loss: LossModel, data: Dataset, theta0, config: GDConfig, *,
     shipped losses satisfy their regularity bounds on all of R^d.
 
     In the strongly convex regime a quadratic loss's descent is taken
-    without a gradient call when its certificate holds (see the module
+    without a gradient call when the certificate holds (see the module
     docstring): with T >= d, ``loss.quadratic`` gives (H, g) and the
     problem goes to ``map_many`` as a stack of one; with 0 < T < d,
     ``loss.affine_step`` gives (A, c) and the T steps run as
@@ -169,9 +165,8 @@ def _long_map(loss: LossModel, data: Dataset, theta, config: GDConfig):
 
 
 def _short_map(loss: LossModel, data: Dataset, theta, config: GDConfig):
-    """The T steps as theta <- A theta + c, or None where the
-    certificate max(|theta_0|, |c| / (1 - rho)) <= r (1 - 1e-9) fails or
-    the loss is not quadratic."""
+    """The T steps as theta <- A theta + c, or None where the certificate
+    fails or the loss is not quadratic."""
     affine = loss.affine_step(data, config.step_size)
     if affine is None:
         return None
@@ -180,10 +175,7 @@ def _short_map(loss: LossModel, data: Dataset, theta, config: GDConfig):
     # tr A = d - eta tr H.
     rho = _stretch(eta, loss.strong_convexity, (dim - step.trace()) / eta,
                    dim)
-    limit = loss.space.radius * (1.0 - 1e-9)
-    # Written so that a NaN start fails the test too.
-    if not (rho < 1.0 and _norm(theta) <= limit
-            and _norm(shift) <= (1.0 - rho) * limit):
+    if not _certified(rho, _norm(theta), _norm(shift), loss.space.radius):
         return None
     for _ in range(config.iterations):
         # ndarray.dot: the same product as @, with less dispatch.
@@ -198,6 +190,14 @@ def _stretch(step_size: float, m: float, trace: float, dim: int) -> float:
                abs(1.0 - step_size * (trace - (dim - 1) * m)))
 
 
+def _certified(rho: float, start: float, shift: float, radius: float):
+    # rho < 1 and max(rho |theta_0| + |c|, |c| / (1 - rho)) <= r (1 - 1e-9),
+    # written so that a NaN fails.
+    limit = radius * (1.0 - 1e-9)
+    return rho < 1.0 and rho * start + shift <= limit \
+        and shift <= (1.0 - rho) * limit
+
+
 def map_many(loss: LossModel, hessian, rhs, theta0, step_size: float,
              iterations):
     """The closed-form map of T quadratic steps, on P problems at once.
@@ -205,24 +205,20 @@ def map_many(loss: LossModel, hessian, rhs, theta0, step_size: float,
     Problem p has gradient ``hessian[p] theta - rhs[p]`` (a (P, d, d)
     and a (P, d) stack, as ``losses.normal_equations`` builds them) and
     descends from ``theta0[p]`` for ``iterations[p]`` (an int) steps of
-    ``step_size``, the strongly convex regime's. Returns a (P, d) array
-    and a (P,) mask of the problems mapped, those with T >= d whose
-    certificate holds; a row of the array is the problem's T-step
+    ``step_size``, the strongly convex regime's. Returns a fresh (P, d)
+    array and a (P,) mask of the problems mapped, those with T >= d
+    whose certificate holds; a row of the array is the problem's T-step
     iterate where the mask is set, and the caller runs ``pgd``, told the
     map ``refused``, on the rest. ``pgd`` maps its own T >= d descents
     here as a stack of one, so a stacked problem is mapped exactly when
     ``pgd`` maps it alone, and then to the same bytes.
 
-    A descent is solved for theta* (``solve_many``) and mapped to
-    theta* + A^T (theta_0 - theta*) under the certificate
-    |theta*| + rho |theta_0 - theta*| <= r (1 - 1e-9), or to theta*
-    itself once rho^T |theta_0 - theta*| <= 2^-53 |theta*|. From the
-    origin |theta_0 - theta*| = |theta*|, so that test reduces to
-    rho^T <= 2^-53 and is decided before any solve: a converged descent
-    is solved as above, and any other is mapped by ``_lifted_map``,
-    which needs no theta*, so a stack of them solves nothing. Nor is a
-    descent shorter than d solved, as it is not mapped. A caller that
-    already holds theta* calls ``map_solved``.
+    Neither the certificate nor the convergence test needs theta* (see
+    the module docstring). A converged problem is mapped to theta*, and
+    only the converged problems are solved, in one ``solve_many``; any
+    other mapped problem, warm or from the origin, is mapped by the
+    lifted power. A caller that already holds theta* calls
+    ``map_solved``.
     """
     return _map(loss, hessian, rhs, None, theta0, step_size, iterations)
 
@@ -238,15 +234,10 @@ def solve_many(hessian, rhs):
 
 def map_solved(loss: LossModel, hessian, star, theta0, step_size: float,
                iterations, rhs):
-    """``map_many``'s map and certificate, given theta* = ``star``, the
-    (P, d) ``solve_many`` of the stack, so nothing is solved again.
-
-    Takes the from-origin rule ``map_many`` takes, to its bytes, which
-    is why the stack's ``rhs`` is passed too. Returns ``star`` and the
-    mask: each mapped row that has not converged is overwritten in place
-    by its T-step iterate, so a caller that needs theta* afterwards
-    passes a copy.
-    """
+    """``map_many``'s map, given theta* = ``star``, the (P, d)
+    ``solve_many`` of the stack, so nothing is solved: a converged
+    problem is mapped to its row of ``star``, to ``map_many``'s bytes.
+    The stack's ``rhs`` gives c = eta g. ``star`` is not written."""
     return _map(loss, hessian, rhs, star, theta0, step_size, iterations)
 
 
@@ -254,113 +245,59 @@ def _map(loss: LossModel, hessian, rhs, star, theta0, step_size: float,
          iterations):
     # ``map_many`` when ``star`` is None, else ``map_solved``.
     count, dim = rhs.shape
-    m, limit = loss.strong_convexity, loss.space.radius * (1.0 - 1e-9)
-    rhos = [_stretch(step_size, m, trace, dim)
-            for trace in hessian.trace(axis1=1, axis2=2).tolist()]
-    # The rows that need theta* and those lifted. Warm starts have
-    # (almost surely) no zero coordinate, so one count passes a stack of
-    # them, and if none is shorter than d the whole stack needs theta*.
-    solved, lifted = range(count), []
-    nonzero = np.count_nonzero(theta0)
-    if nonzero < theta0.size or min(iterations) < dim:
-        origin = [not nonzero] * count if nonzero in (0, theta0.size) \
-            else (~theta0.any(axis=1)).tolist()
-        solved = []
-        for p, steps in enumerate(iterations):
-            # From the origin unconverged while rho^T > 2^-53 (an
-            # underflow is converged; a rho of 1 or more counts, and the
-            # lifted certificate refuses it). A descent shorter than d is
-            # not mapped, so it is not solved either.
-            if steps >= dim:
-                (lifted if origin[p] and (
-                    rhos[p] >= 1.0 or rhos[p] ** steps > 2.0 ** -53)
-                 else solved).append(p)
-    mapped = np.zeros(count, dtype=bool)
-    if star is None:
-        if len(solved) == count:
-            star = solve_many(hessian, rhs)
-            if star is None:
-                return np.empty(rhs.shape), mapped
-        else:
-            # The rows not solved are not mapped below.
-            part = solve_many(hessian[solved], rhs[solved]) if solved \
-                else None
-            star = np.zeros((count, dim))
-            if part is None:
-                solved = []
-            else:
-                star[solved] = part
-    diff = theta0 - star
-    # From the origin alone |theta_0 - theta*| = |theta*|: one norm each.
-    pair = np.array((star, diff)) if nonzero else star[None]
-    norms = np.sqrt((pair[..., None, :] @ pair[..., None])[..., 0, 0]
-                    ).tolist()
-    sizes, gaps = norms[0], norms[-1]
-    powered = {}
-    for p in solved:
-        steps, rho, size, gap = iterations[p], rhos[p], sizes[p], gaps[p]
-        if steps < dim or not (rho < 1.0 and size + rho * gap <= limit):
+    m, radius = loss.strong_convexity, loss.space.radius
+    pair = np.array((theta0, rhs))
+    starts, sizes = np.sqrt((pair[..., None, :] @ pair[..., None])
+                            [..., 0, 0]).tolist()
+    out, mapped = np.empty((count, dim)), np.zeros(count, dtype=bool)
+    converged, powered = [], {}
+    for p, trace in enumerate(hessian.trace(axis1=1, axis2=2).tolist()):
+        steps, start, shift = iterations[p], starts[p], step_size * sizes[p]
+        rho = _stretch(step_size, m, trace, dim)
+        if steps < dim or not _certified(rho, start, shift, radius):
             continue
         mapped[p] = True
-        # Converged once rho^T gap <= 2^-53 |theta*|: the T-step iterate
-        # is theta* to rounding. Compared in logs, as rho^T may underflow.
-        if gap != 0.0 and rho != 0.0 and not (
-                size > 0.0 and steps * math.log(rho) + math.log(gap)
-                <= math.log(size) - 53.0 * math.log(2.0)):
+        # Converged once rho^T (|theta_0| + |c| / (1 - rho)) is at most
+        # 2^-53 |c| / (1 + rho). A ratio below the least normal float,
+        # where rho^T may have underflowed, counts as unconverged.
+        ratio = shift and 2.0 ** -53 * shift / (
+            (1.0 + rho) * (start + shift / (1.0 - rho)))
+        if ratio >= sys.float_info.min and rho ** steps <= ratio:
+            converged.append(p)
+        else:
             powered.setdefault(steps, []).append(p)
+    if converged:
+        group = _rows(converged, count)
+        solved = solve_many(hessian[group], rhs[group]) if star is None \
+            else star[group]
+        if solved is None:
+            mapped[group] = False
+        else:
+            out[group] = solved
     for steps, group in powered.items():
-        # A group of the whole stack is indexed by views, not copies.
-        group = group if len(group) < count else slice(None)
-        step = np.eye(dim) - step_size * hessian[group]
-        star[group] += (np.linalg.matrix_power(step, steps)
-                        @ diff[group][:, :, None])[:, :, 0]
-    if lifted:
-        _lifted_map(loss, hessian, rhs, step_size, iterations, rhos, lifted,
-                    star, mapped)
-    return star, mapped
-
-
-def _lifted_map(loss: LossModel, hessian, rhs, step_size: float, iterations,
-                rhos, rows, out, mapped):
-    """Map the descents ``rows`` of the stack, each from the origin, with
-    stretches ``rhos``: set ``mapped[p]`` where the certificate holds and
-    write the T-step iterate to ``out[p]``. It is read off the last
-    column of B^T for the lifted step B = [[A, c], [0, 1]], A = I - eta H
-    and c = eta g, as B^k (0, 1) = (theta_k, 1); the power is taken by
-    repeated squaring, d^3 log T flops and no solve. The certificate is
-    ``_short_map``'s, which needs no theta*: rho < 1 and
-    |c| / (1 - rho) <= r (1 - 1e-9)."""
-    count, dim = rhs.shape
-    shift = rhs * step_size
-    norms = np.sqrt((shift[:, None, :] @ shift[:, :, None])[:, 0, 0]
-                    ).tolist()
-    limit = loss.space.radius * (1.0 - 1e-9)
-    groups = {}
-    for p in rows:
-        if rhos[p] < 1.0 and norms[p] <= (1.0 - rhos[p]) * limit:
-            mapped[p] = True
-            groups.setdefault(iterations[p], []).append(p)
-    for steps, group in groups.items():
-        size = len(group)
-        # A group of the whole stack is indexed by views, not copies.
-        group = group if size < count else slice(None)
+        size, group = len(group), _rows(group, count)
         power = np.zeros((size, dim + 1, dim + 1))
         np.multiply(hessian[group], -step_size, out=power[:, :dim, :dim])
         # 1 on the whole diagonal: I - eta H, and B's corner.
         power.reshape(size, -1)[:, ::dim + 2] += 1.0
-        power[:, :dim, dim] = shift[group]
-        # B^T (0, 1), with B^(2^k) applied for each bit k set in T; the
-        # first is B^(2^k) (0, 1), B^(2^k)'s last column.
-        column = None
+        np.multiply(rhs[group], step_size, out=power[:, :dim, dim])
+        # B^T (theta_0, 1), applying B^(2^k) for each bit k set in T.
+        column = np.ones((size, dim + 1, 1))
+        column[:, :dim, 0] = theta0[group]
         while True:
             steps, bit = divmod(steps, 2)
             if bit:
-                column = power[:, :, dim] if column is None else \
-                    (power @ column[:, :, None])[:, :, 0]
+                column = power @ column
             if not steps:
                 break
             power = power @ power
-        out[group] = column[:, :dim]
+        out[group] = column[:, :dim, 0]
+    return out, mapped
+
+
+def _rows(group, count):
+    # A group of the whole stack is indexed by views, not copies.
+    return group if len(group) < count else slice(None)
 
 
 def contraction_factor(loss: LossModel) -> float:

@@ -318,6 +318,20 @@ def test_synthetic_rejects_bad_requests():
                                   label_bound=bounds[1])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_synthetic_dataset(2.5, 3),
+    lambda: gen_synthetic_dataset(True, 3),
+    lambda: gen_synthetic_dataset(10, 3.0),
+    lambda: gen_synthetic_dataset(10, False),
+    lambda: gen_adversarial_sequence(small_dataset(), 2.5),
+    lambda: gen_adversarial_sequence(small_dataset(), True),
+], ids=["fractional_n", "bool_n", "float_dim", "bool_dim",
+        "fractional_length", "bool_length"])
+def test_generators_reject_counts_that_are_not_integers(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
 def test_noiseless_linear_data_identifies_the_planted_weights():
     data = gen_synthetic_dataset(10000, 5, noise=0.0, seed=5)
     star = closed_form_ridge_optimizer(data, 1e-8, ParamSpace(5, 1.0))
@@ -401,11 +415,17 @@ def test_jsonl_loader_flags_malformed_and_nonfinite_lines(tmp_path):
     path.write_text('{"op":"add","y":0.0}\n')
     with pytest.raises(ValueError, match="malformed update at line 1"):
         load_updates(path)
-    # A matrix or a scalar x, a string x, an unknown op and a non-object
+    # A matrix or a scalar x, a string x, strings or booleans for numbers,
+    # an integer past the float range, an unknown op and a non-object
     # line are malformed too, and each names its line.
     for line in ('{"op":"add","x":[[0.1,0.2]],"y":0.0}',
                  '{"op":"add","x":0.5,"y":0.0}',
                  '{"op":"add","x":"abc","y":0.0}',
+                 '{"op":"add","x":["0.1","0.2"],"y":0.5}',
+                 '{"op":"add","x":[0.1,0.2],"y":"0.5"}',
+                 '{"op":"add","x":[true,false],"y":0.5}',
+                 '{"op":"add","x":[0.1,0.2],"y":true}',
+                 '{"op":"add","x":[1' + '0' * 400 + ',0.2],"y":0.0}',
                  '{"op":"bogus","x":[0.1,0.2],"y":0.0}', '[0.1,0.2]'):
         path.write_text('{"op":"add","x":[0.1,0.2],"y":0.0}\n' + line)
         with pytest.raises(ValueError, match="^malformed update at line 2$"):

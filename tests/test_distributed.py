@@ -885,9 +885,9 @@ def test_refused_partitions_reuse_the_batch_system(monkeypatch):
     """Every partition of a radius-0.02 ridge chain is refused the map,
     and ``pgd`` loops over the batch's moments: one moment matrix built
     from the data's rows (for ``select_best``) and one stacked build of
-    the 12 partitions', not one more per partition. Learn descends from
-    the origin, unconverged, so the lifted map's certificate refuses
-    every partition before any system is solved."""
+    the 12 partitions', not one more per partition. The certificate,
+    which needs no theta*, refuses every partition before any system is
+    solved."""
     data = gen_synthetic_dataset(150, 3, noise=0.05, seed=7)
     loss = ridge_loss(3, radius=0.02)
     cfg = dist_params(150, 3, loss, 1.0, 1, 1.0, 0.001, copies=1)

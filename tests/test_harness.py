@@ -276,7 +276,7 @@ def same_bytes(a, b):
 
 
 # Which of the map's branches the retrain mean takes on the grid below,
-# per mode: converged (theta* itself), powered (theta* + A^T (0 - theta*))
+# per mode: converged (theta* itself), powered (the lifted power B^T (0, 1))
 # or refused (``pgd``'s loop). Short descents, T < d, take ``pgd``'s
 # short map and never reach the map.
 GRID_BRANCHES = {

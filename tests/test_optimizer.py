@@ -16,8 +16,8 @@ from unlearn.losses import (
     RidgeLoss,
     closed_form_ridge_optimizer,
 )
-from unlearn.optimizer import (GDConfig, contraction_factor, map_many, pgd,
-                               solve_many)
+from unlearn.optimizer import (GDConfig, contraction_factor, map_many,
+                               map_solved, pgd, solve_many)
 
 from helpers import ball_points
 
@@ -252,7 +252,7 @@ def test_map_many_maps_what_pgd_maps_to_the_same_bytes(
     """Each stacked problem of T >= d steps is mapped exactly when
     ``pgd`` on it alone takes no gradient step, and then to ``pgd``'s
     bytes; binding balls and far starts leave some unmapped, and short
-    descents take the matrix power. A problem of T < d steps is never
+    descents take the lifted power. A problem of T < d steps is never
     mapped: ``pgd`` takes it by its own affine steps or its loop, and
     either agrees with the loop."""
     rng = np.random.default_rng(seed)
@@ -291,42 +291,54 @@ def test_map_many_maps_what_pgd_maps_to_the_same_bytes(
                                                   st.floats(0.01, 1.0)),
        problems=st.lists(st.tuples(st.one_of(st.integers(-5, -1),
                                              st.integers(0, 150)),
-                                   st.booleans()),
+                                   st.sampled_from((0.0, 0.5, 1.0, 1.3))),
                          min_size=1, max_size=6))
-def test_descents_from_the_origin_decide_convergence_before_solving(
+def test_every_descent_decides_convergence_before_solving(
         seed, size, dim, radius, lam, added, problems):
-    """From the origin |theta_0 - theta*| = |theta*|, so a descent has
-    converged when rho^T <= 2^-53, known before any solve. A stack of
-    unconverged descents from the origin maps with no solve, each mapped
-    one within 1e-12 of the loop; a converged one returns theta*, the
-    solve's bytes; a descent shorter than d is neither mapped nor
-    solved; and every problem, warm starts included, is mapped exactly
-    when ``pgd`` maps it alone, to its bytes."""
+    """The map decides from (H, g) and theta_0 alone which descents it
+    maps and which have converged, so a stack of origins, warm starts,
+    starts outside the ball and descents shorter than d runs one
+    ``np.linalg.solve`` exactly when a converged descent exists, over
+    those alone, and a converged one carries the solve's bytes; each
+    other mapped one is within 1e-12 of the loop; and every problem is
+    mapped exactly when ``pgd`` maps it alone, to its bytes.
+    ``map_solved``, given theta*, gives the same bytes and leaves theta*
+    as it was."""
     rng = np.random.default_rng(seed)
     loss = RidgeLoss(ParamSpace(dim, radius), lam=lam)
     if added is not None:
         loss = RegularizedLoss(loss, added)
     datasets = [Dataset(ball_points(rng, size, dim),
                         rng.uniform(-1, 1, size=size)) for _ in problems]
-    starts = np.array([np.zeros(dim) if origin else
-                       ball_points(rng, 1, dim, radius=radius)[0]
-                       for _, origin in problems])
+    starts = np.array([ball_points(rng, 1, dim, radius=scale * radius)[0]
+                       for _, scale in problems])
     steps = [max(1, dim + extra) for extra, _ in problems]
     hessian, rhs = map(np.array, zip(*map(loss.quadratic, datasets)))
     eta, m = GDConfig.for_loss(loss, 0).step_size, loss.strong_convexity
-    rhos = [max(abs(1 - eta * m), abs(1 - eta * (np.trace(h) - (dim - 1) * m)))
-            for h in hessian]
-    unconverged = [origin and rho ** t > 2.0 ** -53
-                   for (_, origin), rho, t in zip(problems, rhos, steps)]
-    solved = [t >= dim and not lift for t, lift in zip(steps, unconverged)]
+    converged = []
+    for h, g, start, t in zip(hessian, rhs, starts, steps):
+        rho = max(abs(1 - eta * m),
+                  abs(1 - eta * (np.trace(h) - (dim - 1) * m)))
+        shift = np.linalg.norm(eta * g)
+        bound = np.linalg.norm(start) + shift / (1 - rho)
+        limit = radius * (1 - 1e-9)
+        certified = rho < 1 and max(
+            rho * np.linalg.norm(start) + shift, shift / (1 - rho)) <= limit
+        converged.append(t >= dim and certified and
+                         rho ** t * bound <= 2.0 ** -53 * shift / (1 + rho))
     solves = []
     with pytest.MonkeyPatch.context() as patch:
         solve = np.linalg.solve
         patch.setattr(np.linalg, "solve",
-                      lambda *a: solves.append(1) or solve(*a))
+                      lambda *a: solves.append(len(a[0])) or solve(*a))
         out, mapped = map_many(loss, hessian, rhs, starts, eta, steps)
-    assert len(solves) == any(solved)
+    assert solves == ([sum(converged)] if any(converged) else [])
     star = solve_many(hessian, rhs)
+    kept = star.copy()
+    again, remapped = map_solved(loss, hessian, star, starts, eta, steps, rhs)
+    assert star.tobytes() == kept.tobytes()
+    assert np.array_equal(remapped, mapped)
+    assert again[mapped].tobytes() == out[mapped].tobytes()
     for p, data in enumerate(datasets):
         cfg = GDConfig.for_loss(loss, steps[p])
         with pytest.MonkeyPatch.context() as patch:
@@ -337,20 +349,20 @@ def test_descents_from_the_origin_decide_convergence_before_solving(
         if not mapped[p]:
             continue
         assert out[p].tobytes() == alone.theta.tobytes()
-        if unconverged[p]:
-            slow = loop_pgd(loss, data, starts[p], cfg)
-            assert np.linalg.norm(out[p] - slow) \
-                <= 1e-12 * np.linalg.norm(slow)
-        elif problems[p][1]:
+        if converged[p]:
             assert out[p].tobytes() == star[p].tobytes()
+        else:
+            slow = loop_pgd(loss, data, starts[p], cfg)
+            scale = max(np.linalg.norm(slow), np.linalg.norm(starts[p]))
+            assert np.linalg.norm(out[p] - slow) <= 1e-12 * scale
 
 
 def test_iterations_below_the_dimension_build_no_system(monkeypatch):
     """With T < d ``pgd`` takes the steps as theta <- A theta + c from the
     moments: it neither builds the normal equations nor solves them, and
     calls no gradient. From T = d on it maps through the system and
-    builds no (A, c): from the origin, unconverged, by the lifted power
-    with no solve, and from any other start by a solve."""
+    builds no (A, c): unconverged, from the origin or a warm start, by
+    the lifted power with no solve, and converged by a solve."""
     data, loss, _ = ridge_problem(seed=15, dim=5)
     cfg = GDConfig.for_loss(loss, iterations=4)
     expected = loop_pgd(loss, data, np.zeros(5), cfg)
@@ -371,7 +383,9 @@ def test_iterations_below_the_dimension_build_no_system(monkeypatch):
     pgd(loss, data, np.zeros(5), GDConfig.for_loss(loss, iterations=5))
     assert (built, solved, affine, len(calls)) == ([1], [], [1], 0)
     pgd(loss, data, np.full(5, 0.1), GDConfig.for_loss(loss, iterations=5))
-    assert (built, solved, affine, len(calls)) == ([1, 1], [1], [1], 0)
+    assert (built, solved, affine, len(calls)) == ([1, 1], [], [1], 0)
+    pgd(loss, data, np.full(5, 0.1), GDConfig.for_loss(loss, iterations=500))
+    assert (built, solved, affine, len(calls)) == ([1, 1, 1], [1], [1], 0)
 
 
 @pytest.mark.parametrize("regularized", [False, True])
@@ -512,45 +526,63 @@ def test_loop_on_fresh_ridge_data_reads_the_moments_only(monkeypatch):
     assert row_gradients == []
 
 
-def test_converged_map_skips_the_matrix_power(monkeypatch):
-    """From the first T with rho^T |theta0 - theta*| <= 2^-53 |theta*|
-    on, the map returns theta*: within rounding of the matrix-power
-    iterate, and bytewise that iterate once the power underflows.
-    Below that T the power is taken, as before."""
+def test_converged_map_solves_and_takes_no_power(monkeypatch):
+    """From the first T with
+    rho^T (|theta_0| + |c| / (1 - rho)) <= 2^-53 |c| / (1 + rho) on, the
+    map solves once and returns theta*: within rounding of
+    theta* + A^T (theta_0 - theta*), and bytewise that iterate once A^T
+    underflows. Below that T it solves nothing and takes the lifted
+    power, within rounding of the same iterate."""
     data, loss, _ = ridge_problem(seed=14)
     theta0 = np.array([0.3, -0.2, 0.1])
     hessian, rhs = loss.quadratic(data)
     star = np.linalg.solve(hessian, rhs)
     eta, m = GDConfig.for_loss(loss, 1).step_size, loss.strong_convexity
     rho = max(abs(1 - eta * m), abs(1 - eta * (np.trace(hessian) - 2 * m)))
-    first = math.ceil(math.log(2.0 ** -53 * np.linalg.norm(star)
-                               / np.linalg.norm(theta0 - star))
+    shift = np.linalg.norm(eta * rhs)
+    first = math.ceil(math.log(2.0 ** -53 * shift / (1 + rho)
+                               / (np.linalg.norm(theta0)
+                                  + shift / (1 - rho)))
                       / math.log(rho))
     assert first == 36
-    powers = []
-    original = np.linalg.matrix_power
-
-    def counted(matrix, exponent):
-        powers.append(exponent)
-        return original(matrix, exponent)
-
-    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *a: solves.append(1) or solve(*a))
     for iterations in (first - 1, first, 2400):
         cfg = GDConfig.for_loss(loss, iterations=iterations)
-        expected = star + original(np.eye(3) - eta * hessian, iterations) \
-            @ (theta0 - star)
-        powers.clear()
+        expected = star + np.linalg.matrix_power(
+            np.eye(3) - eta * hessian, iterations) @ (theta0 - star)
+        solves.clear()
         theta = pgd(loss, data, theta0, cfg).theta
-        if iterations < first:
-            assert powers == [iterations]
-            assert theta.tobytes() == expected.tobytes()
-        else:
-            assert powers == []
-            assert np.linalg.norm(theta - expected) \
-                <= 2.0 ** -52 * np.linalg.norm(star)
+        assert solves == ([] if iterations < first else [1])
+        assert np.linalg.norm(theta - expected) \
+            <= 2.0 ** -50 * np.linalg.norm(star)
     # By T = 2400 the power has underflowed to zero: bytewise theta*.
-    assert not original(np.eye(3) - eta * hessian, 2400).any()
+    assert not np.linalg.matrix_power(np.eye(3) - eta * hessian, 2400).any()
     assert theta.tobytes() == expected.tobytes() == star.tobytes()
+
+
+@pytest.mark.parametrize("iterations", [3, 5, 40])
+def test_a_start_outside_the_ball_maps_once_its_first_step_lands_inside(
+        monkeypatch, iterations):
+    """A ridge descent from |theta_0| = 1.2 r, where
+    rho |theta_0| + |c| <= r puts the first iterate and, by induction,
+    every later one inside the ball: whether T < d (the affine steps) or
+    T >= d (the map), ``pgd`` calls no gradient and agrees with the
+    loop, whose projections are all identities."""
+    data, loss, _ = ridge_problem(seed=16, dim=5, lam=10.0, radius=1.0)
+    theta0 = np.full(5, 1.2 / math.sqrt(5))
+    cfg = GDConfig.for_loss(loss, iterations=iterations)
+    hessian, rhs = loss.quadratic(data)
+    eta, m = cfg.step_size, loss.strong_convexity
+    rho = max(abs(1 - eta * m), abs(1 - eta * (np.trace(hessian) - 4 * m)))
+    assert rho * np.linalg.norm(theta0) + np.linalg.norm(eta * rhs) <= 0.2
+    slow = loop_pgd(loss, data, theta0, cfg)
+    calls = count_gradients(monkeypatch)
+    fast = pgd(loss, data, theta0, cfg)
+    assert calls == []
+    assert np.linalg.norm(fast.theta - slow) <= 1e-12 * np.linalg.norm(slow)
 
 
 def test_binding_ball_case_really_binds():

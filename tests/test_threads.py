@@ -3,7 +3,8 @@
 Each chain runs in a subprocess of its own, since OpenBLAS reads its
 thread count once, at load. Only the counts 1 and 2 are compared, and
 only at the dimensions the blocked products were measured at: the
-moment builder (``data._row_moments``) for ridge, and the logistic row
+moment builder (``data._row_moments``) for ridge, the closed-form map's
+power (``optimizer.map_many``) at d = 20, and the logistic row
 gradient's ``X^T w`` (``LogisticLoss._batch_gradient``).
 """
 
@@ -64,6 +65,16 @@ def dist_chain():
     return digests(states, lambda s: s.thetas)
 
 
+def regularized_chain():
+    data = gen_synthetic_dataset(2_000, 20, seed=5)
+    loss = RidgeLoss(ParamSpace(20, 1.0), lam=0.5)
+    config = core.UnlearnConfig("regularized_weak", 1.0, 0.05, 5)
+    updates = gen_adversarial_sequence(data, 5, "churn", seed=5)
+    states = chain(core.learn(data, loss, config, seed=5),
+                   lambda s, u: core.unlearn(s, u, loss, config), updates)
+    return digests(states, lambda s: s.theta_hat)
+
+
 def logistic_chain():
     data = gen_synthetic_dataset(20_000, 50, model="logistic", seed=5)
     loss = LogisticLoss(ParamSpace(50, 1.0), lam=1.0)
@@ -89,11 +100,14 @@ def run_at(threads: int, which: str) -> dict:
 
 
 @pytest.mark.parametrize("which", ["core_chain", "dist_chain",
-                                   "logistic_chain"])
+                                   "regularized_chain", "logistic_chain"])
 def test_chain_bytes_do_not_depend_on_the_blas_thread_count(which):
     """A core ridge ``strong_secret`` chain at n=1e4, d=50 with six churn
-    edits, a distributed ridge chain at n=500, d=20 with twelve, and a
-    core logistic ``strong_secret`` chain at n=2e4, d=50 with four, where
-    one product over all the rows gives other bytes at 2 threads:
-    published and secret digests are equal at 1 and 2 threads."""
+    edits, a distributed ridge chain at n=500, d=20 with twelve, a core
+    ridge ``regularized_weak`` chain at n=2e3, d=20 with five, whose
+    rounds 2 and 3 are warm descents of T >= d that have not converged
+    and take the lifted power, and a core logistic ``strong_secret``
+    chain at n=2e4, d=50 with four, where one product over all the rows
+    gives other bytes at 2 threads: published and secret digests are
+    equal at 1 and 2 threads."""
     assert run_at(1, which) == run_at(2, which)
